@@ -1,15 +1,14 @@
-//! Wall-clock speed of the simulation kernel itself: the event-wheel
-//! scheduler (`scheduled`) and the activity-gated scheduler with idle
-//! fast-forward (`gated`) against exhaustive per-cycle evaluation.
-//! Simulated results are bit-identical in all three modes (asserted here
-//! and property-tested in `ff_equivalence` / `wheel_equivalence`); only
-//! host wall-clock time differs.
+//! Wall-clock speed of the simulation kernel itself: the scheduled
+//! kernel (stage gating plus quiet-span skipping) against exhaustive
+//! per-cycle evaluation. Simulated results are bit-identical in both
+//! modes (asserted here and property-tested in `ff_equivalence` /
+//! `wheel_equivalence`); only host wall-clock time differs.
 //!
 //! Besides the criterion samples, this harness writes
 //! `BENCH_sim_speed.json` at the workspace root with simulated
 //! cycles/second per scenario and mode. The `fu_latency_burn` scenario
-//! is the link/latency-bound case the event wheel targets: gated must
-//! step every cycle of every unit burn, the wheel jumps them.
+//! is the latency-bound case quiet-span skipping targets: the reference
+//! kernel steps every cycle of every unit burn, the scheduler jumps them.
 
 use bench::links::{arith_batch_mode, latency_burn_mode, LinkRun};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -29,7 +28,8 @@ fn e8_slow_link(mode: ActivityMode) -> LinkRun {
 
 /// The latency-burn round trips: 8 synchronous instructions on a
 /// 20000-cycle unit over the prototyping link. Quiet (unit busy) for
-/// ~95% of simulated time — gated steps all of it, the wheel skips it.
+/// ~95% of simulated time — the reference kernel steps all of it, the
+/// scheduler skips it.
 fn fu_latency_burn(mode: ActivityMode) -> LinkRun {
     latency_burn_mode(LinkModel::prototyping(), 8, 20_000, mode)
 }
@@ -80,55 +80,44 @@ fn rate(cycles: u64, wall: Duration) -> f64 {
     cycles as f64 / wall.as_secs_f64()
 }
 
-/// Wall times of the three modes for one scenario.
+/// Wall times of both modes for one scenario.
 struct ModeTimes {
     exhaustive: Duration,
-    gated: Duration,
     scheduled: Duration,
 }
 
-/// Measure all three modes of one scenario and emit a JSON fragment.
+/// One scenario's JSON fragment.
 fn scenario_json(name: &str, cycles: u64, skipped: u64, t: &ModeTimes) -> String {
     format!(
         concat!(
             "    {{\"name\": \"{}\", \"link\": \"prototyping\", ",
             "\"simulated_cycles\": {}, \"skipped_cycles\": {}, ",
             "\"exhaustive\": {{\"wall_ns\": {}, \"cycles_per_sec\": {:.0}}}, ",
-            "\"gated\": {{\"wall_ns\": {}, \"cycles_per_sec\": {:.0}}}, ",
             "\"scheduled\": {{\"wall_ns\": {}, \"cycles_per_sec\": {:.0}}}, ",
-            "\"speedup\": {:.2}, ",
-            "\"speedup_scheduled\": {:.2}, ",
-            "\"scheduled_vs_gated\": {:.2}}}"
+            "\"speedup\": {:.2}}}"
         ),
         name,
         cycles,
         skipped,
         t.exhaustive.as_nanos(),
         rate(cycles, t.exhaustive),
-        t.gated.as_nanos(),
-        rate(cycles, t.gated),
         t.scheduled.as_nanos(),
         rate(cycles, t.scheduled),
-        t.exhaustive.as_secs_f64() / t.gated.as_secs_f64(),
         t.exhaustive.as_secs_f64() / t.scheduled.as_secs_f64(),
-        t.gated.as_secs_f64() / t.scheduled.as_secs_f64(),
     )
 }
 
-/// Time one `LinkRun` scenario in all three modes, asserting that the
+/// Time one `LinkRun` scenario in both modes, asserting that the
 /// simulated cycle counts agree.
 fn measure_link_run(name: &str, f: impl Fn(ActivityMode) -> LinkRun) -> (u64, u64, ModeTimes) {
-    let (t_gated, r_gated) = time_best(5, || f(ActivityMode::Gated));
     let (t_exh, r_exh) = time_best(5, || f(ActivityMode::Exhaustive));
     let (t_sched, r_sched) = time_best(5, || f(ActivityMode::Scheduled));
-    assert_eq!(r_gated.cycles, r_exh.cycles, "modes diverged on {name}");
-    assert_eq!(r_gated.cycles, r_sched.cycles, "modes diverged on {name}");
+    assert_eq!(r_exh.cycles, r_sched.cycles, "modes diverged on {name}");
     (
-        r_gated.cycles,
+        r_sched.cycles,
         r_sched.sim.cycles_skipped,
         ModeTimes {
             exhaustive: t_exh,
-            gated: t_gated,
             scheduled: t_sched,
         },
     )
@@ -139,15 +128,12 @@ fn write_report() {
     let (burn_cycles, burn_skipped, burn_times) =
         measure_link_run("fu_latency_burn", fu_latency_burn);
 
-    let (t_mh_gated, (mh_cycles, _)) = time_best(5, || multihost_idle(ActivityMode::Gated));
     let (t_mh_exh, (mh_cycles_exh, _)) = time_best(5, || multihost_idle(ActivityMode::Exhaustive));
-    let (t_mh_sched, (mh_cycles_sched, mh_skipped)) =
+    let (t_mh_sched, (mh_cycles, mh_skipped)) =
         time_best(5, || multihost_idle(ActivityMode::Scheduled));
     assert_eq!(mh_cycles, mh_cycles_exh, "modes diverged on multihost");
-    assert_eq!(mh_cycles, mh_cycles_sched, "modes diverged on multihost");
     let mh_times = ModeTimes {
         exhaustive: t_mh_exh,
-        gated: t_mh_gated,
         scheduled: t_mh_sched,
     };
 
@@ -160,18 +146,17 @@ fn write_report() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_speed.json");
     std::fs::write(path, &json).expect("write BENCH_sim_speed.json");
     eprintln!(
-        "sim_speed: e8 sched/gated {:.2}x, burn sched/gated {:.2}x, \
-         multihost sched/gated {:.2}x (report: BENCH_sim_speed.json)",
-        e8_times.gated.as_secs_f64() / e8_times.scheduled.as_secs_f64(),
-        burn_times.gated.as_secs_f64() / burn_times.scheduled.as_secs_f64(),
-        mh_times.gated.as_secs_f64() / mh_times.scheduled.as_secs_f64(),
+        "sim_speed: scheduled over exhaustive: e8 {:.2}x, burn {:.2}x, \
+         multihost {:.2}x (report: BENCH_sim_speed.json)",
+        e8_times.exhaustive.as_secs_f64() / e8_times.scheduled.as_secs_f64(),
+        burn_times.exhaustive.as_secs_f64() / burn_times.scheduled.as_secs_f64(),
+        mh_times.exhaustive.as_secs_f64() / mh_times.scheduled.as_secs_f64(),
     );
 }
 
 fn bench_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_speed");
     for (label, mode) in [
-        ("gated", ActivityMode::Gated),
         ("exhaustive", ActivityMode::Exhaustive),
         ("scheduled", ActivityMode::Scheduled),
     ] {

@@ -8,8 +8,8 @@
 //! non-perturbation rule of `DESIGN.md` §6, enforced at measurement time.
 //!
 //! The binary is also CI's tracing-overhead gate: it re-runs the E8
-//! sim-speed smoke (arith batch over the prototyping link, gated
-//! scheduling, tracing off) and compares its deterministic work counters
+//! sim-speed smoke (arith batch over the prototyping link, scheduled
+//! kernel, tracing off) and compares its deterministic work counters
 //! against `ci/sim_speed_baseline.json`, failing on a >5% regression.
 //! Wall-clock for traced vs untraced runs is printed for the record but
 //! never gated — a loaded runner can double wall-clock without any real
@@ -87,22 +87,19 @@ fn main() {
         .expect("sim-speed smoke regressed against ci/sim_speed_baseline.json");
     println!(
         "gate: sim-speed smoke within 5% of baseline \
-         (cycles {}; gated stepped {} <= {}, evals {} <= {}; \
-         scheduled stepped {} <= {}, wakes {}/{} <= {}/{})",
-        current.gated.cycles_simulated,
-        current.gated.cycles_stepped,
-        baseline.gated.cycles_stepped,
-        current.gated.stage_evals_total,
-        baseline.gated.stage_evals_total,
+         (cycles {}; stepped {} <= {}, evals {} <= {}, wakes {}/{} <= {}/{})",
+        current.scheduled.cycles_simulated,
         current.scheduled.cycles_stepped,
         baseline.scheduled.cycles_stepped,
+        current.scheduled.stage_evals_total,
+        baseline.scheduled.stage_evals_total,
         current.scheduled.wheel_wakes_scheduled,
         current.scheduled.wheel_wakes_fired,
         baseline.scheduled.wheel_wakes_scheduled,
         baseline.scheduled.wheel_wakes_fired
     );
 
-    let (untraced_ms, traced_ms) = overhead_wall_ms(ActivityMode::Gated);
+    let (untraced_ms, traced_ms) = overhead_wall_ms(ActivityMode::Scheduled);
     let ratio = if untraced_ms > 0.0 {
         traced_ms / untraced_ms
     } else {
@@ -201,13 +198,12 @@ fn main() {
          \"clock_mhz\": 50.0,\n  \"overhead_wall\": {{\"untraced_ms\": {untraced_ms:.3}, \
          \"traced_ms\": {traced_ms:.3}, \"ratio\": {ratio:.3}}},\n  \
          \"work_counts\": {{\"cycles_simulated\": {}, \"cycles_stepped\": {}, \
-         \"stage_evals_total\": {}, \"scheduled_cycles_stepped\": {}, \
+         \"stage_evals_total\": {}, \
          \"wheel_wakes_scheduled\": {}, \"wheel_wakes_fired\": {}}},\n  \
          \"scenarios\": [\n{}\n  ]\n}}\n",
-        current.gated.cycles_simulated,
-        current.gated.cycles_stepped,
-        current.gated.stage_evals_total,
+        current.scheduled.cycles_simulated,
         current.scheduled.cycles_stepped,
+        current.scheduled.stage_evals_total,
         current.scheduled.wheel_wakes_scheduled,
         current.scheduled.wheel_wakes_fired,
         scenarios.join(",\n")

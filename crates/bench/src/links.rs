@@ -34,7 +34,7 @@ pub struct LinkRun {
 /// Workload 1: an arithmetic batch — write 2 operands, run `n` dependent
 /// adds, read the result (one round trip).
 pub fn arith_batch(link: LinkModel, n: usize) -> LinkRun {
-    arith_batch_mode(link, n, ActivityMode::Gated)
+    arith_batch_mode(link, n, ActivityMode::Scheduled)
 }
 
 /// [`arith_batch`] with an explicit scheduling mode (the wall-clock
@@ -76,7 +76,7 @@ pub fn arith_batch_mode_traced(
 
 /// Workload 2: χ-sort `n` elements end to end (load, sort, read back).
 pub fn xi_batch(link: LinkModel, n: usize) -> LinkRun {
-    xi_batch_mode(link, n, ActivityMode::Gated)
+    xi_batch_mode(link, n, ActivityMode::Scheduled)
 }
 
 /// [`xi_batch`] with an explicit scheduling mode.
@@ -111,12 +111,12 @@ pub fn xi_batch_mode(link: LinkModel, n: usize, mode: ActivityMode) -> LinkRun {
 /// waits out each burn before issuing the next instruction (the
 /// synchronous offload pattern of the paper's E8 discussion).
 ///
-/// This is the scenario the event wheel exists for. While the unit burns
-/// its latency the coprocessor is *quiet* but never *idle*, so
-/// [`ActivityMode::Gated`] must step every single cycle of every burn
-/// (`≈ n × latency` steps). [`ActivityMode::Scheduled`] registers the
-/// unit's completion cycle on the wheel and jumps straight to it, paying
-/// a handful of steps per round trip instead.
+/// This is the scenario quiet-span skipping exists for. While the unit
+/// burns its latency the coprocessor is *quiet* but never *idle*, so
+/// [`ActivityMode::Exhaustive`] steps every single cycle of every burn
+/// (`≈ n × latency` steps). [`ActivityMode::Scheduled`] takes the unit's
+/// completion cycle as a deadline and jumps straight to it, paying a
+/// handful of steps per round trip instead.
 pub fn latency_burn_mode(link: LinkModel, n: usize, latency: u32, mode: ActivityMode) -> LinkRun {
     let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("burn", 1, latency))];
     let mut sys = System::new(CoprocConfig::default(), units, link).expect("valid config");
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn scheduling_mode_does_not_change_results() {
         for link in [LinkModel::prototyping(), LinkModel::pcie_like()] {
-            let g = arith_batch_mode(link, 16, ActivityMode::Gated);
+            let g = arith_batch_mode(link, 16, ActivityMode::Scheduled);
             let e = arith_batch_mode(link, 16, ActivityMode::Exhaustive);
             assert_eq!(g.cycles, e.cycles, "{}", link.name);
             assert_eq!(g.frames_to_dev, e.frames_to_dev);
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn slow_link_run_is_mostly_fast_forwarded() {
-        let r = arith_batch_mode(LinkModel::prototyping(), 16, ActivityMode::Gated);
+        let r = arith_batch_mode(LinkModel::prototyping(), 16, ActivityMode::Scheduled);
         assert!(
             r.sim.cycles_skipped > r.sim.cycles_simulated / 3,
             "expected >33% skipped, got {} of {}",
@@ -202,27 +202,25 @@ mod tests {
 
     #[test]
     fn latency_burn_agrees_across_modes_and_scheduled_skips_the_burn() {
-        let g = latency_burn_mode(LinkModel::prototyping(), 3, 2_000, ActivityMode::Gated);
         let e = latency_burn_mode(LinkModel::prototyping(), 3, 2_000, ActivityMode::Exhaustive);
         let s = latency_burn_mode(LinkModel::prototyping(), 3, 2_000, ActivityMode::Scheduled);
-        assert_eq!(g.cycles, e.cycles, "gated vs exhaustive diverged");
-        assert_eq!(g.cycles, s.cycles, "gated vs scheduled diverged");
-        assert_eq!(g.frames_to_dev, s.frames_to_dev);
-        assert_eq!(g.frames_to_host, s.frames_to_host);
-        // Gated steps through every cycle of every burn; the wheel jumps
-        // them, so scheduled work is at least an order of magnitude less.
+        assert_eq!(e.cycles, s.cycles, "exhaustive vs scheduled diverged");
+        assert_eq!(e.frames_to_dev, s.frames_to_dev);
+        assert_eq!(e.frames_to_host, s.frames_to_host);
+        // Exhaustive steps through every cycle of every burn; the
+        // scheduler jumps them, so its work is an order of magnitude less.
         assert!(
-            g.sim.cycles_stepped >= 3 * 2_000,
-            "gated stepped only {} cycles",
-            g.sim.cycles_stepped
+            e.sim.cycles_stepped >= 3 * 2_000,
+            "exhaustive stepped only {} cycles",
+            e.sim.cycles_stepped
         );
         assert!(
-            s.sim.cycles_stepped * 10 < g.sim.cycles_stepped,
-            "scheduled stepped {} vs gated {}",
+            s.sim.cycles_stepped * 10 < e.sim.cycles_stepped,
+            "scheduled stepped {} vs exhaustive {}",
             s.sim.cycles_stepped,
-            g.sim.cycles_stepped
+            e.sim.cycles_stepped
         );
-        assert!(s.sim.wheel.wakes_fired() > 0, "no wheel wakes fired");
+        assert!(s.sim.wheel.wakes_fired > 0, "no deadline reached");
     }
 
     #[test]

@@ -141,14 +141,15 @@ pub fn sim_speed_smoke(mode: ActivityMode) -> SimStats {
 pub struct WorkCounts {
     /// Simulated cycles (must match the baseline exactly).
     pub cycles_simulated: u64,
-    /// Cycles actually stepped (gated/scheduled modes skip idle and
-    /// quiet stretches respectively).
+    /// Cycles actually stepped (the scheduled mode skips quiet
+    /// stretches).
     pub cycles_stepped: u64,
     /// Stage evaluations summed over all stages.
     pub stage_evals_total: u64,
-    /// Event-wheel wakes registered (0 outside scheduled mode).
+    /// Deadlines registered by scheduling decisions (0 outside
+    /// scheduled mode).
     pub wheel_wakes_scheduled: u64,
-    /// Event-wheel wakes actually fired (0 outside scheduled mode).
+    /// Deadlines a quiet-span skip reached (0 outside scheduled mode).
     pub wheel_wakes_fired: u64,
 }
 
@@ -159,8 +160,8 @@ impl WorkCounts {
             cycles_simulated: sim.cycles_simulated,
             cycles_stepped: sim.cycles_stepped,
             stage_evals_total: sim.stage_evals.iter().map(|&(_, n)| n).sum(),
-            wheel_wakes_scheduled: sim.wheel.wakes_scheduled(),
-            wheel_wakes_fired: sim.wheel.wakes_fired(),
+            wheel_wakes_scheduled: sim.wheel.wakes_scheduled,
+            wheel_wakes_fired: sim.wheel.wakes_fired,
         }
     }
 
@@ -252,15 +253,12 @@ impl WorkCounts {
     }
 }
 
-/// The CI baseline document: the smoke workload's work counters in both
-/// skip-capable modes. Gated pins the fast-forward machinery, scheduled
-/// pins the event wheel (stepped cycles *and* wake counts — a wheel that
-/// silently starts waking too often is a perf regression even when the
-/// results stay bit-identical).
+/// The CI baseline document: the smoke workload's work counters in the
+/// scheduled mode (stepped cycles *and* deadline counts — a scheduler
+/// that silently starts waking too often is a perf regression even when
+/// the results stay bit-identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmokeBaseline {
-    /// Counters from the gated-mode smoke run.
-    pub gated: WorkCounts,
     /// Counters from the scheduled-mode smoke run.
     pub scheduled: WorkCounts,
     /// Deterministic counters from the E16 soft-error smoke (a protected
@@ -274,22 +272,20 @@ pub struct SmokeBaseline {
 }
 
 impl SmokeBaseline {
-    /// Measure the current smoke counters in both modes.
+    /// Measure the current smoke counters.
     pub fn measure() -> SmokeBaseline {
         SmokeBaseline {
-            gated: WorkCounts::of(&sim_speed_smoke(ActivityMode::Gated)),
             scheduled: WorkCounts::of(&sim_speed_smoke(ActivityMode::Scheduled)),
             soft: soft_error_smoke(),
             serving: serving_smoke(),
         }
     }
 
-    /// Serialize as the baseline JSON document (gated section first —
-    /// the parser relies on the order).
+    /// Serialize as the baseline JSON document (the parser relies on the
+    /// section order).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"sim_speed_smoke\",\n  \"gated\": {},\n  \"scheduled\": {},\n  \"soft_errors\": {},\n  \"serving\": {}\n}}\n",
-            self.gated.json_fields("  "),
+            "{{\n  \"bench\": \"sim_speed_smoke\",\n  \"scheduled\": {},\n  \"soft_errors\": {},\n  \"serving\": {}\n}}\n",
             self.scheduled.json_fields("  "),
             self.soft.json_fields("  "),
             self.serving.json_fields("  ")
@@ -301,9 +297,6 @@ impl SmokeBaseline {
     /// # Errors
     /// Returns a description of the missing/malformed section or field.
     pub fn from_json(text: &str) -> Result<SmokeBaseline, String> {
-        let g_at = text
-            .find("\"gated\":")
-            .ok_or("baseline is missing the gated section")?;
         let s_at = text
             .find("\"scheduled\":")
             .ok_or("baseline is missing the scheduled section")?;
@@ -313,35 +306,21 @@ impl SmokeBaseline {
         let serving_at = text
             .find("\"serving\":")
             .ok_or("baseline is missing the serving section")?;
-        if s_at < g_at || soft_at < s_at || serving_at < soft_at {
-            return Err(
-                "baseline sections out of order (gated, scheduled, soft_errors, serving)".into(),
-            );
+        if soft_at < s_at || serving_at < soft_at {
+            return Err("baseline sections out of order (scheduled, soft_errors, serving)".into());
         }
         Ok(SmokeBaseline {
-            gated: WorkCounts::from_json(&text[g_at..s_at])?,
             scheduled: WorkCounts::from_json(&text[s_at..soft_at])?,
             soft: SoftCounts::from_json(&text[soft_at..serving_at])?,
             serving: ServeCounts::from_json(&text[serving_at..])?,
         })
     }
 
-    /// Gate both modes against the baseline, plus the cross-mode
-    /// invariant that gated and scheduled simulate identical cycle
-    /// counts (the bit-equivalence contract, checked cheaply here).
+    /// Gate every section against the baseline.
     ///
     /// # Errors
     /// Returns a description of the first violated bound.
     pub fn check_against(&self, baseline: &SmokeBaseline) -> Result<(), String> {
-        if self.gated.cycles_simulated != self.scheduled.cycles_simulated {
-            return Err(format!(
-                "gated and scheduled smoke runs diverged: {} vs {} simulated cycles",
-                self.gated.cycles_simulated, self.scheduled.cycles_simulated
-            ));
-        }
-        self.gated
-            .check_against(&baseline.gated)
-            .map_err(|e| format!("gated: {e}"))?;
         self.scheduled
             .check_against(&baseline.scheduled)
             .map_err(|e| format!("scheduled: {e}"))?;
@@ -409,13 +388,6 @@ mod tests {
     #[test]
     fn smoke_baseline_roundtrips_through_json() {
         let b = SmokeBaseline {
-            gated: WorkCounts {
-                cycles_simulated: 123_456,
-                cycles_stepped: 2345,
-                stage_evals_total: 9876,
-                wheel_wakes_scheduled: 0,
-                wheel_wakes_fired: 0,
-            },
             scheduled: counts(1234, 8765),
             soft: soft(),
             serving: serving(),
@@ -443,7 +415,7 @@ mod tests {
             ..base
         };
         assert!(drift.check_against(&base).is_err());
-        // A wheel that wakes too often is a regression too.
+        // A scheduler that wakes too often is a regression too.
         let chatty = WorkCounts {
             wheel_wakes_fired: 32,
             ..base
@@ -452,37 +424,19 @@ mod tests {
     }
 
     #[test]
-    fn smoke_gate_requires_cross_mode_cycle_agreement() {
-        let b = SmokeBaseline {
-            gated: counts(100, 400),
-            scheduled: counts(50, 200),
-            soft: soft(),
-            serving: serving(),
-        };
-        assert!(b.check_against(&b).is_ok());
-        let diverged = SmokeBaseline {
-            scheduled: WorkCounts {
-                cycles_simulated: 1001,
-                ..b.scheduled
-            },
-            ..b
-        };
-        assert!(diverged.check_against(&b).is_err());
-    }
-
-    #[test]
     fn measured_smoke_counters_show_the_wheel_working() {
-        let m = SmokeBaseline::measure();
-        assert_eq!(m.gated.cycles_simulated, m.scheduled.cycles_simulated);
+        let m = SmokeBaseline::measure().scheduled;
+        let reference = WorkCounts::of(&sim_speed_smoke(ActivityMode::Exhaustive));
+        assert_eq!(m.cycles_simulated, reference.cycles_simulated);
         assert_eq!(
-            m.gated.wheel_wakes_scheduled, 0,
-            "gated never uses the wheel"
+            reference.wheel_wakes_scheduled, 0,
+            "the reference kernel never skips"
         );
         assert!(
-            m.scheduled.cycles_stepped <= m.gated.cycles_stepped,
-            "the wheel may only reduce stepping: {} vs {}",
-            m.scheduled.cycles_stepped,
-            m.gated.cycles_stepped
+            m.cycles_stepped < reference.cycles_stepped,
+            "skipping must reduce stepping: {} vs {}",
+            m.cycles_stepped,
+            reference.cycles_stepped
         );
     }
 

@@ -377,21 +377,14 @@ impl Farm {
         for (i, job) in jobs.iter().enumerate() {
             let s = plan[i];
             counts[s] += 1;
-            let before = drivers[s].cycles();
-            let output = run_job_guarded(&mut drivers[s], job);
-            let cycles = if matches!(output, Err(DriverError::Panicked(_))) {
-                drivers[s] = build_shard_from(&self.builder, &self.cfg, s)
-                    .expect("shard builder already succeeded for this index");
-                0
-            } else {
-                drivers[s].cycles() - before
-            };
-            results.push(JobResult {
-                job: i,
-                shard: s,
-                cycles,
-                output,
-            });
+            results.push(run_on_shard(
+                &self.builder,
+                &self.cfg,
+                &mut drivers[s],
+                s,
+                i,
+                job,
+            ));
         }
         let (failed_over, retries) = failover_pass(
             &self.cfg,
@@ -447,24 +440,7 @@ impl Farm {
                     let mut n = 0u64;
                     while let Ok((idx, job)) = rx.recv() {
                         n += 1;
-                        let before = drv.cycles();
-                        let output = run_job_guarded(&mut drv, job);
-                        let cycles = if matches!(output, Err(DriverError::Panicked(_))) {
-                            // The panicked simulation is unusable; later
-                            // jobs of this shard run on a fresh build,
-                            // exactly as in `run_serial`.
-                            drv = build_shard_from(&builder, &cfg, s)
-                                .expect("shard builder already succeeded for this index");
-                            0
-                        } else {
-                            drv.cycles() - before
-                        };
-                        out.push(JobResult {
-                            job: idx,
-                            shard: s,
-                            cycles,
-                            output,
-                        });
+                        out.push(run_on_shard(&builder, &cfg, &mut drv, s, idx, job));
                     }
                     (out, n, drv)
                 }));
@@ -633,6 +609,35 @@ fn run_job_guarded(drv: &mut Driver, job: &Job) -> Result<JobOutput, DriverError
         .unwrap_or_else(|p| Err(DriverError::Panicked(panic_message(p.as_ref()))))
 }
 
+/// Run job `idx` on shard `s`: the guarded run, a rebuild of the shard
+/// when it panicked under the job (later jobs then run on a fresh build),
+/// and the job's cycle delta. The one per-job body shared by the serial
+/// loop, the parallel workers and the failover pass.
+fn run_on_shard(
+    builder: &ShardBuilder,
+    cfg: &FarmConfig,
+    drv: &mut Driver,
+    s: usize,
+    idx: usize,
+    job: &Job,
+) -> JobResult {
+    let before = drv.cycles();
+    let output = run_job_guarded(drv, job);
+    let cycles = if matches!(output, Err(DriverError::Panicked(_))) {
+        *drv = build_shard_from(builder, cfg, s)
+            .expect("shard builder already succeeded for this index");
+        0
+    } else {
+        drv.cycles() - before
+    };
+    JobResult {
+        job: idx,
+        shard: s,
+        cycles,
+        output,
+    }
+}
+
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
@@ -690,23 +695,9 @@ fn failover_pass(
             retries += 1;
             let s = (home + 1 + attempt) % shards;
             counts[s] += 1;
-            let before = drivers[s].cycles();
-            let output = run_job_guarded(&mut drivers[s], &jobs[results[i].job]);
-            let cycles = if matches!(output, Err(DriverError::Panicked(_))) {
-                drivers[s] = build_shard_from(builder, cfg, s)
-                    .expect("shard builder already succeeded for this index");
-                0
-            } else {
-                drivers[s].cycles() - before
-            };
-            let done = !retryable(&output);
-            results[i] = JobResult {
-                job: results[i].job,
-                shard: s,
-                cycles,
-                output,
-            };
-            if done {
+            let job = results[i].job;
+            results[i] = run_on_shard(builder, cfg, &mut drivers[s], s, job, &jobs[job]);
+            if !retryable(&results[i].output) {
                 break;
             }
         }
@@ -878,8 +869,8 @@ mod tests {
     #[test]
     fn scheduled_mode_agrees_with_gated_across_shard_counts() {
         // Reliable links with injected faults: idle shards wait on
-        // retransmit deadlines, which the event wheel must fast-forward
-        // to without changing a single response or cycle count.
+        // retransmit deadlines, which the scheduled kernel must skip to
+        // without changing a single response or cycle count.
         let jobs = add_jobs(6);
         let run = |mode: ActivityMode, shards: usize| {
             let mut f = Farm::standard_reliable(
@@ -897,9 +888,9 @@ mod tests {
             (out, f.total_cycles(), f.link_stats())
         };
         for shards in [1usize, 2, 3] {
-            let gated = run(ActivityMode::Gated, shards);
+            let exhaustive = run(ActivityMode::Exhaustive, shards);
             let sched = run(ActivityMode::Scheduled, shards);
-            assert_eq!(gated, sched, "modes diverge at {shards} shards");
+            assert_eq!(exhaustive, sched, "modes diverge at {shards} shards");
         }
     }
 

@@ -21,7 +21,7 @@ use crate::link::{FaultModel, Link, LinkModel, LinkStats};
 use fu_isa::msg::{DevDeframer, HostDeframer};
 use fu_isa::transport::{Endpoint, TransportConfig};
 use fu_isa::{DevMsg, HostMsg, Tag};
-use fu_rtm::{ActivityMode, CoprocConfig, Coprocessor, FunctionalUnit, QuietVerdict};
+use fu_rtm::{ActivityMode, CoprocConfig, Coprocessor, FunctionalUnit};
 use rtl_sim::area::log2_ceil;
 use rtl_sim::{SimError, SimStats};
 
@@ -299,7 +299,7 @@ impl MultiHostSystem {
                     // Device-side per-host serialisation is modelled as
                     // instantaneous; the per-host link applies its own
                     // latency/bandwidth below.
-                    self.ports[host].pending_out_push(frame);
+                    self.ports[host].pending_out.push_back(frame);
                 }
             }
         }
@@ -315,8 +315,8 @@ impl MultiHostSystem {
                     p.to_host.send(now, f);
                 }
             } else {
-                while p.pending_out_front().is_some() && p.to_host.can_send(now) {
-                    let f = p.pending_out_pop().expect("checked front");
+                while !p.pending_out.is_empty() && p.to_host.can_send(now) {
+                    let f = p.pending_out.pop_front().expect("checked non-empty");
                     p.to_host.send(now, f);
                 }
             }
@@ -364,83 +364,26 @@ impl MultiHostSystem {
     /// Jump over cycles in which nothing can happen (see
     /// [`crate::System`] — same idea, with per-port event sources).
     /// Returns the number of cycles skipped (0 means: step normally).
-    ///
-    /// [`ActivityMode::Gated`] skips only when the shared coprocessor is
-    /// completely idle; [`ActivityMode::Scheduled`] additionally skips
-    /// *quiet* stretches (units burning known latencies, a provably
-    /// stalled dispatch head) by asking the coprocessor's event wheel
-    /// for its next internal wake.
     fn idle_skip(&mut self, budget: u64) -> u64 {
         // Pending injection work means the device edge does something
         // every cycle — never skip over it.
         if !self.injecting.is_empty() || self.ports.iter().any(|p| !p.inject.is_empty()) {
             return 0;
         }
-        // The coprocessor's own earliest wake, per mode. `None` means
-        // quiet indefinitely as far as the FPGA is concerned.
-        let coproc_next: Option<u64> = match self.coproc.activity_mode() {
-            ActivityMode::Exhaustive => return 0,
-            ActivityMode::Gated => {
-                if !self.coproc.is_idle() {
-                    return 0;
-                }
-                self.coproc.transport_next_event()
-            }
-            ActivityMode::Scheduled => match self.coproc.quiet_verdict() {
-                QuietVerdict::Busy => return 0,
-                QuietVerdict::Until(t) => Some(t),
-                QuietVerdict::Indefinite => None,
-            },
-        };
-        // A reliable endpoint with frames to push or deliver means this
-        // cycle does work: step normally.
-        for p in &self.ports {
-            for ep in [p.host_ep.as_ref(), p.dev_ep.as_ref()]
-                .into_iter()
-                .flatten()
-            {
-                if ep.has_tx_work() || ep.has_deliverable() {
-                    return 0;
-                }
-            }
-        }
         let now = self.cycle;
-        let mut next: Option<u64> = coproc_next.map(|t| t.max(now));
-        let mut consider = |t: u64| next = Some(next.map_or(t, |n| n.min(t)));
-        for p in &self.ports {
-            if !p.tx.is_empty() {
-                consider(p.to_dev.next_send_cycle());
-            }
-            if let Some(t) = p.to_dev.next_event_cycle(now) {
-                consider(t);
-            }
-            if !p.pending_out.is_empty() {
-                consider(p.to_host.next_send_cycle());
-            }
-            if let Some(t) = p.to_host.next_event_cycle(now) {
-                consider(t);
-            }
-            for ep in [p.host_ep.as_ref(), p.dev_ep.as_ref()]
-                .into_iter()
-                .flatten()
-            {
-                if let Some(t) = ep.next_event_cycle() {
-                    consider(t.max(now));
+        let skip = self.coproc.skip_to_next_event(budget, || {
+            let mut next = None;
+            for p in &self.ports {
+                match p.next_event(now) {
+                    // Work this cycle: no later port can change that.
+                    Some(t) if t <= now => return Some(t),
+                    Some(t) => next = Some(next.map_or(t, |n: u64| n.min(t))),
+                    None => {}
                 }
             }
-        }
-        let skip = match next {
-            Some(t) if t <= now => 0,
-            Some(t) => (t - now).min(budget),
-            None => budget,
-        };
-        if skip > 0 {
-            match self.coproc.activity_mode() {
-                ActivityMode::Scheduled => self.coproc.skip_quiet(skip),
-                _ => self.coproc.fast_forward(skip),
-            }
-            self.cycle += skip;
-        }
+            next
+        });
+        self.cycle += skip;
         skip
     }
 
@@ -454,11 +397,8 @@ impl MultiHostSystem {
                     && p.inject.is_empty()
                     && p.to_dev.in_flight() == 0
                     && p.to_host.in_flight() == 0
-                    && p.pending_out_front().is_none()
-                    && [p.host_ep.as_ref(), p.dev_ep.as_ref()]
-                        .into_iter()
-                        .flatten()
-                        .all(|ep| ep.is_quiescent() || ep.is_dead())
+                    && p.pending_out.is_empty()
+                    && p.endpoints().all(|ep| ep.is_quiescent() || ep.is_dead())
             })
     }
 
@@ -469,10 +409,7 @@ impl MultiHostSystem {
         let mut s = LinkStats::default();
         s.add_faults(&p.to_dev.fault_stats());
         s.add_faults(&p.to_host.fault_stats());
-        for ep in [p.host_ep.as_ref(), p.dev_ep.as_ref()]
-            .into_iter()
-            .flatten()
-        {
+        for ep in p.endpoints() {
             s.add_transport(ep.stats());
         }
         s
@@ -480,13 +417,41 @@ impl MultiHostSystem {
 }
 
 impl HostPort {
-    fn pending_out_push(&mut self, f: u32) {
-        self.pending_out.push_back(f);
+    fn endpoints(&self) -> impl Iterator<Item = &Endpoint> {
+        [self.host_ep.as_ref(), self.dev_ep.as_ref()]
+            .into_iter()
+            .flatten()
     }
-    fn pending_out_front(&self) -> Option<&u32> {
-        self.pending_out.front()
-    }
-    fn pending_out_pop(&mut self) -> Option<u32> {
-        self.pending_out.pop_front()
+
+    /// This port's earliest pending event: a frame arriving on either
+    /// link, a bandwidth gate reopening with frames queued behind it, or
+    /// an endpoint's retransmit deadline. An endpoint with frames to push
+    /// or deliver has work this cycle, which is an event at `now`.
+    fn next_event(&self, now: u64) -> Option<u64> {
+        // Plain branches rather than an iterator chain: this runs on every
+        // scheduling decision of an idle multi-host system.
+        let mut next = None;
+        let mut consider = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
+        for ep in self.endpoints() {
+            if ep.has_tx_work() || ep.has_deliverable() {
+                return Some(now);
+            }
+            if let Some(t) = ep.next_event_cycle() {
+                consider(t);
+            }
+        }
+        if !self.tx.is_empty() {
+            consider(self.to_dev.next_send_cycle());
+        }
+        if let Some(t) = self.to_dev.next_event_cycle(now) {
+            consider(t);
+        }
+        if !self.pending_out.is_empty() {
+            consider(self.to_host.next_send_cycle());
+        }
+        if let Some(t) = self.to_host.next_event_cycle(now) {
+            consider(t);
+        }
+        next
     }
 }

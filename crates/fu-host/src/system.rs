@@ -11,9 +11,7 @@ use crate::link::{FaultModel, Link, LinkModel, LinkStats};
 use fu_isa::msg::{DevDeframer, ErrorCode};
 use fu_isa::transport::{Endpoint, TransportConfig};
 use fu_isa::{DevMsg, HostMsg};
-use fu_rtm::{
-    ActivityMode, CoprocConfig, CoprocSnapshot, Coprocessor, FunctionalUnit, QuietVerdict,
-};
+use fu_rtm::{ActivityMode, CoprocConfig, CoprocSnapshot, Coprocessor, FunctionalUnit};
 use rtl_sim::{LinkDir, RecoveryStats, SimError, SimStats, TraceBuffer, TraceEventKind};
 
 /// A complete host+link+device state capture, taken by
@@ -534,17 +532,15 @@ impl System {
 
     /// Step until `pred` holds, with a cycle budget.
     ///
-    /// In [`ActivityMode::Gated`] (the default), stretches where the
-    /// coprocessor is idle and the only pending events are in-flight link
-    /// frames are fast-forwarded: the cycle counter jumps straight to the
-    /// next deterministic link event instead of stepping per cycle. In
-    /// [`ActivityMode::Scheduled`] the same applies to *quiet* stretches
-    /// — units burning known latencies and provably-stalled dispatch
-    /// heads — using the coprocessor's event wheel. The predicate is then
-    /// evaluated once per event instead of once per cycle, which is
-    /// equivalent as long as `pred` is a function of the observable
-    /// message-level state (responses, idleness) — nothing it can see
-    /// changes during a skipped stretch.
+    /// In [`ActivityMode::Scheduled`] (the default), stretches where
+    /// nothing observable can happen — an idle machine waiting on
+    /// in-flight link frames, units burning known latencies,
+    /// provably-stalled dispatch heads — are skipped: the cycle counter
+    /// jumps straight to the next event instead of stepping per cycle.
+    /// The predicate is then evaluated once per event instead of once per
+    /// cycle, which is equivalent as long as `pred` is a function of the
+    /// observable message-level state (responses, idleness) — nothing it
+    /// can see changes during a skipped stretch.
     ///
     /// # Errors
     /// [`SimError::Timeout`] when the budget runs out.
@@ -572,100 +568,36 @@ impl System {
     }
 
     /// Jump over cycles in which nothing can happen. Returns the number
-    /// of cycles skipped (0 means: step normally).
-    ///
-    /// In [`ActivityMode::Gated`] this is safe only when the coprocessor
-    /// is completely idle; [`ActivityMode::Scheduled`] additionally skips
-    /// spans in which the machine is merely *quiet* (units burning
-    /// latency, the dispatcher head provably stalled) by asking the
-    /// coprocessor's event wheel for the next internal wake.
+    /// of cycles skipped (0 means: step normally). The host's event set
+    /// is the head in-flight frame on either link, the reopening of the
+    /// outbound bandwidth gate while the host queue is non-empty, and the
+    /// host endpoint's retransmit deadline; an endpoint with frames to
+    /// push or deliver has work this cycle.
     fn idle_skip(&mut self, budget: u64) -> u64 {
-        match self.coproc.activity_mode() {
-            ActivityMode::Exhaustive => 0,
-            ActivityMode::Gated => self.gated_skip(budget),
-            ActivityMode::Scheduled => self.scheduled_skip(budget),
-        }
-    }
-
-    /// The host-side event set: deterministic link events (head in-flight
-    /// frame on either direction, the reopening of the outbound bandwidth
-    /// gate when the host queue is non-empty) and the host endpoint's
-    /// retransmit deadline. Folds into `next` via min.
-    fn consider_host_events(&self, next: &mut Option<u64>) {
         let now = self.cycle;
-        let mut consider = |t: u64| *next = Some(next.map_or(t, |n| n.min(t)));
-        if !self.host_tx.is_empty() {
-            consider(self.to_dev.next_send_cycle());
-        }
-        if let Some(t) = self.to_dev.next_event_cycle(now) {
-            consider(t);
-        }
-        if let Some(t) = self.to_host.next_event_cycle(now) {
-            consider(t);
-        }
-        if let Some(t) = self.host_ep.as_ref().and_then(|ep| ep.next_event_cycle()) {
-            consider(t.max(now));
-        }
-    }
-
-    /// Is the host endpoint holding work that must run this cycle?
-    fn host_ep_busy(&self) -> bool {
-        self.host_ep
-            .as_ref()
-            .is_some_and(|ep| ep.has_tx_work() || ep.has_deliverable())
-    }
-
-    fn gated_skip(&mut self, budget: u64) -> u64 {
-        if !self.coproc.is_idle() || self.host_ep_busy() {
-            return 0;
-        }
-        let now = self.cycle;
-        let mut next: Option<u64> = None;
-        self.consider_host_events(&mut next);
-        if let Some(t) = self.coproc.transport_next_event() {
-            next = Some(next.map_or(t.max(now), |n| n.min(t.max(now))));
-        }
-        let skip = match next {
-            // The next event is due now (or overdue): step normally.
-            Some(t) if t <= now => 0,
-            Some(t) => (t - now).min(budget),
-            // No events at all — the system is drained; burn the whole
-            // budget so timeout behaviour matches per-cycle stepping.
-            None => budget,
-        };
-        if skip > 0 {
-            self.coproc.fast_forward(skip);
-            self.cycle += skip;
-        }
-        skip
-    }
-
-    fn scheduled_skip(&mut self, budget: u64) -> u64 {
-        // The verdict registers the machine's internal wakes (unit
-        // hints, watchdog deadlines, the device transport's retransmit
-        // timer) on the event wheel and returns the earliest.
-        let mut next: Option<u64> = match self.coproc.quiet_verdict() {
-            QuietVerdict::Busy => return 0,
-            QuietVerdict::Until(t) => Some(t),
-            QuietVerdict::Indefinite => None,
-        };
-        if self.host_ep_busy() {
-            return 0;
-        }
-        self.consider_host_events(&mut next);
-        let now = self.cycle;
-        let skip = match next {
-            Some(t) if t <= now => 0,
-            Some(t) => (t - now).min(budget),
-            // Quiet forever (e.g. a hung unit with no watchdog) and no
-            // link events: burn the budget like the gated path so
-            // timeout behaviour stays identical.
-            None => budget,
-        };
-        if skip > 0 {
-            self.coproc.skip_quiet(skip);
-            self.cycle += skip;
-        }
+        let skip = self.coproc.skip_to_next_event(budget, || {
+            let mut next = None;
+            let mut consider = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
+            if let Some(ep) = &self.host_ep {
+                if ep.has_tx_work() || ep.has_deliverable() {
+                    return Some(now);
+                }
+                if let Some(t) = ep.next_event_cycle() {
+                    consider(t);
+                }
+            }
+            if !self.host_tx.is_empty() {
+                consider(self.to_dev.next_send_cycle());
+            }
+            if let Some(t) = self.to_dev.next_event_cycle(now) {
+                consider(t);
+            }
+            if let Some(t) = self.to_host.next_event_cycle(now) {
+                consider(t);
+            }
+            next
+        });
+        self.cycle += skip;
         skip
     }
 
@@ -919,8 +851,8 @@ mod tests {
 
     #[test]
     fn all_activity_modes_agree_over_slow_link_with_long_latency_unit() {
-        // Long unit latency over a slow link is the event wheel's target
-        // scenario: the scheduled run must produce the same responses in
+        // Long unit latency over a slow link is the scheduled kernel's
+        // target scenario: the scheduled run must produce the same responses in
         // the same number of cycles while skipping most of them.
         let run_mode = |mode: ActivityMode| {
             let mut s = System::new(
@@ -948,7 +880,7 @@ mod tests {
             )));
             // Wait out the 500-cycle burn before sending the readback so
             // nothing queues up behind it — the span is then quiet and
-            // the event wheel can jump it.
+            // the scheduled kernel can jump it.
             s.run_until(5_000_000, |s| s.is_idle()).unwrap();
             s.send(&HostMsg::ReadReg { reg: 2, tag: 3 });
             s.send(&HostMsg::Sync { tag: 4 });
@@ -957,20 +889,17 @@ mod tests {
             let out: Vec<DevMsg> = std::iter::from_fn(|| s.recv()).collect();
             (out, s.cycle(), s.sim_stats())
         };
-        let gated = run_mode(ActivityMode::Gated);
         let exhaustive = run_mode(ActivityMode::Exhaustive);
         let scheduled = run_mode(ActivityMode::Scheduled);
-        assert_eq!(gated.0, exhaustive.0);
-        assert_eq!(gated.0, scheduled.0);
-        assert_eq!(gated.1, exhaustive.1, "cycle counts agree");
-        assert_eq!(gated.1, scheduled.1, "cycle counts agree");
-        assert_eq!(gated.2.stage_busy, scheduled.2.stage_busy);
-        assert_eq!(gated.2.lat_issue_retire, scheduled.2.lat_issue_retire);
+        assert_eq!(exhaustive.0, scheduled.0);
+        assert_eq!(exhaustive.1, scheduled.1, "cycle counts agree");
+        assert_eq!(exhaustive.2.stage_busy, scheduled.2.stage_busy);
+        assert_eq!(exhaustive.2.lat_issue_retire, scheduled.2.lat_issue_retire);
         assert!(
-            scheduled.2.cycles_stepped < gated.2.cycles_stepped / 2,
-            "scheduled steps far fewer cycles: {} vs gated {}",
+            scheduled.2.cycles_stepped < exhaustive.2.cycles_stepped / 2,
+            "scheduled steps far fewer cycles: {} vs exhaustive {}",
             scheduled.2.cycles_stepped,
-            gated.2.cycles_stepped,
+            exhaustive.2.cycles_stepped,
         );
     }
 
@@ -1153,7 +1082,7 @@ mod tests {
             (out, s.cycle(), s.link_stats())
         };
         assert_eq!(
-            run_mode(ActivityMode::Gated),
+            run_mode(ActivityMode::Exhaustive),
             run_mode(ActivityMode::Scheduled)
         );
     }

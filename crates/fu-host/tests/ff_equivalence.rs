@@ -1,6 +1,6 @@
-//! The fast-forward/activity-gating correctness contract: a system run
-//! in the default [`ActivityMode::Gated`] mode (stage gating, idle
-//! fast-forward, batched stepping) must be **bit-identical** to the same
+//! The skipping/activity-gating correctness contract: a system run in
+//! the default [`ActivityMode::Scheduled`] mode (stage gating, quiet-span
+//! skipping, batched stepping) must be **bit-identical** to the same
 //! run in [`ActivityMode::Exhaustive`] mode — same simulated cycle
 //! counts, same response stream, same frame accounting, same machine
 //! statistics. The optimisation changes how fast wall-clock time passes,
@@ -70,7 +70,7 @@ struct Outcome {
 /// Drive the burst schedule through a fresh system in `mode`. Bursts are
 /// sent back-to-back and their responses collected before the next burst
 /// starts, so slow links leave long idle stretches for the scheduler to
-/// fast-forward across.
+/// skip.
 fn run(
     mode: ActivityMode,
     bursts: &[Vec<Step>],
@@ -136,18 +136,18 @@ proptest! {
         divider in 1u32..6,
     ) {
         let link = LinkModel::presets()[link_sel];
-        let gated = run(ActivityMode::Gated, &bursts, link, latency, divider);
+        let scheduled = run(ActivityMode::Scheduled, &bursts, link, latency, divider);
         let exhaustive = run(ActivityMode::Exhaustive, &bursts, link, latency, divider);
-        prop_assert_eq!(gated.cycle, exhaustive.cycle, "simulated time diverged");
-        prop_assert_eq!(&gated.responses, &exhaustive.responses, "response stream diverged");
-        prop_assert_eq!(gated.frames, exhaustive.frames, "frame accounting diverged");
-        prop_assert_eq!(gated.stats, exhaustive.stats, "machine statistics diverged");
-        prop_assert_eq!(exhaustive.skipped, 0, "exhaustive mode must not fast-forward");
+        prop_assert_eq!(scheduled.cycle, exhaustive.cycle, "simulated time diverged");
+        prop_assert_eq!(&scheduled.responses, &exhaustive.responses, "response stream diverged");
+        prop_assert_eq!(scheduled.frames, exhaustive.frames, "frame accounting diverged");
+        prop_assert_eq!(scheduled.stats, exhaustive.stats, "machine statistics diverged");
+        prop_assert_eq!(exhaustive.skipped, 0, "exhaustive mode must not skip cycles");
     }
 }
 
-/// The slow prototyping link must actually trigger fast-forwarding —
-/// otherwise the equivalence above is vacuous.
+/// The slow prototyping link must actually trigger skipping — otherwise
+/// the equivalence above is vacuous.
 #[test]
 fn prototyping_link_fast_forwards() {
     let bursts = vec![vec![
@@ -157,7 +157,13 @@ fn prototyping_link_fast_forwards() {
         Step::Read(2),
         Step::Sync,
     ]];
-    let out = run(ActivityMode::Gated, &bursts, LinkModel::prototyping(), 4, 2);
+    let out = run(
+        ActivityMode::Scheduled,
+        &bursts,
+        LinkModel::prototyping(),
+        4,
+        2,
+    );
     assert_eq!(
         out.responses,
         vec![

@@ -40,39 +40,35 @@ use fu_isa::{DevMsg, Flags, Word};
 use rtl_sim::area::log2_ceil;
 use rtl_sim::{
     AreaEstimate, Clocked, CriticalPath, Fifo, HandshakeSlot, LatencyHistogram, RecoveryStats,
-    SimError, SimStats, TimingWheel, TraceBuffer, TraceEventKind,
+    SimError, SimStats, TraceBuffer, TraceEventKind, WheelStats,
 };
 use std::collections::VecDeque;
 
 /// How the scheduler treats provably inactive structure.
 ///
-/// All modes produce **bit-identical architectural behaviour** — the same
+/// Both modes produce **bit-identical architectural behaviour** — the same
 /// simulated cycle counts, the same response streams, the same statistics.
 /// They only change which host work the simulator performs to get there.
-/// `Gated` skips evaluation of stages whose inputs are empty and does not
-/// clock idle functional units; whole idle spans can be fast-forwarded.
-/// `Scheduled` goes further: every source of future activity registers an
-/// explicit wake on an event wheel, and the kernel jumps the clock
-/// directly to the next wake even while units are *busy* (a fixed-latency
-/// burn, a link retransmit wait, a stalled dispatcher head).
+/// `Scheduled` skips evaluation of stages whose inputs are empty, does not
+/// clock idle functional units, and lets the driving host jump the clock
+/// over every provably quiet span — an idle machine, a fixed-latency
+/// burn, a link retransmit wait, a stalled dispatcher head — straight to
+/// the earliest deadline ([`Coprocessor::skip_to_next_event`]).
 /// `Exhaustive` is the original evaluate-everything-every-cycle loop, kept
 /// as the reference the equivalence tests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ActivityMode {
-    /// Skip evaluation of provably inactive structure (the default).
+    /// Gate inactive structure and skip quiet spans (the default).
     #[default]
-    Gated,
+    Scheduled,
     /// Evaluate every stage and clock every unit every cycle.
     Exhaustive,
-    /// Event-wheel kernel: advance directly to the next registered wake.
-    Scheduled,
 }
 
-/// Scheduling verdict for the event-wheel kernel — can the machine's
-/// observable state change this cycle, and if not, when can it next
-/// change? Produced by [`Coprocessor::quiet_verdict`], consumed by hosts
-/// that drive the machine (`System::run_until` and the farm's shard
-/// workers), which combine it with their own event set (link arrival
+/// Scheduling verdict — can the machine's observable state change this
+/// cycle, and if not, when can it next change? Produced by
+/// [`Coprocessor::quiet_verdict`]; [`Coprocessor::skip_to_next_event`]
+/// combines it with the driving host's own event set (link arrival
 /// times, endpoint retransmit deadlines) before calling
 /// [`Coprocessor::skip_quiet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,15 +84,27 @@ pub enum QuietVerdict {
     Indefinite,
 }
 
-/// What registered a wake on the event wheel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WakeSource {
-    /// A busy functional unit's next observable interface change.
-    Fu(usize),
-    /// The dispatch watchdog's deadline for a unit.
-    Watchdog(usize),
-    /// The transceiver's retransmit deadline.
-    Transport,
+/// The deadlines one scheduling decision registers, reduced on the fly
+/// to the earliest and the number of deadlines tied at it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Deadlines {
+    registered: u64,
+    earliest: Option<u64>,
+    ties: u64,
+}
+
+impl Deadlines {
+    fn add(&mut self, at: u64) {
+        self.registered += 1;
+        match self.earliest {
+            Some(e) if e < at => {}
+            Some(e) if e == at => self.ties += 1,
+            _ => {
+                self.earliest = Some(at);
+                self.ties = 1;
+            }
+        }
+    }
 }
 
 /// Per-stage evaluate counters (how often each evaluate function ran).
@@ -203,7 +211,7 @@ pub struct Coprocessor {
     // activity-aware scheduling
     activity: ActivityMode,
     /// Units that may hold work. Maintained in both modes so `is_idle`
-    /// is O(1); only `Gated` uses it to skip evaluation.
+    /// is O(1); `Scheduled` also uses it to skip evaluation.
     fu_active: Vec<bool>,
     n_active_fus: usize,
     /// Units whose `commit` must run even while idle
@@ -240,12 +248,13 @@ pub struct Coprocessor {
     /// `FuTimeout` error responses awaiting a free execution slot.
     watchdog_errors: VecDeque<DevMsg>,
     fu_timeouts: u64,
-    /// The event wheel (`Scheduled` mode): each scheduling decision
-    /// registers the machine's pending wakes — FU hints, watchdog
-    /// deadlines, the transceiver's retransmit deadline — and the kernel
-    /// jumps to the earliest. Its counters accumulate across decisions
-    /// and surface in [`Coprocessor::sim_stats`].
-    wheel: TimingWheel<WakeSource>,
+    /// The deadlines registered by the last [`Coprocessor::quiet_verdict`]
+    /// and the cycle it was taken at; the skip that follows it at that
+    /// cycle counts the deadlines it reaches.
+    armed: Option<(u64, Deadlines)>,
+    /// Deadline counters accumulated across decisions, surfaced in
+    /// [`Coprocessor::sim_stats`].
+    wakes: WheelStats,
     /// Seeded SEU strike schedule (`cfg.seu`). Deliberately excluded from
     /// checkpoints: the schedule position must survive a rollback, or the
     /// replay would take the identical strikes and never converge.
@@ -318,7 +327,8 @@ impl Coprocessor {
             fu_quarantined: vec![false; fus.len()],
             watchdog_errors: VecDeque::new(),
             fu_timeouts: 0,
-            wheel: TimingWheel::new(0, 64),
+            armed: None,
+            wakes: WheelStats::default(),
             seu: cfg.seu.map(SeuModel::new),
             recovery: RecoveryStats::default(),
             fus,
@@ -379,17 +389,15 @@ impl Coprocessor {
 
     /// Advance the design by one clock cycle.
     ///
-    /// In [`ActivityMode::Gated`] a stage's evaluate only runs when its
-    /// inputs could make it do something: every skipped evaluate is one
-    /// whose body would have been a guaranteed no-op (each stage's first
-    /// action on an empty input is to return). Idle functional units are
-    /// neither scanned by the arbiter nor clocked at the edge, except
-    /// units that demand a free-running clock. Architectural behaviour is
-    /// identical in both modes, cycle for cycle.
+    /// In [`ActivityMode::Scheduled`] a stage's evaluate only runs when
+    /// its inputs could make it do something: every skipped evaluate is
+    /// one whose body would have been a guaranteed no-op (each stage's
+    /// first action on an empty input is to return). Idle functional
+    /// units are neither scanned by the arbiter nor clocked at the edge,
+    /// except units that demand a free-running clock. Architectural
+    /// behaviour is identical in both modes, cycle for cycle.
     pub fn step(&mut self) {
-        // A stepped cycle in Scheduled mode is exactly a gated cycle —
-        // the event wheel only changes *which* cycles are stepped.
-        let gated = self.activity != ActivityMode::Exhaustive;
+        let gated = self.activity == ActivityMode::Scheduled;
 
         // ---- reliable transceiver: timer + rx delivery ----
         if let Some(t) = self.transceiver.as_mut() {
@@ -413,7 +421,7 @@ impl Coprocessor {
         // ---- evaluate, sink to source ----
         // Each stage's activity predicate is computed once: it feeds the
         // busy-cycle counters unconditionally (so utilization is identical
-        // in both scheduling modes) and, in gated mode, decides whether
+        // in both scheduling modes) and, under `Scheduled`, decides whether
         // the evaluate runs at all.
         let cycle = self.cycle;
         let serializer_busy = self.dev_slot.has_data() || !self.serializer.is_idle();
@@ -843,7 +851,7 @@ impl Coprocessor {
 
     /// Advance up to `n` cycles, stopping early when the machine drains.
     /// Returns the number of cycles actually stepped. Never skips cycles;
-    /// pair with [`Coprocessor::fast_forward`] for that.
+    /// [`Coprocessor::skip_to_next_event`] does that.
     pub fn step_n(&mut self, n: u64) -> u64 {
         let mut stepped = 0;
         while stepped < n && !self.is_idle() {
@@ -853,37 +861,8 @@ impl Coprocessor {
         stepped
     }
 
-    /// Jump the clock forward `cycles` without evaluating anything.
-    ///
-    /// Only legal while [`Coprocessor::is_idle`] holds: an idle machine's
-    /// step is the identity on all state except the cycle counters and
-    /// the storage elements' lifetime `cycles` statistic, both of which
-    /// this method advances directly. Units that keep state across idle
-    /// cycles catch up via [`FunctionalUnit::advance_idle`].
-    pub fn fast_forward(&mut self, cycles: u64) {
-        debug_assert!(self.is_idle(), "fast_forward on a busy machine");
-        if cycles == 0 {
-            return;
-        }
-        self.rx_fifo.note_idle_cycles(cycles);
-        self.msg_slot.note_idle_cycles(cycles);
-        self.decoded_slot.note_idle_cycles(cycles);
-        self.exec_slot.note_idle_cycles(cycles);
-        self.resp_slot.note_idle_cycles(cycles);
-        self.dev_slot.note_idle_cycles(cycles);
-        self.tx_fifo.note_idle_cycles(cycles);
-        for fu in &mut self.fus {
-            fu.advance_idle(cycles);
-        }
-        self.cycle += cycles;
-        self.skipped_cycles += cycles;
-        if self.seu.is_some() {
-            self.apply_span_strikes();
-        }
-    }
-
-    /// Event-wheel scheduling decision: is the machine provably quiet
-    /// this cycle, and if so, when is its next internal wake?
+    /// Scheduling decision: is the machine provably quiet this cycle,
+    /// and if so, when is its next internal wake?
     ///
     /// "Quiet" is weaker than [`Coprocessor::is_idle`]: units may be
     /// busy and the dispatcher head may be resident, as long as nothing
@@ -895,13 +874,15 @@ impl Coprocessor {
     /// (locks, quiescence and unit occupancy only change through arbiter
     /// or execution activity, which quietness excludes).
     ///
-    /// On a quiet verdict the pending wakes — one per active unit, the
-    /// watchdog deadline per active unit, the transceiver's retransmit
-    /// deadline — are registered on the event wheel, and the earliest
-    /// becomes the verdict. The caller combines it with its own external
-    /// events and then either steps (something is due now) or calls
-    /// [`Coprocessor::skip_quiet`].
+    /// On a quiet verdict the machine's deadlines — each active unit's
+    /// next change, each active unit's watchdog deadline, the
+    /// transceiver's retransmit deadline — are registered, and the
+    /// earliest becomes the verdict. The caller combines it with its own
+    /// external events and then either steps (something is due now) or
+    /// calls [`Coprocessor::skip_quiet`];
+    /// [`Coprocessor::skip_to_next_event`] does both.
     pub fn quiet_verdict(&mut self) -> QuietVerdict {
+        self.armed = None;
         // Stage inputs and outputs must be empty: any resident item makes
         // a stage do observable work on the next step. A partial message
         // in the deframe buffer is frozen while the receive FIFO is
@@ -923,51 +904,53 @@ impl Coprocessor {
         {
             return QuietVerdict::Busy;
         }
-        // A unit holding a completion gives the write arbiter work.
-        for (i, fu) in self.fus.iter().enumerate() {
-            if self.fu_active[i] && !self.fu_quarantined[i] && fu.peek_output().is_some() {
-                return QuietVerdict::Busy;
+        let mut deadlines = Deadlines::default();
+        // With no unit holding work and no head waiting, only the
+        // transport can wake the machine: skip the per-unit scan.
+        if self.n_active_fus > 0 || self.decoded_slot.has_data() {
+            // A unit holding a completion gives the write arbiter work.
+            for (i, fu) in self.fus.iter().enumerate() {
+                if self.fu_active[i] && !self.fu_quarantined[i] && fu.peek_output().is_some() {
+                    return QuietVerdict::Busy;
+                }
             }
-        }
-        // The decoded head must provably stall; a head that would advance
-        // is work.
-        if let Some(op) = self.decoded_slot.peek() {
-            if Dispatcher::classify_head(op, &self.fus, &self.lock, &self.futable)
-                == StallClass::Progress
-            {
-                return QuietVerdict::Busy;
+            // The decoded head must provably stall; a head that would
+            // advance is work.
+            if let Some(op) = self.decoded_slot.peek() {
+                if Dispatcher::classify_head(op, &self.fus, &self.lock, &self.futable)
+                    == StallClass::Progress
+                {
+                    return QuietVerdict::Busy;
+                }
             }
-        }
-        // Register the machine's wakes and take the earliest.
-        self.wheel.clear();
-        self.wheel.seek(self.cycle);
-        for i in 0..self.fus.len() {
-            if !self.fu_active[i] || self.fu_quarantined[i] {
-                continue;
-            }
-            let Some(hint) = self.fus[i].wake_hint() else {
-                // The unit cannot bound its next change: step it.
-                self.wheel.clear();
-                return QuietVerdict::Busy;
-            };
-            self.wheel
-                .schedule(self.cycle.saturating_add(hint.max(1)), WakeSource::Fu(i));
-            if let Some(max) = self.cfg.max_busy_cycles {
-                // The watchdog fires at the end of the step whose cycle
-                // reaches the deadline; that step must run for real.
-                self.wheel.schedule(
-                    self.fu_last_progress[i].saturating_add(max),
-                    WakeSource::Watchdog(i),
-                );
+            for i in 0..self.fus.len() {
+                if !self.fu_active[i] || self.fu_quarantined[i] {
+                    continue;
+                }
+                let Some(hint) = self.fus[i].wake_hint() else {
+                    // The unit cannot bound its next change: step it.
+                    self.wakes.wakes_scheduled += deadlines.registered;
+                    return QuietVerdict::Busy;
+                };
+                deadlines.add(self.cycle.saturating_add(hint.max(1)));
+                if let Some(max) = self.cfg.max_busy_cycles {
+                    // The watchdog fires at the end of the step whose cycle
+                    // reaches the deadline; that step must run for real.
+                    deadlines.add(self.fu_last_progress[i].saturating_add(max));
+                }
             }
         }
         if let Some(t) = self.transport_next_event() {
-            self.wheel.schedule(t, WakeSource::Transport);
+            deadlines.add(t);
         }
-        match self.wheel.next_wake() {
+        self.wakes.wakes_scheduled += deadlines.registered;
+        match deadlines.earliest {
             Some(t) if t <= self.cycle => QuietVerdict::Busy,
             Some(u64::MAX) | None => QuietVerdict::Indefinite,
-            Some(t) => QuietVerdict::Until(t),
+            Some(t) => {
+                self.armed = Some((self.cycle, deadlines));
+                QuietVerdict::Until(t)
+            }
         }
     }
 
@@ -1029,19 +1012,52 @@ impl Coprocessor {
                 fu.advance_idle(k);
             }
         }
-        // Fire the wakes the span reaches (work-count accounting).
-        if self.wheel.now() < self.cycle {
-            // No verdict preceded this skip (direct call): nothing is
-            // registered for this span.
-            self.wheel.clear();
-            self.wheel.seek(self.cycle);
+        // Count the deadlines the span reaches. Only a verdict taken at
+        // this very cycle registered any for it.
+        if let Some((at, d)) = self.armed.take() {
+            if at == start && d.earliest.is_some_and(|t| t <= start + k) {
+                self.wakes.wakes_fired += d.ties;
+            }
         }
-        let _ = self.wheel.advance_to(start + k);
         self.cycle += k;
         self.skipped_cycles += k;
         if self.seu.is_some() {
             self.apply_span_strikes();
         }
+    }
+
+    /// One scheduling decision for a host driving this machine: jump the
+    /// clock over the quiet span ahead and return its length (0 means
+    /// step normally; always 0 under [`ActivityMode::Exhaustive`]).
+    ///
+    /// The span ends at the earliest of the machine's next wake
+    /// ([`Coprocessor::quiet_verdict`]), the host's next event and
+    /// `budget` cycles. `host_next` is asked only when the machine is
+    /// quiet; it returns the host's earliest pending event as an absolute
+    /// cycle (link arrivals, a bandwidth gate reopening, endpoint
+    /// retransmit deadlines), where an event at or before the current
+    /// cycle means the host has work now. With no event anywhere the
+    /// whole budget is skipped, so a timeout fires exactly when per-cycle
+    /// stepping would fire it.
+    pub fn skip_to_next_event(
+        &mut self,
+        budget: u64,
+        host_next: impl FnOnce() -> Option<u64>,
+    ) -> u64 {
+        if self.activity == ActivityMode::Exhaustive {
+            return 0;
+        }
+        let own = match self.quiet_verdict() {
+            QuietVerdict::Busy => return 0,
+            QuietVerdict::Until(t) => Some(t),
+            QuietVerdict::Indefinite => None,
+        };
+        let skip = match own.into_iter().chain(host_next()).min() {
+            Some(t) => t.saturating_sub(self.cycle).min(budget),
+            None => budget,
+        };
+        self.skip_quiet(skip);
+        skip
     }
 
     /// The current scheduling mode.
@@ -1085,7 +1101,7 @@ impl Coprocessor {
             lat_issue_dispatch: self.lat_issue_dispatch.clone(),
             lat_dispatch_retire: self.lat_dispatch_retire.clone(),
             lat_issue_retire: self.lat_issue_retire.clone(),
-            wheel: self.wheel.stats(),
+            wheel: self.wakes,
             recovery: self.recovery,
         }
     }
@@ -1452,7 +1468,8 @@ impl Coprocessor {
             t.reset();
         }
         self.futable.clear_quarantine();
-        self.wheel.reset(0);
+        self.armed = None;
+        self.wakes = WheelStats::default();
         self.fu_last_progress.fill(0);
         for v in &mut self.fu_outstanding {
             v.clear();
@@ -1512,7 +1529,8 @@ impl Coprocessor {
             fu_quarantined: self.fu_quarantined.clone(),
             watchdog_errors: self.watchdog_errors.clone(),
             fu_timeouts: self.fu_timeouts,
-            wheel: self.wheel.clone(),
+            armed: self.armed,
+            wakes: self.wakes,
             seu: self.seu.clone(),
             recovery: self.recovery,
         })
@@ -2128,9 +2146,10 @@ mod tests {
             let out = run(&mut m, watchdog_workload());
             (out, m.cycle(), m.stats().fu_timeouts)
         };
-        let gated = run_mode(ActivityMode::Gated);
-        assert_eq!(gated, run_mode(ActivityMode::Exhaustive));
-        assert_eq!(gated, run_mode(ActivityMode::Scheduled));
+        assert_eq!(
+            run_mode(ActivityMode::Scheduled),
+            run_mode(ActivityMode::Exhaustive)
+        );
     }
 
     /// Drive a coprocessor the way the event-scheduled kernel does:
@@ -2219,24 +2238,23 @@ mod tests {
                 HostMsg::Sync { tag: 5 },
             ]
         };
-        let mut gated = mk();
-        gated.set_activity_mode(ActivityMode::Gated);
-        let mut out_g = run(&mut gated, compute());
-        out_g.extend(run(&mut gated, readback()));
+        // `run` steps every cycle; `run_scheduled` skips quiet spans.
+        let mut stepped = mk();
+        let mut out_st = run(&mut stepped, compute());
+        out_st.extend(run(&mut stepped, readback()));
         let mut sched = mk();
-        sched.set_activity_mode(ActivityMode::Scheduled);
         let mut out_s = run_scheduled(&mut sched, compute());
         out_s.extend(run_scheduled(&mut sched, readback()));
 
-        assert_eq!(out_g, out_s);
-        assert_eq!(gated.cycle(), sched.cycle());
-        assert_eq!(gated.stats(), sched.stats(), "CoprocStats incl. stalls");
-        let (sg, ss) = (gated.sim_stats(), sched.sim_stats());
+        assert_eq!(out_st, out_s);
+        assert_eq!(stepped.cycle(), sched.cycle());
+        assert_eq!(stepped.stats(), sched.stats(), "CoprocStats incl. stalls");
+        let (sg, ss) = (stepped.sim_stats(), sched.sim_stats());
         assert_eq!(sg.stage_busy, ss.stage_busy);
         assert_eq!(sg.lat_issue_dispatch, ss.lat_issue_dispatch);
         assert_eq!(sg.lat_dispatch_retire, ss.lat_dispatch_retire);
         assert_eq!(sg.lat_issue_retire, ss.lat_issue_retire);
-        let tg: Vec<_> = gated.trace().events().collect();
+        let tg: Vec<_> = stepped.trace().events().collect();
         let ts: Vec<_> = sched.trace().events().collect();
         assert_eq!(tg, ts, "trace streams identical across kernels");
         assert!(
@@ -2251,17 +2269,15 @@ mod tests {
     fn scheduled_kernel_handles_watchdog_deadline() {
         // The hung unit hints "forever"; only the watchdog deadline
         // bounds the skip, and the deadline cycle itself must be stepped
-        // so quarantine fires exactly as in the gated kernel.
-        let mut gated = watchdog_machine();
-        gated.set_activity_mode(ActivityMode::Gated);
-        let out_g = run(&mut gated, watchdog_workload());
+        // so quarantine fires exactly as in stepped execution.
+        let mut stepped = watchdog_machine();
+        let out_st = run(&mut stepped, watchdog_workload());
         let mut sched = watchdog_machine();
-        sched.set_activity_mode(ActivityMode::Scheduled);
         let out_s = run_scheduled(&mut sched, watchdog_workload());
-        assert_eq!(out_g, out_s);
-        assert_eq!(gated.cycle(), sched.cycle());
-        assert_eq!(gated.stats(), sched.stats());
-        assert_eq!(gated.stats().fu_timeouts, 1, "watchdog actually fired");
+        assert_eq!(out_st, out_s);
+        assert_eq!(stepped.cycle(), sched.cycle());
+        assert_eq!(stepped.stats(), sched.stats());
+        assert_eq!(stepped.stats().fu_timeouts, 1, "watchdog actually fired");
     }
 
     #[test]

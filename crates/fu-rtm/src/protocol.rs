@@ -185,10 +185,10 @@ pub trait FunctionalUnit: Clocked + Send {
     fn is_idle(&self) -> bool;
 
     // ----- activity-aware scheduling --------------------------------
-    // The coprocessor's gated stepping mode clocks only busy units, and
-    // its fast-forward path skips whole idle spans. Units whose state
-    // evolves even while idle (e.g. a free-running clock-domain divider
-    // phase) opt out of the optimisation via these two hooks.
+    // The coprocessor's scheduled mode clocks only busy units and skips
+    // whole quiet spans. Units whose state evolves even while idle (e.g. a
+    // free-running clock-domain divider phase) opt out of the
+    // optimisation via these two hooks.
 
     /// True when the unit's `commit` must run every cycle even while the
     /// unit is idle. The default (`false`) is correct for any unit whose
@@ -203,8 +203,8 @@ pub trait FunctionalUnit: Clocked + Send {
     /// an idle `commit` changes nothing.
     fn advance_idle(&mut self, _cycles: u64) {}
 
-    // ----- event-wheel scheduling -----------------------------------
-    // The event-scheduled kernel (`ActivityMode::Scheduled`) skips whole
+    // ----- quiet-span scheduling ------------------------------------
+    // The scheduled kernel (`ActivityMode::Scheduled`) skips whole
     // spans while units are *busy*, not just idle — a unit burning a
     // fixed latency is the canonical case. The contract is phrased in
     // terms of the interface the pipeline observes.

@@ -42,7 +42,6 @@ pub mod reg;
 pub mod stall;
 pub mod stats;
 pub mod trace;
-pub mod wheel;
 
 pub use area::{AreaEstimate, CriticalPath};
 pub use component::{Clocked, SimError};
@@ -52,7 +51,6 @@ pub use reg::{Reg, SatCounter};
 pub use stall::StallFuzzer;
 pub use stats::{
     LatencyHistogram, LatencySnapshot, Percentiles, RecoveryStats, ServeStats, SimStats, SlotStats,
-    TenantCounters,
+    TenantCounters, WheelStats,
 };
 pub use trace::{LinkDir, StallCause, TraceBuffer, TraceEvent, TraceEventKind, VcdWriter};
-pub use wheel::{TimingWheel, WheelStats};

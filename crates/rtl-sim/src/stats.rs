@@ -1,11 +1,9 @@
 //! Occupancy and flow statistics collected by the pipeline primitives,
 //! plus scheduler-level counters ([`SimStats`]) reported by designs that
-//! support activity-gated stepping and idle fast-forward.
+//! support activity-gated stepping and quiet-span skipping.
 
 use std::fmt;
 use std::time::Duration;
-
-use crate::wheel::WheelStats;
 
 /// Counters maintained by [`crate::HandshakeSlot`] and [`crate::Fifo`].
 ///
@@ -336,12 +334,35 @@ impl<'a> std::iter::Sum<&'a ServeStats> for ServeStats {
     }
 }
 
+/// Deadline counters of a quiet-span scheduler: how many deadlines its
+/// scheduling decisions registered, and how many of them a skip reached.
+///
+/// Both are pure functions of the workload within one scheduling mode —
+/// no wall clock, no allocation behaviour — so they are safe to compare
+/// bit-for-bit in CI and across traced/untraced runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WheelStats {
+    /// Deadlines registered by scheduling decisions (unit wake hints,
+    /// watchdog deadlines, the transport's retransmit deadline).
+    pub wakes_scheduled: u64,
+    /// Deadlines a skip reached: when a skip runs all the way to its
+    /// decision's earliest deadline, every deadline tied at it counts.
+    pub wakes_fired: u64,
+}
+
+impl std::ops::AddAssign<&WheelStats> for WheelStats {
+    fn add_assign(&mut self, rhs: &WheelStats) {
+        self.wakes_scheduled += rhs.wakes_scheduled;
+        self.wakes_fired += rhs.wakes_fired;
+    }
+}
+
 /// Scheduler-level counters for an activity-aware simulation.
 ///
 /// `cycles_simulated` is the authoritative simulated-time clock:
 /// `cycles_stepped` of those ran through the full evaluate/commit loop and
-/// `cycles_skipped` were fast-forwarded while the design was provably
-/// idle. The two partitions always sum to `cycles_simulated`, and all
+/// `cycles_skipped` were jumped while the design was provably quiet. The
+/// two partitions always sum to `cycles_simulated`, and all
 /// architecturally visible state is identical whether a span of cycles
 /// was stepped or skipped.
 ///
@@ -361,7 +382,7 @@ pub struct SimStats {
     /// Per-stage busy-cycle counts (cycles the stage had work), in
     /// pipeline order. Busy-ness is judged from the same activity
     /// predicates used for gating, so the counts are identical across
-    /// `Gated` and `Exhaustive` modes.
+    /// scheduling modes.
     pub stage_busy: Vec<(&'static str, u64)>,
     /// Issue (decoded head visible to the dispatcher) → dispatch latency.
     pub lat_issue_dispatch: LatencyHistogram,
@@ -369,8 +390,8 @@ pub struct SimStats {
     pub lat_dispatch_retire: LatencyHistogram,
     /// End-to-end issue → retire latency.
     pub lat_issue_retire: LatencyHistogram,
-    /// Event-wheel work counters (zero unless the design ran with an
-    /// event-scheduled kernel). Like `stage_evals`, these describe *how*
+    /// Deadline counters of the quiet-span scheduler (zero unless the
+    /// design skipped quiet spans). Like `stage_evals`, these describe *how*
     /// the simulation was driven, not what it computed, so they may
     /// legitimately differ across scheduling modes — but they are exact
     /// deterministic functions of the workload within one mode.
@@ -468,7 +489,7 @@ impl SimStats {
             .collect()
     }
 
-    /// Event-wheel work counters (wakes scheduled/fired, slots skipped).
+    /// Quiet-span scheduler deadline counters (registered and reached).
     #[must_use]
     pub fn wheel(&self) -> WheelStats {
         self.wheel
@@ -569,8 +590,8 @@ impl fmt::Display for SimStats {
         if self.wheel.wakes_scheduled > 0 {
             write!(
                 f,
-                "; wheel: {} wakes scheduled, {} fired, {} slots skipped",
-                self.wheel.wakes_scheduled, self.wheel.wakes_fired, self.wheel.slots_skipped
+                "; wheel: {} wakes scheduled, {} fired",
+                self.wheel.wakes_scheduled, self.wheel.wakes_fired
             )?;
         }
         if self.recovery.seus_injected > 0 || self.recovery.rollbacks > 0 {
@@ -730,7 +751,6 @@ mod tests {
             wheel: WheelStats {
                 wakes_scheduled: 4,
                 wakes_fired: 3,
-                slots_skipped: 100,
             },
             ..SimStats::default()
         };
@@ -738,14 +758,12 @@ mod tests {
             wheel: WheelStats {
                 wakes_scheduled: 1,
                 wakes_fired: 1,
-                slots_skipped: 5,
             },
             ..SimStats::default()
         };
         a += &b;
-        assert_eq!(a.wheel().wakes_scheduled(), 5);
-        assert_eq!(a.wheel().wakes_fired(), 4);
-        assert_eq!(a.wheel().slots_skipped(), 105);
+        assert_eq!(a.wheel().wakes_scheduled, 5);
+        assert_eq!(a.wheel().wakes_fired, 4);
         let text = a.to_string();
         assert!(text.contains("5 wakes scheduled"), "{text}");
         // Modes that never schedule stay silent.

@@ -24,7 +24,7 @@ fn sys() -> System {
 /// response streams are identical, and return one of them.
 fn run_both_modes(mk: impl Fn() -> System, msgs: &[HostMsg], n: usize) -> Vec<DevMsg> {
     let mut first: Option<Vec<DevMsg>> = None;
-    for mode in [ActivityMode::Gated, ActivityMode::Exhaustive] {
+    for mode in [ActivityMode::Scheduled, ActivityMode::Exhaustive] {
         let mut s = mk();
         s.set_activity_mode(mode);
         for m in msgs {

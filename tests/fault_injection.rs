@@ -129,11 +129,11 @@ proptest! {
         permille in 0u32..=200,
         max_busy in 40u64..200,
     ) {
-        let gated = watchdog_run(seed, permille, max_busy, ActivityMode::Gated);
+        let scheduled = watchdog_run(seed, permille, max_busy, ActivityMode::Scheduled);
         let exhaustive = watchdog_run(seed, permille, max_busy, ActivityMode::Exhaustive);
-        prop_assert_eq!(&gated, &exhaustive, "activity modes diverged");
+        prop_assert_eq!(&scheduled, &exhaustive, "activity modes diverged");
 
-        let out = gated;
+        let out = scheduled;
         prop_assert!(
             out.contains(&DevMsg::Error { code: ErrorCode::FuTimeout, info: 9 }),
             "no in-band timeout in {:?}", out
@@ -210,9 +210,9 @@ fn watchdog_drain_scheduled(seed: u64, permille: u32, max_busy: u64) -> Vec<DevM
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The event-wheel mode under the combined stress — link faults plus
+    /// The scheduled mode under the combined stress — link faults plus
     /// a hung unit driven through watchdog quarantine — agrees bit for
-    /// bit with gated stepping, and `is_idle`/the drain helpers behave:
+    /// bit with exhaustive stepping, and `is_idle`/the drain helpers behave:
     /// each phase's responses can be pulled exactly while faults are
     /// live, after which the system parks clean.
     #[test]
@@ -221,9 +221,9 @@ proptest! {
         permille in 0u32..=200,
         max_busy in 40u64..200,
     ) {
-        let gated = watchdog_run(seed, permille, max_busy, ActivityMode::Gated);
+        let exhaustive = watchdog_run(seed, permille, max_busy, ActivityMode::Exhaustive);
         let scheduled = watchdog_drain_scheduled(seed, permille, max_busy);
-        prop_assert_eq!(&gated, &scheduled, "scheduled mode diverged under faults");
+        prop_assert_eq!(&exhaustive, &scheduled, "scheduled mode diverged under faults");
     }
 }
 

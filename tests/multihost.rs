@@ -263,9 +263,9 @@ fn activity_modes_agree_on_a_multihost_burn() {
     // Two hosts over the slow prototyping link sharing one long-latency
     // unit: host 0 runs synchronous burn round trips (the coprocessor is
     // quiet but busy for 800 cycles per instruction), host 1 interleaves
-    // plain register round trips. All three scheduling modes must agree
-    // on every observable; the event wheel must do strictly less
-    // stepping work than gated.
+    // plain register round trips. Both scheduling modes must agree on
+    // every observable; the scheduled kernel must do strictly less
+    // stepping work than the exhaustive reference.
     use fu_rtm::ActivityMode;
     let run = |mode: ActivityMode| {
         let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("burn", 1, 800))];
@@ -321,20 +321,17 @@ fn activity_modes_agree_on_a_multihost_burn() {
         }
         (responses, s.cycle(), s.sim_stats())
     };
-    let g = run(ActivityMode::Gated);
     let e = run(ActivityMode::Exhaustive);
     let w = run(ActivityMode::Scheduled);
-    assert_eq!(g.0, e.0, "gated vs exhaustive responses diverged");
-    assert_eq!(g.0, w.0, "gated vs scheduled responses diverged");
-    assert_eq!(g.1, e.1, "gated vs exhaustive cycle counts diverged");
-    assert_eq!(g.1, w.1, "gated vs scheduled cycle counts diverged");
-    assert_eq!(g.2.cycles_simulated, w.2.cycles_simulated);
-    assert_eq!(g.2.stage_busy, w.2.stage_busy, "busy accounting diverged");
+    assert_eq!(e.0, w.0, "exhaustive vs scheduled responses diverged");
+    assert_eq!(e.1, w.1, "exhaustive vs scheduled cycle counts diverged");
+    assert_eq!(e.2.cycles_simulated, w.2.cycles_simulated);
+    assert_eq!(e.2.stage_busy, w.2.stage_busy, "busy accounting diverged");
     assert!(
-        w.2.cycles_stepped < g.2.cycles_stepped,
-        "scheduled stepped {} vs gated {}",
+        w.2.cycles_stepped < e.2.cycles_stepped,
+        "scheduled stepped {} vs exhaustive {}",
         w.2.cycles_stepped,
-        g.2.cycles_stepped
+        e.2.cycles_stepped
     );
-    assert!(w.2.wheel.wakes_fired() > 0, "no wheel wakes fired");
+    assert!(w.2.wheel.wakes_fired > 0, "no deadline reached");
 }

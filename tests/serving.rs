@@ -3,7 +3,7 @@
 //!
 //! 1. **deterministic** — the completion stream is a pure function of the
 //!    submission sequence: threading (`run_parallel` vs `run_serial`),
-//!    activity mode (gated / exhaustive / scheduled) and poll cadence
+//!    activity mode (scheduled / exhaustive) and poll cadence
 //!    must all be unobservable, and per-job *results* must not even
 //!    depend on the shard count;
 //! 2. **fair** — under saturation, each backlogged tenant's dispatched
@@ -84,7 +84,7 @@ proptest! {
     /// At a fixed shard count, the COMPLETE observable outcome —
     /// completion stream (seqs, timestamps, shards, cycles, payloads),
     /// shed decisions, final clock and tenant statistics — is identical
-    /// across threading, all three activity modes and any poll cadence.
+    /// across threading, both activity modes and any poll cadence.
     #[test]
     fn outcome_is_identical_across_modes_threading_and_polling(
         seed: u64,
@@ -110,18 +110,18 @@ proptest! {
             let out = feed(&mut svc, &arrivals, poll);
             (out, svc.clock(), svc.stats().clone())
         };
-        let reference = run(ActivityMode::Gated, false, 0);
+        let reference = run(ActivityMode::Scheduled, false, 0);
         prop_assert_eq!(
-            &reference, &run(ActivityMode::Gated, true, poll_every),
+            &reference, &run(ActivityMode::Scheduled, true, poll_every),
             "threading leaked into the serving outcome"
+        );
+        prop_assert_eq!(
+            &reference, &run(ActivityMode::Scheduled, false, poll_every),
+            "poll cadence leaked into the serving outcome"
         );
         prop_assert_eq!(
             &reference, &run(ActivityMode::Exhaustive, false, poll_every),
             "exhaustive mode diverged"
-        );
-        prop_assert_eq!(
-            &reference, &run(ActivityMode::Scheduled, false, poll_every),
-            "scheduled mode diverged"
         );
     }
 
@@ -140,7 +140,7 @@ proptest! {
         let outputs = |shards: usize| {
             let mut svc = standard_service(
                 shards,
-                ActivityMode::Gated,
+                ActivityMode::Scheduled,
                 &[1, 2],
                 ServeConfig {
                     queue_depth: usize::MAX, // shed-free: admission cannot depend on timing
@@ -170,7 +170,7 @@ proptest! {
     ) {
         let mut svc = standard_service(
             shards,
-            ActivityMode::Gated,
+            ActivityMode::Scheduled,
             &w,
             ServeConfig {
                 queue_depth: 700,
@@ -226,7 +226,7 @@ proptest! {
         });
         let mut svc = standard_service(
             2,
-            ActivityMode::Gated,
+            ActivityMode::Scheduled,
             &[1, 1, 2, 4],
             ServeConfig {
                 queue_depth,
@@ -382,7 +382,12 @@ fn completion_timestamps_are_causally_consistent() {
         mean_gap: 2_000,
         seed: 0xCAFE,
     });
-    let mut svc = standard_service(2, ActivityMode::Gated, &[1, 2, 4], ServeConfig::default());
+    let mut svc = standard_service(
+        2,
+        ActivityMode::Scheduled,
+        &[1, 2, 4],
+        ServeConfig::default(),
+    );
     let (done, _) = feed(&mut svc, &arrivals, 1);
     assert!(!done.is_empty());
     for c in &done {
