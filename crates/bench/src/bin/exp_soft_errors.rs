@@ -130,27 +130,19 @@ fn main() {
     // ci/sim_speed_baseline.json); recomputed here so the report is
     // self-contained. Panics on any resilience regression.
     let c = soft_error_smoke();
-    println!(
-        "smoke counters: injected {} detected {} corrected {} rollbacks {} failed-over {}",
-        c.seus_injected, c.seus_detected, c.seus_corrected, c.rollbacks, c.jobs_failed_over
-    );
+    println!("smoke counters: {}", c.to_inline_json());
 
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"soft_errors\",\n  \"seed\": {},\n",
             "  \"n_seeds\": {},\n  \"n_adds\": {},\n",
-            "  \"smoke_counters\": {{\"seus_injected\": {}, \"seus_detected\": {}, ",
-            "\"seus_corrected\": {}, \"rollbacks\": {}, \"jobs_failed_over\": {}}},\n",
+            "  \"smoke_counters\": {},\n",
             "  \"scenarios\": [\n{}\n  ]\n}}\n"
         ),
         SEED,
         n_seeds,
         n_adds,
-        c.seus_injected,
-        c.seus_detected,
-        c.seus_corrected,
-        c.rollbacks,
-        c.jobs_failed_over,
+        c.to_inline_json(),
         scenarios.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_soft_errors.json");

@@ -19,9 +19,10 @@ use fu_host::{Farm, FarmConfig, Job, LinkModel};
 use fu_rtm::{ActivityMode, CoprocConfig};
 use rtl_sim::{LatencySnapshot, SimStats};
 
+use crate::gate::{Bound, Counters, Spec};
 use crate::links::arith_batch_mode;
-use crate::serving::{serving_smoke, ServeCounts};
-use crate::soft_errors::{soft_error_smoke, SoftCounts};
+use crate::serving::{serving_smoke, SERVE_COUNTS};
+use crate::soft_errors::{soft_error_smoke, SOFT_COUNTS};
 use crate::throughput::{arith_jobs, xi_jobs};
 
 /// Trace ring depth used for profiled runs — deep enough that an E14
@@ -134,185 +135,109 @@ pub fn sim_speed_smoke(mode: ActivityMode) -> SimStats {
     arith_batch_mode(LinkModel::prototyping(), 64, mode).sim
 }
 
-/// Deterministic work counters distilled from a [`SimStats`] — the
-/// quantities the 5% CI gate compares (no wall clock, so the gate cannot
-/// flake on a loaded runner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkCounts {
-    /// Simulated cycles (must match the baseline exactly).
-    pub cycles_simulated: u64,
-    /// Cycles actually stepped (the scheduled mode skips quiet
-    /// stretches).
-    pub cycles_stepped: u64,
-    /// Stage evaluations summed over all stages.
-    pub stage_evals_total: u64,
-    /// Deadlines registered by scheduling decisions (0 outside
-    /// scheduled mode).
-    pub wheel_wakes_scheduled: u64,
-    /// Deadlines a quiet-span skip reached (0 outside scheduled mode).
-    pub wheel_wakes_fired: u64,
+/// The sim-speed smoke's work counters (no wall clock, so the gate
+/// cannot flake on a loaded runner). Simulated cycles are pinned: the
+/// workload is deterministic, so a cycle-count change is a behaviour
+/// change, not a slowdown. Stepped cycles, stage evaluations and the
+/// scheduler's deadline counts may grow by 5% — a scheduler that
+/// silently starts waking too often is a perf regression even when the
+/// results stay bit-identical.
+pub const WORK_COUNTS: Spec = &[
+    ("cycles_simulated", Bound::Exact),
+    ("cycles_stepped", Bound::Within5Pct),
+    ("stage_evals_total", Bound::Within5Pct),
+    ("wheel_wakes_scheduled", Bound::Within5Pct),
+    ("wheel_wakes_fired", Bound::Within5Pct),
+];
+
+/// Distil the [`WORK_COUNTS`] from a stats snapshot.
+#[must_use]
+pub fn work_counts(sim: &SimStats) -> Counters {
+    Counters::new(
+        WORK_COUNTS,
+        [
+            sim.cycles_simulated,
+            sim.cycles_stepped,
+            sim.stage_evals.iter().map(|&(_, n)| n).sum(),
+            sim.wheel.wakes_scheduled,
+            sim.wheel.wakes_fired,
+        ],
+    )
 }
 
-impl WorkCounts {
-    /// Distil the work counters from a stats snapshot.
-    pub fn of(sim: &SimStats) -> WorkCounts {
-        WorkCounts {
-            cycles_simulated: sim.cycles_simulated,
-            cycles_stepped: sim.cycles_stepped,
-            stage_evals_total: sim.stage_evals.iter().map(|&(_, n)| n).sum(),
-            wheel_wakes_scheduled: sim.wheel.wakes_scheduled,
-            wheel_wakes_fired: sim.wheel.wakes_fired,
-        }
-    }
-
-    /// Serialize as one baseline JSON object (no surrounding document).
-    fn json_fields(&self, indent: &str) -> String {
-        format!(
-            "{{\n{indent}  \"cycles_simulated\": {},\n\
-             {indent}  \"cycles_stepped\": {},\n\
-             {indent}  \"stage_evals_total\": {},\n\
-             {indent}  \"wheel_wakes_scheduled\": {},\n\
-             {indent}  \"wheel_wakes_fired\": {}\n{indent}}}",
-            self.cycles_simulated,
-            self.cycles_stepped,
-            self.stage_evals_total,
-            self.wheel_wakes_scheduled,
-            self.wheel_wakes_fired
-        )
-    }
-
-    /// Parse one mode's counters out of a JSON fragment (hand-rolled:
-    /// the document is integer fields we wrote ourselves; no JSON
-    /// dependency needed).
-    ///
-    /// # Errors
-    /// Returns a description of the missing/malformed field.
-    pub fn from_json(text: &str) -> Result<WorkCounts, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            let key = format!("\"{name}\":");
-            let at = text
-                .find(&key)
-                .ok_or_else(|| format!("baseline is missing {name}"))?;
-            let rest = text[at + key.len()..].trim_start();
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits
-                .parse()
-                .map_err(|e| format!("bad value for {name}: {e}"))
-        };
-        Ok(WorkCounts {
-            cycles_simulated: field("cycles_simulated")?,
-            cycles_stepped: field("cycles_stepped")?,
-            stage_evals_total: field("stage_evals_total")?,
-            wheel_wakes_scheduled: field("wheel_wakes_scheduled")?,
-            wheel_wakes_fired: field("wheel_wakes_fired")?,
-        })
-    }
-
-    /// The 5% regression gate: simulated cycles must match the baseline
-    /// exactly (the workload is deterministic — a cycle-count change is a
-    /// behaviour change, not a slowdown) and the work counters may not
-    /// exceed the baseline by more than 5%.
-    ///
-    /// # Errors
-    /// Returns a description of the first violated bound.
-    pub fn check_against(&self, baseline: &WorkCounts) -> Result<(), String> {
-        if self.cycles_simulated != baseline.cycles_simulated {
-            return Err(format!(
-                "cycles_simulated changed: {} vs baseline {} (behaviour change, re-baseline deliberately)",
-                self.cycles_simulated, baseline.cycles_simulated
-            ));
-        }
-        let within = |name: &str, got: u64, base: u64| -> Result<(), String> {
-            // got <= base * 1.05, in integers.
-            if got * 20 > base * 21 {
-                Err(format!("{name} regressed >5%: {got} vs baseline {base}"))
-            } else {
-                Ok(())
-            }
-        };
-        within(
-            "cycles_stepped",
-            self.cycles_stepped,
-            baseline.cycles_stepped,
-        )?;
-        within(
-            "stage_evals_total",
-            self.stage_evals_total,
-            baseline.stage_evals_total,
-        )?;
-        within(
-            "wheel_wakes_scheduled",
-            self.wheel_wakes_scheduled,
-            baseline.wheel_wakes_scheduled,
-        )?;
-        within(
-            "wheel_wakes_fired",
-            self.wheel_wakes_fired,
-            baseline.wheel_wakes_fired,
-        )
-    }
-}
-
-/// The CI baseline document: the smoke workload's work counters in the
-/// scheduled mode (stepped cycles *and* deadline counts — a scheduler
-/// that silently starts waking too often is a perf regression even when
-/// the results stay bit-identical).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The CI baseline document: one pinned-counter section per smoke.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmokeBaseline {
-    /// Counters from the scheduled-mode smoke run.
-    pub scheduled: WorkCounts,
+    /// [`WORK_COUNTS`] from the scheduled-mode sim-speed smoke.
+    pub scheduled: Counters,
     /// Deterministic counters from the E16 soft-error smoke (a protected
     /// run that must stay bit-identical to its fault-free reference,
     /// plus a farm-failover run).
-    pub soft: SoftCounts,
+    pub soft: Counters,
     /// Deterministic counters from the E17 serving smoke (a saturated
     /// multi-tenant run whose admission and completion behaviour is
     /// pinned exactly, with 5% headroom on scheduler efficiency).
-    pub serving: ServeCounts,
+    pub serving: Counters,
 }
 
 impl SmokeBaseline {
+    /// Section keys and specs, in document order.
+    const SECTIONS: [(&'static str, Spec); 3] = [
+        ("scheduled", WORK_COUNTS),
+        ("soft_errors", SOFT_COUNTS),
+        ("serving", SERVE_COUNTS),
+    ];
+
     /// Measure the current smoke counters.
     pub fn measure() -> SmokeBaseline {
         SmokeBaseline {
-            scheduled: WorkCounts::of(&sim_speed_smoke(ActivityMode::Scheduled)),
+            scheduled: work_counts(&sim_speed_smoke(ActivityMode::Scheduled)),
             soft: soft_error_smoke(),
             serving: serving_smoke(),
         }
     }
 
-    /// Serialize as the baseline JSON document (the parser relies on the
-    /// section order).
+    fn sections(&self) -> [&Counters; 3] {
+        [&self.scheduled, &self.soft, &self.serving]
+    }
+
+    /// Serialize as the baseline JSON document.
     pub fn to_json(&self) -> String {
+        let body: Vec<String> = Self::SECTIONS
+            .iter()
+            .zip(self.sections())
+            .map(|((key, _), c)| format!("  \"{key}\": {}", c.to_json("  ")))
+            .collect();
         format!(
-            "{{\n  \"bench\": \"sim_speed_smoke\",\n  \"scheduled\": {},\n  \"soft_errors\": {},\n  \"serving\": {}\n}}\n",
-            self.scheduled.json_fields("  "),
-            self.soft.json_fields("  "),
-            self.serving.json_fields("  ")
+            "{{\n  \"bench\": \"sim_speed_smoke\",\n{}\n}}\n",
+            body.join(",\n")
         )
     }
 
-    /// Parse the baseline JSON document.
+    /// Parse the baseline JSON document (sections in document order).
     ///
     /// # Errors
     /// Returns a description of the missing/malformed section or field.
     pub fn from_json(text: &str) -> Result<SmokeBaseline, String> {
-        let s_at = text
-            .find("\"scheduled\":")
-            .ok_or("baseline is missing the scheduled section")?;
-        let soft_at = text
-            .find("\"soft_errors\":")
-            .ok_or("baseline is missing the soft_errors section")?;
-        let serving_at = text
-            .find("\"serving\":")
-            .ok_or("baseline is missing the serving section")?;
-        if soft_at < s_at || serving_at < soft_at {
-            return Err("baseline sections out of order (scheduled, soft_errors, serving)".into());
+        let mut starts = Vec::new();
+        for (key, _) in Self::SECTIONS {
+            let at = text
+                .find(&format!("\"{key}\":"))
+                .ok_or_else(|| format!("baseline is missing the {key} section"))?;
+            if starts.last().is_some_and(|&prev| at < prev) {
+                return Err(
+                    "baseline sections out of order (scheduled, soft_errors, serving)".into(),
+                );
+            }
+            starts.push(at);
         }
+        starts.push(text.len());
+        let section =
+            |i: usize| Counters::from_json(Self::SECTIONS[i].1, &text[starts[i]..starts[i + 1]]);
         Ok(SmokeBaseline {
-            scheduled: WorkCounts::from_json(&text[s_at..soft_at])?,
-            soft: SoftCounts::from_json(&text[soft_at..serving_at])?,
-            serving: ServeCounts::from_json(&text[serving_at..])?,
+            scheduled: section(0)?,
+            soft: section(1)?,
+            serving: section(2)?,
         })
     }
 
@@ -321,21 +246,20 @@ impl SmokeBaseline {
     /// # Errors
     /// Returns a description of the first violated bound.
     pub fn check_against(&self, baseline: &SmokeBaseline) -> Result<(), String> {
-        self.scheduled
-            .check_against(&baseline.scheduled)
-            .map_err(|e| format!("scheduled: {e}"))?;
-        self.soft
-            .check_against(&baseline.soft)
-            .map_err(|e| format!("soft_errors: {e}"))?;
-        self.serving
-            .check_against(&baseline.serving)
-            .map_err(|e| format!("serving: {e}"))
+        for (((key, _), c), base) in Self::SECTIONS
+            .iter()
+            .zip(self.sections())
+            .zip(baseline.sections())
+        {
+            c.check_against(base).map_err(|e| format!("{key}: {e}"))?;
+        }
+        Ok(())
     }
 }
 
 /// Measure wall-clock for the sim-speed smoke with tracing off and on.
 /// Returns `(untraced_ms, traced_ms)`. Reported for the record; the CI
-/// gate uses the deterministic [`WorkCounts`] instead, because a loaded
+/// gate uses the deterministic [`WORK_COUNTS`] instead, because a loaded
 /// runner can double any wall-clock number without a real regression.
 pub fn overhead_wall_ms(mode: ActivityMode) -> (f64, f64) {
     let t0 = Instant::now();
@@ -356,43 +280,28 @@ pub fn overhead_wall_ms(mode: ActivityMode) -> (f64, f64) {
 mod tests {
     use super::*;
 
-    fn soft() -> SoftCounts {
-        SoftCounts {
-            seus_injected: 33,
-            seus_detected: 7,
-            seus_corrected: 6,
-            rollbacks: 1,
-            jobs_failed_over: 3,
-        }
-    }
-
-    fn serving() -> ServeCounts {
-        ServeCounts {
-            jobs_completed: 500,
-            jobs_shed: 100,
-            rounds: 40,
-            clock_cycles: 900_000,
-        }
-    }
-
-    fn counts(cycles_stepped: u64, stage_evals_total: u64) -> WorkCounts {
-        WorkCounts {
-            cycles_simulated: 1000,
-            cycles_stepped,
-            stage_evals_total,
-            wheel_wakes_scheduled: 40,
-            wheel_wakes_fired: 30,
-        }
+    fn counts(cycles_stepped: u64, stage_evals_total: u64) -> Counters {
+        Counters::new(
+            WORK_COUNTS,
+            [1000, cycles_stepped, stage_evals_total, 40, 30],
+        )
     }
 
     #[test]
     fn smoke_baseline_roundtrips_through_json() {
         let b = SmokeBaseline {
             scheduled: counts(1234, 8765),
-            soft: soft(),
-            serving: serving(),
+            soft: Counters::new(SOFT_COUNTS, [33, 7, 6, 1, 3]),
+            serving: Counters::new(SERVE_COUNTS, [500, 100, 40, 900_000]),
         };
         assert_eq!(SmokeBaseline::from_json(&b.to_json()), Ok(b));
+    }
+
+    #[test]
+    fn checked_in_baseline_roundtrips_byte_for_byte() {
+        let text = include_str!("../../../ci/sim_speed_baseline.json");
+        let parsed = SmokeBaseline::from_json(text).expect("parse the checked-in baseline");
+        assert_eq!(parsed.to_json(), text);
     }
 
     #[test]
@@ -400,43 +309,32 @@ mod tests {
         let base = counts(100, 400);
         assert!(base.check_against(&base).is_ok());
         // 5% over is allowed, more is not.
-        let ok = WorkCounts {
-            stage_evals_total: 420,
-            ..base
-        };
+        let ok = base.with("stage_evals_total", 420);
         assert!(ok.check_against(&base).is_ok());
-        let bad = WorkCounts {
-            stage_evals_total: 421,
-            ..base
-        };
+        let bad = base.with("stage_evals_total", 421);
         assert!(bad.check_against(&base).is_err());
-        let drift = WorkCounts {
-            cycles_simulated: 1001,
-            ..base
-        };
+        let drift = base.with("cycles_simulated", 1001);
         assert!(drift.check_against(&base).is_err());
         // A scheduler that wakes too often is a regression too.
-        let chatty = WorkCounts {
-            wheel_wakes_fired: 32,
-            ..base
-        };
+        let chatty = base.with("wheel_wakes_fired", 32);
         assert!(chatty.check_against(&base).is_err());
     }
 
     #[test]
     fn measured_smoke_counters_show_the_wheel_working() {
         let m = SmokeBaseline::measure().scheduled;
-        let reference = WorkCounts::of(&sim_speed_smoke(ActivityMode::Exhaustive));
-        assert_eq!(m.cycles_simulated, reference.cycles_simulated);
+        let reference = work_counts(&sim_speed_smoke(ActivityMode::Exhaustive));
+        assert_eq!(m.get("cycles_simulated"), reference.get("cycles_simulated"));
         assert_eq!(
-            reference.wheel_wakes_scheduled, 0,
+            reference.get("wheel_wakes_scheduled"),
+            0,
             "the reference kernel never skips"
         );
         assert!(
-            m.cycles_stepped < reference.cycles_stepped,
+            m.get("cycles_stepped") < reference.get("cycles_stepped"),
             "skipping must reduce stepping: {} vs {}",
-            m.cycles_stepped,
-            reference.cycles_stepped
+            m.get("cycles_stepped"),
+            reference.get("cycles_stepped")
         );
     }
 

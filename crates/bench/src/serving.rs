@@ -26,6 +26,7 @@ use fu_isa::DevMsg;
 use fu_rtm::CoprocConfig;
 use rtl_sim::TenantCounters;
 
+use crate::gate::{Bound, Counters, Spec};
 use crate::FPGA_MHZ;
 
 /// Tenant weight tiers: the first tenant is "gold" (weight 4), the next
@@ -237,92 +238,17 @@ fn tier_slos(svc: &Service, tenants: u32) -> Vec<TierSlo> {
     out
 }
 
-/// Deterministic counters from the serving smoke the CI baseline pins.
-/// Everything downstream of the seed is a pure function of it, so any
-/// drift in `jobs_completed`/`jobs_shed` is an admission or scheduling
-/// behaviour change; `rounds` and `clock_cycles` are scheduler
+/// Counters from the serving smoke the CI baseline pins. Everything
+/// downstream of the seed is a pure function of it, so any drift in the
+/// completed/shed counts is an admission or scheduling behaviour change;
+/// the rounds and the virtual cycles to drain the workload are scheduler
 /// efficiency and get the usual 5% headroom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeCounts {
-    /// Jobs that completed successfully (and verified).
-    pub jobs_completed: u64,
-    /// Jobs shed in-band at admission.
-    pub jobs_shed: u64,
-    /// Scheduling rounds executed.
-    pub rounds: u64,
-    /// Virtual cycles to drain the smoke workload.
-    pub clock_cycles: u64,
-}
-
-impl ServeCounts {
-    /// Serialize as one baseline JSON object (no surrounding document),
-    /// matching the `WorkCounts` baseline idiom.
-    #[must_use]
-    pub fn json_fields(&self, indent: &str) -> String {
-        format!(
-            "{{\n{indent}  \"jobs_completed\": {},\n\
-             {indent}  \"jobs_shed\": {},\n\
-             {indent}  \"rounds\": {},\n\
-             {indent}  \"clock_cycles\": {}\n{indent}}}",
-            self.jobs_completed, self.jobs_shed, self.rounds, self.clock_cycles
-        )
-    }
-
-    /// Parse the counters out of a JSON fragment.
-    ///
-    /// # Errors
-    /// Returns a description of the missing/malformed field.
-    pub fn from_json(text: &str) -> Result<ServeCounts, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            let key = format!("\"{name}\":");
-            let at = text
-                .find(&key)
-                .ok_or_else(|| format!("baseline is missing {name}"))?;
-            let rest = text[at + key.len()..].trim_start();
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits
-                .parse()
-                .map_err(|e| format!("bad value for {name}: {e}"))
-        };
-        Ok(ServeCounts {
-            jobs_completed: field("jobs_completed")?,
-            jobs_shed: field("jobs_shed")?,
-            rounds: field("rounds")?,
-            clock_cycles: field("clock_cycles")?,
-        })
-    }
-
-    /// The serving gate: completion and shed counts are pinned exactly
-    /// (the smoke is deterministic — a change is an admission/scheduling
-    /// behaviour change, not noise); rounds and the virtual clock get
-    /// the same ≤5% headroom as the work counters.
-    ///
-    /// # Errors
-    /// Returns a description of the first violated bound.
-    pub fn check_against(&self, baseline: &ServeCounts) -> Result<(), String> {
-        if self.jobs_completed != baseline.jobs_completed {
-            return Err(format!(
-                "jobs_completed changed: {} vs baseline {} (behaviour change, re-baseline deliberately)",
-                self.jobs_completed, baseline.jobs_completed
-            ));
-        }
-        if self.jobs_shed != baseline.jobs_shed {
-            return Err(format!(
-                "jobs_shed changed: {} vs baseline {} (admission behaviour drifted)",
-                self.jobs_shed, baseline.jobs_shed
-            ));
-        }
-        let within = |name: &str, got: u64, base: u64| -> Result<(), String> {
-            if got * 20 > base * 21 {
-                Err(format!("{name} regressed >5%: {got} vs baseline {base}"))
-            } else {
-                Ok(())
-            }
-        };
-        within("rounds", self.rounds, baseline.rounds)?;
-        within("clock_cycles", self.clock_cycles, baseline.clock_cycles)
-    }
-}
+pub const SERVE_COUNTS: Spec = &[
+    ("jobs_completed", Bound::Exact),
+    ("jobs_shed", Bound::Exact),
+    ("rounds", Bound::Within5Pct),
+    ("clock_cycles", Bound::Within5Pct),
+];
 
 /// Fixed seed for the CI serving smoke.
 pub const SMOKE_SEED: u64 = 0x0E17_5EED;
@@ -334,14 +260,14 @@ pub const SMOKE_GAP: u64 = 2_000;
 /// Queue bound for the smoke.
 pub const SMOKE_DEPTH: usize = 8;
 
-/// Run the CI serving smoke and distil its counters.
+/// Run the CI serving smoke and distil its [`SERVE_COUNTS`].
 ///
 /// # Panics
 /// When the smoke loses a job, duplicates a completion, returns a wrong
 /// payload, or fails to exercise shedding — each fails the build
 /// outright rather than drifting a counter.
 #[must_use]
-pub fn serving_smoke() -> ServeCounts {
+pub fn serving_smoke() -> Counters {
     let run = serving_run(
         2,
         4,
@@ -358,12 +284,10 @@ pub fn serving_smoke() -> ServeCounts {
         (SMOKE_CLIENTS * 2) as u64,
         "E17 smoke offered-load mismatch"
     );
-    ServeCounts {
-        jobs_completed: run.completed,
-        jobs_shed: run.shed,
-        rounds: run.rounds,
-        clock_cycles: run.clock_cycles,
-    }
+    Counters::new(
+        SERVE_COUNTS,
+        [run.completed, run.shed, run.rounds, run.clock_cycles],
+    )
 }
 
 #[cfg(test)]
@@ -375,37 +299,26 @@ mod tests {
         let a = serving_smoke();
         let b = serving_smoke();
         assert_eq!(a, b);
-        assert!(a.jobs_completed > 0 && a.jobs_shed > 0);
+        assert!(a.get("jobs_completed") > 0 && a.get("jobs_shed") > 0);
     }
 
     #[test]
     fn serve_counter_gate_roundtrips_and_rejects_drift() {
-        let base = ServeCounts {
-            jobs_completed: 500,
-            jobs_shed: 100,
-            rounds: 40,
-            clock_cycles: 900_000,
-        };
-        assert_eq!(ServeCounts::from_json(&base.json_fields("")), Ok(base));
+        let base = Counters::new(SERVE_COUNTS, [500, 100, 40, 900_000]);
+        assert_eq!(
+            Counters::from_json(SERVE_COUNTS, &base.to_json("")),
+            Ok(base.clone())
+        );
         assert!(base.check_against(&base).is_ok());
         // Behaviour counters are pinned exactly.
-        let drifted = ServeCounts {
-            jobs_completed: 501,
-            ..base
-        };
+        let drifted = base.with("jobs_completed", 501);
         assert!(drifted.check_against(&base).is_err());
-        let admission = ServeCounts {
-            jobs_shed: 99,
-            ..base
-        };
+        let admission = base.with("jobs_shed", 99);
         assert!(admission.check_against(&base).is_err());
         // Efficiency counters get the 5% headroom, no more.
-        let ok = ServeCounts { rounds: 42, ..base };
+        let ok = base.with("rounds", 42);
         assert!(ok.check_against(&base).is_ok());
-        let slow = ServeCounts {
-            clock_cycles: 946_000,
-            ..base
-        };
+        let slow = base.with("clock_cycles", 946_000);
         assert!(slow.check_against(&base).is_err());
     }
 

@@ -20,6 +20,8 @@ use fu_rtm::testing::{LatencyFu, PoisonFu};
 use fu_rtm::{CoprocConfig, FunctionalUnit, Redundancy, SeuConfig};
 use rtl_sim::RecoveryStats;
 
+use crate::gate::{Bound, Counters, Spec};
+
 /// Cycle budget for one sweep point; an expiry is scored as a miss, not
 /// a panic — an unprotected machine is allowed to wedge.
 const POINT_BUDGET: u64 = 20_000_000;
@@ -159,104 +161,18 @@ pub fn resilience_run(
     }
 }
 
-/// The deterministic counters CI pins: one protected run plus one
-/// farm-failover run, both at fixed seeds. Every field is a pure
-/// function of the seeds, so any drift is a behaviour change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SoftCounts {
-    /// Bit flips the SEU model applied in the protected smoke run.
-    pub seus_injected: u64,
-    /// Upsets a parity check or DMR vote caught.
-    pub seus_detected: u64,
-    /// Upsets repaired in place (scoreboard shadow / TMR vote).
-    pub seus_corrected: u64,
-    /// Checkpoint restores the smoke run needed to stay bit-identical.
-    pub rollbacks: u64,
-    /// Jobs the farm smoke re-ran on a healthy shard.
-    pub jobs_failed_over: u64,
-}
-
-impl SoftCounts {
-    /// Serialize as one baseline JSON object (no surrounding document),
-    /// matching the `WorkCounts` baseline idiom.
-    #[must_use]
-    pub fn json_fields(&self, indent: &str) -> String {
-        format!(
-            "{{\n{indent}  \"seus_injected\": {},\n\
-             {indent}  \"seus_detected\": {},\n\
-             {indent}  \"seus_corrected\": {},\n\
-             {indent}  \"rollbacks\": {},\n\
-             {indent}  \"jobs_failed_over\": {}\n{indent}}}",
-            self.seus_injected,
-            self.seus_detected,
-            self.seus_corrected,
-            self.rollbacks,
-            self.jobs_failed_over
-        )
-    }
-
-    /// Parse the counters out of a JSON fragment.
-    ///
-    /// # Errors
-    /// Returns a description of the missing/malformed field.
-    pub fn from_json(text: &str) -> Result<SoftCounts, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            let key = format!("\"{name}\":");
-            let at = text
-                .find(&key)
-                .ok_or_else(|| format!("baseline is missing {name}"))?;
-            let rest = text[at + key.len()..].trim_start();
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits
-                .parse()
-                .map_err(|e| format!("bad value for {name}: {e}"))
-        };
-        Ok(SoftCounts {
-            seus_injected: field("seus_injected")?,
-            seus_detected: field("seus_detected")?,
-            seus_corrected: field("seus_corrected")?,
-            rollbacks: field("rollbacks")?,
-            jobs_failed_over: field("jobs_failed_over")?,
-        })
-    }
-
-    /// The resilience gate. The smoke is fully deterministic, so the
-    /// strike count and the failover job count must match the baseline
-    /// exactly (a change is a behaviour change, not noise); the
-    /// detection/recovery counters get the same ≤5% headroom as the
-    /// work counters.
-    ///
-    /// # Errors
-    /// Returns a description of the first violated bound.
-    pub fn check_against(&self, baseline: &SoftCounts) -> Result<(), String> {
-        if self.seus_injected != baseline.seus_injected {
-            return Err(format!(
-                "seus_injected changed: {} vs baseline {} (strike schedule drifted, re-baseline deliberately)",
-                self.seus_injected, baseline.seus_injected
-            ));
-        }
-        if self.jobs_failed_over != baseline.jobs_failed_over {
-            return Err(format!(
-                "jobs_failed_over changed: {} vs baseline {}",
-                self.jobs_failed_over, baseline.jobs_failed_over
-            ));
-        }
-        let within = |name: &str, got: u64, base: u64| -> Result<(), String> {
-            if got * 20 > base * 21 {
-                Err(format!("{name} regressed >5%: {got} vs baseline {base}"))
-            } else {
-                Ok(())
-            }
-        };
-        within("seus_detected", self.seus_detected, baseline.seus_detected)?;
-        within(
-            "seus_corrected",
-            self.seus_corrected,
-            baseline.seus_corrected,
-        )?;
-        within("rollbacks", self.rollbacks, baseline.rollbacks)
-    }
-}
+/// Counters from the E16 soft-error smoke the CI baseline pins: a
+/// protected `System` run and a farm-failover run, both at fixed seeds.
+/// The strike count and the failover job count must match exactly (a
+/// change is a behaviour change, not noise); the detection and recovery
+/// counters get the usual 5% headroom.
+pub const SOFT_COUNTS: Spec = &[
+    ("seus_injected", Bound::Exact),
+    ("seus_detected", Bound::Within5Pct),
+    ("seus_corrected", Bound::Within5Pct),
+    ("rollbacks", Bound::Within5Pct),
+    ("jobs_failed_over", Bound::Exact),
+];
 
 /// Fixed seed for the CI soft-error smoke.
 pub const SMOKE_SEED: u64 = 0x0E16_5EED;
@@ -268,14 +184,14 @@ pub const SMOKE_CKPT: u64 = 8;
 /// Adds in the smoke workload.
 pub const SMOKE_ADDS: usize = 192;
 
-/// Run the CI soft-error smoke and distil its counters.
+/// Run the CI soft-error smoke and distil its [`SOFT_COUNTS`].
 ///
 /// # Panics
 /// When the protected run diverges from its fault-free reference, or a
 /// failed-over job still errors — either is a resilience regression that
 /// must fail the build outright, not just drift a counter.
 #[must_use]
-pub fn soft_error_smoke() -> SoftCounts {
+pub fn soft_error_smoke() -> Counters {
     // Protected System run: DMR + rollback must reproduce the fault-free
     // stream bit for bit.
     let clean = resilience_run(Protection::DmrRollback, None, SMOKE_CKPT, SMOKE_ADDS);
@@ -350,13 +266,16 @@ pub fn soft_error_smoke() -> SoftCounts {
     let farm_stats = farm.sim_stats();
 
     let r = &faulty.recovery;
-    SoftCounts {
-        seus_injected: r.seus_injected,
-        seus_detected: r.seus_detected,
-        seus_corrected: r.seus_corrected,
-        rollbacks: r.rollbacks,
-        jobs_failed_over: farm_stats.recovery.jobs_failed_over,
-    }
+    Counters::new(
+        SOFT_COUNTS,
+        [
+            r.seus_injected,
+            r.seus_detected,
+            r.seus_corrected,
+            r.rollbacks,
+            farm_stats.recovery.jobs_failed_over,
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -382,31 +301,19 @@ mod tests {
 
     #[test]
     fn soft_counter_gate_roundtrips_and_rejects_drift() {
-        let base = SoftCounts {
-            seus_injected: 33,
-            seus_detected: 7,
-            seus_corrected: 6,
-            rollbacks: 1,
-            jobs_failed_over: 3,
-        };
-        assert_eq!(SoftCounts::from_json(&base.json_fields("")), Ok(base));
+        let base = Counters::new(SOFT_COUNTS, [33, 7, 6, 1, 3]);
+        assert_eq!(
+            Counters::from_json(SOFT_COUNTS, &base.to_json("")),
+            Ok(base.clone())
+        );
         assert!(base.check_against(&base).is_ok());
         // Strike schedule and failover counts are pinned exactly.
-        let drifted = SoftCounts {
-            seus_injected: 34,
-            ..base
-        };
+        let drifted = base.with("seus_injected", 34);
         assert!(drifted.check_against(&base).is_err());
-        let dropped = SoftCounts {
-            jobs_failed_over: 0,
-            ..base
-        };
+        let dropped = base.with("jobs_failed_over", 0);
         assert!(dropped.check_against(&base).is_err());
         // Recovery counters get the 5% headroom, no more.
-        let noisy = SoftCounts {
-            rollbacks: 2,
-            ..base
-        };
+        let noisy = base.with("rollbacks", 2);
         assert!(noisy.check_against(&base).is_err());
     }
 }

@@ -1,5 +1,5 @@
 //! A sharded coprocessor farm: many independent [`System`]s, one worker
-//! thread each, fed from a bounded work queue.
+//! thread each, each working through its own list of the batch's jobs.
 //!
 //! The paper lets "one or more host CPUs" drive many functional units;
 //! the farm is the host-side scale-out of that picture — N simulated
@@ -7,19 +7,21 @@
 //! threads. Three properties make it production-shaped rather than a toy
 //! thread pool:
 //!
-//! * **Deterministic assignment.** Job *i* always runs on shard
-//!   `i % shards`, and each shard executes its jobs in submission order,
-//!   on a shard built from the same per-shard seed. Thread scheduling can
-//!   reorder *when* shards run, never *what* they compute.
+//! * **Deterministic assignment.** A placement plan ([`Farm::plan`]),
+//!   computed from the job list alone, maps every job to a shard; each
+//!   shard executes its jobs in submission order, on a shard built from
+//!   the same per-shard seed. Thread scheduling can reorder *when* shards
+//!   run, never *what* they compute.
 //! * **Bit-identical merging.** [`Farm::run_parallel`] returns exactly
 //!   the result vector [`Farm::run_serial`] returns — same responses,
-//!   same tags, same errors — because results are merged by job index,
-//!   not by arrival time. The `farm_determinism` proptest enforces this.
-//! * **Backpressure.** Every shard's queue is a bounded
-//!   [`std::sync::mpsc::sync_channel`]; a slow shard blocks the feeder
-//!   instead of ballooning memory.
+//!   same tags, same errors — because both are one executor that merges
+//!   results by walking the plan, not by arrival time. The
+//!   `farm_determinism` proptest enforces this.
+//! * **Backpressure without queues.** Jobs are borrowed from the caller's
+//!   slice, never copied into a queue, so a batch costs no memory beyond
+//!   its results. Bounding the work in flight is the serving layer's job
+//!   ([`crate::ServeConfig::queue_depth`] sheds at admission).
 
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use crate::driver::{Driver, DriverError};
@@ -74,9 +76,6 @@ pub enum Placement {
 pub struct FarmConfig {
     /// Number of shards (and worker threads). Must be ≥ 1.
     pub shards: usize,
-    /// Depth of each shard's bounded job queue. Feeding a full queue
-    /// blocks — that is the backpressure, not an error.
-    pub queue_depth: usize,
     /// Per-blocking-call cycle budget for every shard's driver.
     pub timeout: u64,
     /// Base seed; shard `k` receives `splitmix64(seed ^ k·φ)` so fault
@@ -91,12 +90,13 @@ pub struct FarmConfig {
     /// Failover retry budget per failed job. A job whose shard panicked,
     /// timed out, or returned an unrecovered soft error is re-executed on
     /// the other shards in round-robin order, up to this many attempts,
-    /// by a deterministic second pass shared by the serial and parallel
-    /// paths. `0` (the default) disables failover — failures stay data in
+    /// by a deterministic second pass on the calling thread, after the
+    /// shards finish their lists. `0` (the default) disables failover — failures stay data in
     /// the results; panicked shards are still rebuilt either way.
     pub max_job_retries: u32,
-    /// Job→shard assignment policy. Both run paths use the same
-    /// precomputed plan, so placement never breaks serial ≡ parallel.
+    /// Job→shard assignment policy. The executor splits the same
+    /// precomputed plan whether or not it runs threaded, so placement
+    /// never breaks serial ≡ parallel.
     pub placement: Placement,
 }
 
@@ -104,7 +104,6 @@ impl Default for FarmConfig {
     fn default() -> FarmConfig {
         FarmConfig {
             shards: 4,
-            queue_depth: 16,
             timeout: 20_000_000,
             seed: 0,
             activity_mode: ActivityMode::default(),
@@ -319,15 +318,8 @@ impl Farm {
         &self.cfg
     }
 
-    /// The shard job `job_index` maps to under round-robin placement.
-    /// For weight-aware policies use [`Farm::plan`], which needs the
-    /// whole job list.
-    pub fn assign(&self, job_index: usize) -> usize {
-        job_index % self.cfg.shards.max(1)
-    }
-
     /// The job→shard plan for `jobs` under the configured placement
-    /// policy — the exact assignment both run paths will use.
+    /// policy — the exact assignment `run_serial` and `run_parallel` use.
     pub fn plan(&self, jobs: &[Job]) -> Vec<usize> {
         plan_assignment(&self.cfg, jobs)
     }
@@ -365,44 +357,7 @@ impl Farm {
     /// [`FarmError`] on orchestration failures; per-job errors are data
     /// inside the returned results.
     pub fn run_serial(&mut self, jobs: &[Job]) -> Result<Vec<JobResult>, FarmError> {
-        if self.cfg.shards == 0 {
-            return Err(FarmError::NoShards);
-        }
-        let mut drivers = (0..self.cfg.shards)
-            .map(|s| self.build_shard(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        let plan = plan_assignment(&self.cfg, jobs);
-        let mut counts = vec![0u64; self.cfg.shards];
-        let mut results = Vec::with_capacity(jobs.len());
-        for (i, job) in jobs.iter().enumerate() {
-            let s = plan[i];
-            counts[s] += 1;
-            results.push(run_on_shard(
-                &self.builder,
-                &self.cfg,
-                &mut drivers[s],
-                s,
-                i,
-                job,
-            ));
-        }
-        let (failed_over, retries) = failover_pass(
-            &self.cfg,
-            &self.builder,
-            &mut drivers,
-            &mut counts,
-            &mut results,
-            jobs,
-            &plan,
-        );
-        self.failed_over = failed_over;
-        self.job_retries = retries;
-        self.reports = drivers
-            .iter()
-            .zip(&counts)
-            .map(|(d, &n)| Farm::report(d, n))
-            .collect();
-        Ok(results)
+        self.run(jobs, false)
     }
 
     /// Run `jobs` across one worker thread per shard, merging results by
@@ -413,70 +368,63 @@ impl Farm {
     /// [`FarmError`] on orchestration failures (including worker panics);
     /// per-job errors are data inside the returned results.
     pub fn run_parallel(&mut self, jobs: &[Job]) -> Result<Vec<JobResult>, FarmError> {
+        self.run(jobs, true)
+    }
+
+    /// The one executor: build every shard, split the placement plan into
+    /// per-shard job lists (submission order), run each list through
+    /// [`run_on_shard`] — inline, or on one scoped thread per shard — then
+    /// merge back into job order, run the failover pass and write the
+    /// reports. Shards share no state, so whether they run one after
+    /// another or concurrently changes no result, cycle count or trace.
+    fn run(&mut self, jobs: &[Job], threaded: bool) -> Result<Vec<JobResult>, FarmError> {
         if self.cfg.shards == 0 {
             return Err(FarmError::NoShards);
         }
-        let drivers = (0..self.cfg.shards)
+        let mut drivers = (0..self.cfg.shards)
             .map(|s| self.build_shard(s))
             .collect::<Result<Vec<_>, _>>()?;
-        let queue_depth = self.cfg.queue_depth.max(1);
         let plan = plan_assignment(&self.cfg, jobs);
-        let mut results: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
-        let mut drivers_back: Vec<Option<Driver>> = (0..self.cfg.shards).map(|_| None).collect();
-        let mut counts = vec![0u64; self.cfg.shards];
-        let shards = self.cfg.shards;
-        std::thread::scope(|scope| -> Result<(), FarmError> {
-            let mut senders = Vec::with_capacity(shards);
-            let mut handles = Vec::with_capacity(shards);
-            for (s, mut drv) in drivers.into_iter().enumerate() {
-                // Bounded: a feeder racing ahead of a slow shard parks on
-                // `send` instead of queueing unbounded work.
-                let (tx, rx) = mpsc::sync_channel::<(usize, &Job)>(queue_depth);
-                senders.push(tx);
-                let builder = Arc::clone(&self.builder);
-                let cfg = self.cfg;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut n = 0u64;
-                    while let Ok((idx, job)) = rx.recv() {
-                        n += 1;
-                        out.push(run_on_shard(&builder, &cfg, &mut drv, s, idx, job));
-                    }
-                    (out, n, drv)
-                }));
-            }
-            // Feed in submission order. A send only fails when a worker
-            // died; surface that as the panic it is about to become.
-            for (i, job) in jobs.iter().enumerate() {
-                let s = plan[i];
-                if senders[s].send((i, job)).is_err() {
-                    break; // joined below; the panic is reported there
-                }
-            }
-            drop(senders);
-            for (s, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((out, n, drv)) => {
-                        for r in out {
-                            let slot = r.job;
-                            results[slot] = Some(r);
-                        }
-                        counts[s] = n;
-                        drivers_back[s] = Some(drv);
-                    }
-                    Err(_) => return Err(FarmError::WorkerPanicked { shard: s }),
-                }
-            }
-            Ok(())
-        })?;
-        let mut drivers: Vec<Driver> = drivers_back
-            .into_iter()
-            .map(|d| d.expect("every worker returned its driver"))
+        let mut lists = vec![Vec::new(); self.cfg.shards];
+        for (i, &s) in plan.iter().enumerate() {
+            lists[s].push(i);
+        }
+        let (builder, cfg) = (&self.builder, &self.cfg);
+        let run_list = |s: usize, drv: &mut Driver, list: &[usize]| -> Vec<JobResult> {
+            list.iter()
+                .map(|&i| run_on_shard(builder, cfg, drv, s, i, &jobs[i]))
+                .collect()
+        };
+        let per_shard: Vec<Vec<JobResult>> = if threaded {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = drivers
+                    .iter_mut()
+                    .zip(&lists)
+                    .enumerate()
+                    .map(|(s, (drv, list))| scope.spawn(move || run_list(s, drv, list)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .enumerate()
+                    .map(|(s, h)| h.join().map_err(|_| FarmError::WorkerPanicked { shard: s }))
+                    .collect::<Result<_, _>>()
+            })?
+        } else {
+            drivers
+                .iter_mut()
+                .zip(&lists)
+                .enumerate()
+                .map(|(s, (drv, list))| run_list(s, drv, list))
+                .collect()
+        };
+        // Each shard's results are in submission order, so walking the
+        // plan with one cursor per shard restores job order.
+        let mut cursors: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
+        let mut results: Vec<JobResult> = plan
+            .iter()
+            .map(|&s| cursors[s].next().expect("one result per planned job"))
             .collect();
-        let mut results: Vec<JobResult> = results
-            .into_iter()
-            .map(|r| r.expect("every submitted job is assigned to exactly one worker"))
-            .collect();
+        let mut counts: Vec<u64> = lists.iter().map(|l| l.len() as u64).collect();
         let (failed_over, retries) = failover_pass(
             &self.cfg,
             &self.builder,
@@ -548,8 +496,8 @@ impl Farm {
 
 /// Compute the job→shard assignment for `jobs` under `cfg.placement`.
 /// A pure function of the job list (never of runtime state), shared by
-/// `run_serial`, `run_parallel` and the failover pass — the placement
-/// half of the serial ≡ parallel determinism argument.
+/// the executor and the failover pass — the placement half of the
+/// serial ≡ parallel determinism argument.
 fn plan_assignment(cfg: &FarmConfig, jobs: &[Job]) -> Vec<usize> {
     let shards = cfg.shards.max(1);
     match cfg.placement {
@@ -611,8 +559,8 @@ fn run_job_guarded(drv: &mut Driver, job: &Job) -> Result<JobOutput, DriverError
 
 /// Run job `idx` on shard `s`: the guarded run, a rebuild of the shard
 /// when it panicked under the job (later jobs then run on a fresh build),
-/// and the job's cycle delta. The one per-job body shared by the serial
-/// loop, the parallel workers and the failover pass.
+/// and the job's cycle delta. The one per-job body shared by the
+/// executor's shard lists and the failover pass.
 fn run_on_shard(
     builder: &ShardBuilder,
     cfg: &FarmConfig,
@@ -665,10 +613,10 @@ fn retryable(out: &Result<JobOutput, DriverError>) -> bool {
     )
 }
 
-/// Pass 2 of both run paths: re-execute failed jobs on the surviving
+/// Pass 2 of the executor: re-execute failed jobs on the surviving
 /// shards. Runs on the calling thread in job-index order with a
-/// round-robin shard choice starting after the job's home shard, so the
-/// serial and parallel paths take bit-identical failover decisions.
+/// round-robin shard choice starting after the job's home shard, so
+/// serial and parallel runs take bit-identical failover decisions.
 /// Returns `(jobs re-executed, retry attempts consumed)`.
 #[allow(clippy::too_many_arguments)]
 fn failover_pass(
@@ -779,9 +727,8 @@ mod tests {
     #[test]
     fn assignment_is_round_robin_and_stable() {
         let f = farm(4);
-        for i in 0..32 {
-            assert_eq!(f.assign(i), i % 4);
-        }
+        let plan = f.plan(&add_jobs(32));
+        assert_eq!(plan, (0..32).map(|i| i % 4).collect::<Vec<_>>());
         assert_eq!(f.shard_seed(2), f.shard_seed(2));
         assert_ne!(f.shard_seed(0), f.shard_seed(1));
     }

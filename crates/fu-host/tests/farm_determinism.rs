@@ -10,7 +10,7 @@
 //! checked to be panic-free and to need no failover (the link here is
 //! fault-free).
 
-use fu_host::{DriverError, Farm, FarmConfig, Job, JobResult, LinkModel};
+use fu_host::{DriverError, Farm, FarmConfig, Job, JobResult, LinkModel, Placement};
 use fu_isa::HostMsg;
 use fu_rtm::{ActivityMode, CoprocConfig};
 use proptest::prelude::*;
@@ -51,17 +51,24 @@ fn job() -> impl Strategy<Value = Job> {
     prop_oneof![program, requests]
 }
 
+/// Both placement policies: the executor's per-shard job lists come
+/// from the plan, so each policy exercises a different split.
+fn placement() -> impl Strategy<Value = Placement> {
+    prop_oneof![Just(Placement::RoundRobin), Just(Placement::LeastLoaded)]
+}
+
 fn run_both(
     jobs: &[Job],
     shards: usize,
     seed: u64,
     mode: ActivityMode,
+    placement: Placement,
 ) -> (Vec<JobResult>, Vec<JobResult>) {
     let cfg = FarmConfig {
         shards,
-        queue_depth: 2, // tiny queue: exercise backpressure on every run
         seed,
         activity_mode: mode,
+        placement,
         ..FarmConfig::default()
     };
     let mut farm = Farm::standard(cfg, CoprocConfig::default(), LinkModel::pcie_like());
@@ -93,12 +100,13 @@ proptest! {
 
     #[test]
     fn parallel_stream_is_bit_identical_to_serial(
-        jobs in proptest::collection::vec(job(), 1..20),
+        jobs in proptest::collection::vec(job(), 0..20),
         shards in 1usize..6,
         seed: u64,
+        placement in placement(),
     ) {
         for mode in [ActivityMode::Scheduled, ActivityMode::Exhaustive] {
-            let (serial, parallel) = run_both(&jobs, shards, seed, mode);
+            let (serial, parallel) = run_both(&jobs, shards, seed, mode, placement);
             prop_assert_eq!(&serial, &parallel, "mode {:?} diverged", mode);
         }
     }
@@ -110,8 +118,8 @@ proptest! {
     ) {
         // The farm must also preserve the PR-1 contract shard-wise: the
         // activity mode changes host wall-clock, never results.
-        let (scheduled, _) = run_both(&jobs, shards, 7, ActivityMode::Scheduled);
-        let (exhaustive, _) = run_both(&jobs, shards, 7, ActivityMode::Exhaustive);
+        let (scheduled, _) = run_both(&jobs, shards, 7, ActivityMode::Scheduled, Placement::RoundRobin);
+        let (exhaustive, _) = run_both(&jobs, shards, 7, ActivityMode::Exhaustive, Placement::RoundRobin);
         prop_assert_eq!(scheduled, exhaustive);
     }
 }

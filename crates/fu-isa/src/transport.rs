@@ -285,7 +285,14 @@ impl Endpoint {
         let seg: Vec<u32> = self.rx_buf.drain(..).collect();
         let (body, crc) = seg.split_at(want - 1);
         if crc32_frames(body) != crc[0] {
+            // Resync one frame at a time: the buffered "header" may be a
+            // payload or CRC frame whose top byte only looks like a magic.
+            // Dropping the whole buffer would misframe the same way on every
+            // go-back-N resend, so drop just that frame and re-feed the rest.
             self.stats.rejected += 1;
+            for &f in &seg[1..] {
+                self.on_frame(now, f);
+            }
             return;
         }
         let header = body[0];
@@ -473,6 +480,29 @@ mod tests {
         assert_eq!(got, (0..10u32).map(|v| 0xAB00 + v).collect::<Vec<_>>());
         assert!(b.stats().rejected > 0, "corrupt segments must be rejected");
         assert!(a.is_quiescent());
+    }
+
+    #[test]
+    fn misaligned_receiver_resyncs_past_a_magic_looking_crc() {
+        // A payload whose CRC frame starts with the ack magic. A receiver
+        // that joins mid-segment buffers that CRC as an ack header, and the
+        // next frame (the resent header) fails its CRC check; resync must
+        // then restart from the header, not drop it with the bad frame.
+        let header = DATA_MAGIC << 24;
+        let (payload, crc) = (0u32..)
+            .map(|p| (p, crc32_frames(&[header, p])))
+            .find(|&(_, c)| c >> 24 == ACK_MAGIC)
+            .expect("some payload's CRC carries the ack magic");
+        let mut b = Endpoint::new(cfg());
+        b.on_frame(0, payload);
+        b.on_frame(0, crc);
+        for resend in 1..=5u64 {
+            for f in [header, payload, crc] {
+                b.on_frame(resend, f);
+            }
+        }
+        assert_eq!(b.deliver(), Some(payload), "{:?}", b.stats());
+        assert_eq!(b.deliver(), None, "resends are duplicates");
     }
 
     #[test]

@@ -150,8 +150,8 @@ impl Word {
     /// carry selection), yields the whole Table 3.1 instruction family.
     ///
     /// The hot path of every arithmetic workload: one `u128` carry chain
-    /// instead of a limb-serial ripple. [`Word::adc_ripple`] keeps the
-    /// hardware-shaped loop as the test oracle.
+    /// instead of a limb-serial ripple. `adc_ripple` (built only under
+    /// `cfg(test)`) keeps the hardware-shaped loop as the test oracle.
     pub fn adc(&self, other: &Word, carry_in: bool) -> (Word, bool, bool) {
         assert_eq!(self.n_limbs, other.n_limbs, "word width mismatch");
         let bits = self.bits();

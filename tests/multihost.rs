@@ -335,3 +335,65 @@ fn activity_modes_agree_on_a_multihost_burn() {
     );
     assert!(w.2.wheel.wakes_fired > 0, "no deadline reached");
 }
+
+#[test]
+fn reliable_ports_resync_past_magic_looking_operands() {
+    // Corruption only, with every operand's top byte a segment magic
+    // (0xD5 data, 0xAC ack): a receiver knocked out of frame alignment
+    // meets payload and CRC frames that look like segment headers on
+    // every resend. Each host must still get every reply.
+    use fu_host::FaultModel;
+    use fu_isa::transport::{TransportConfig, ACK_MAGIC, DATA_MAGIC};
+
+    const HOSTS: usize = 4;
+    const TRIPS: u16 = 150;
+    let link = LinkModel::tightly_coupled();
+    let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
+    // Seeds on which dropping the whole buffer after a CRC failure
+    // livelocked one host's port.
+    for seed in [5u64, 10, 15] {
+        let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 1))];
+        let faults = FaultModel {
+            corrupt_permille: 20,
+            ..FaultModel::none(seed)
+        };
+        let mut s = MultiHostSystem::new_reliable(
+            CoprocConfig::default(),
+            units,
+            link,
+            HOSTS,
+            tcfg,
+            Some(faults),
+        )
+        .unwrap();
+        for trip in 0..TRIPS {
+            for host in 0..HOSTS {
+                let magic = [DATA_MAGIC, ACK_MAGIC][(usize::from(trip) + host) % 2];
+                let value = magic << 24 | (u32::from(trip) << 8) | host as u32;
+                let reg = host as u8 + 1;
+                s.send(
+                    host,
+                    &HostMsg::WriteReg {
+                        reg,
+                        value: Word::from_u64(value.into(), 32),
+                    },
+                );
+                let tag = s.brand_tag(host, trip);
+                s.send(host, &HostMsg::ReadReg { reg, tag });
+                let reply = s.recv_blocking(host, 2_000_000).unwrap_or_else(|e| {
+                    panic!("seed {seed:#x}: host {host} lost trip {trip}: {e:?}")
+                });
+                assert_eq!(
+                    reply,
+                    DevMsg::Data {
+                        tag,
+                        value: Word::from_u64(value.into(), 32)
+                    },
+                    "seed {seed:#x}, host {host}, trip {trip}"
+                );
+            }
+        }
+        let corrupted: u64 = (0..HOSTS).map(|h| s.link_stats(h).frames_corrupted).sum();
+        assert!(corrupted > 0, "seed {seed:#x}: no frame was corrupted");
+    }
+}
