@@ -7,8 +7,18 @@
 //! ("the speed of the system is determined by two factors: the latency of
 //! the communication interface to the host computer, and the clock speed
 //! of the FPGA").
+//!
+//! The module also holds the one host-side link pump both system types
+//! share: `LinkEnd` makes the bare-or-reliable choice for one end of a
+//! link pair, and `HostPort` bundles a host's link pair with its end,
+//! response deframer and link trace.
 
 use std::collections::VecDeque;
+
+use fu_isa::msg::DevDeframer;
+use fu_isa::transport::{Endpoint, TransportConfig};
+use fu_isa::DevMsg;
+use rtl_sim::{LinkDir, TraceBuffer, TraceEventKind};
 
 /// splitmix64 — the fault model's hash/PRNG. Statistically strong enough
 /// for fault sampling, trivially seedable, and stateless per frame index,
@@ -420,6 +430,227 @@ impl Link {
     /// Total frames ever injected.
     pub fn frames_carried(&self) -> u64 {
         self.frames_carried
+    }
+}
+
+/// The earlier of two optional event cycles (`None` is "never").
+#[inline]
+pub(crate) fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) => x,
+        (None, y) => y,
+    }
+}
+
+/// One end of a link pair, as a host (or a multi-port transceiver edge)
+/// drives it. The bare-or-reliable choice is made here and nowhere else:
+/// a bare end puts application frames straight on the wire, a reliable
+/// end hands them to a transport [`Endpoint`] that segments, paces,
+/// acknowledges and retransmits them.
+#[derive(Debug, Clone)]
+pub(crate) enum LinkEnd {
+    /// Frames queued for the wire, awaiting link bandwidth.
+    Bare(VecDeque<u32>),
+    /// Boxed: an endpoint is several times the size of a bare queue.
+    Reliable(Box<Endpoint>),
+}
+
+impl LinkEnd {
+    pub(crate) fn new(transport: Option<TransportConfig>) -> LinkEnd {
+        match transport {
+            Some(t) => LinkEnd::Reliable(Box::new(Endpoint::new(t))),
+            None => LinkEnd::Bare(VecDeque::new()),
+        }
+    }
+
+    /// Queue application frames for the peer.
+    #[inline]
+    pub(crate) fn send(&mut self, frames: impl IntoIterator<Item = u32>) {
+        match self {
+            LinkEnd::Bare(q) => q.extend(frames),
+            LinkEnd::Reliable(ep) => frames.into_iter().for_each(|f| ep.send(f)),
+        }
+    }
+
+    /// Advance the retransmit timer to `now` (a no-op on a bare end).
+    #[inline]
+    pub(crate) fn poll(&mut self, now: u64) {
+        if let LinkEnd::Reliable(ep) = self {
+            ep.poll(now);
+        }
+    }
+
+    /// Put frames on `link` while its bandwidth gate is open. Returns the
+    /// number of wire frames sent.
+    #[inline]
+    pub(crate) fn transmit(&mut self, now: u64, link: &mut Link) -> usize {
+        let mut sent = 0;
+        while link.can_send(now) {
+            let frame = match self {
+                LinkEnd::Bare(q) => q.pop_front(),
+                LinkEnd::Reliable(ep) => ep.pull_frame(now),
+            };
+            let Some(f) = frame else {
+                break;
+            };
+            link.send(now, f);
+            sent += 1;
+        }
+        sent
+    }
+
+    /// Take every frame `link` delivers at `now` and hand the application
+    /// payload to `on_payload` in order: each wire frame on a bare end,
+    /// whatever the endpoint releases in order on a reliable one. Returns
+    /// the number of wire frames taken.
+    #[inline]
+    pub(crate) fn receive(
+        &mut self,
+        now: u64,
+        link: &mut Link,
+        mut on_payload: impl FnMut(u32),
+    ) -> usize {
+        let mut taken = 0;
+        while let Some(f) = link.recv(now) {
+            taken += 1;
+            match self {
+                LinkEnd::Bare(_) => on_payload(f),
+                LinkEnd::Reliable(ep) => ep.on_frame(now, f),
+            }
+        }
+        if let LinkEnd::Reliable(ep) = self {
+            while let Some(p) = ep.deliver() {
+                on_payload(p);
+            }
+        }
+        taken
+    }
+
+    /// This end's earliest pending event, given the link it transmits on:
+    /// `now` when an endpoint has frames to push or deliver, else its
+    /// retransmit deadline; for a bare end with frames queued, the
+    /// reopening of the bandwidth gate. Plain branches rather than an
+    /// iterator chain: this runs on every scheduling decision.
+    #[inline]
+    pub(crate) fn next_event(&self, now: u64, tx: &Link) -> Option<u64> {
+        match self {
+            LinkEnd::Bare(q) if q.is_empty() => None,
+            LinkEnd::Bare(_) => Some(tx.next_send_cycle()),
+            LinkEnd::Reliable(ep) if ep.has_tx_work() || ep.has_deliverable() => Some(now),
+            LinkEnd::Reliable(ep) => ep.next_event_cycle(),
+        }
+    }
+
+    /// Nothing left to send: the queue is empty, or the endpoint is
+    /// quiescent (all traffic delivered and acknowledged) or dead.
+    pub(crate) fn is_quiet(&self) -> bool {
+        match self {
+            LinkEnd::Bare(q) => q.is_empty(),
+            LinkEnd::Reliable(ep) => ep.is_quiescent() || ep.is_dead(),
+        }
+    }
+
+    /// Fold the endpoint's transport counters into `s` (nothing when bare).
+    pub(crate) fn add_stats(&self, s: &mut LinkStats) {
+        if let Some(ep) = self.endpoint() {
+            s.add_transport(ep.stats());
+        }
+    }
+
+    /// The transport endpoint, `None` when bare.
+    #[inline]
+    pub(crate) fn endpoint(&self) -> Option<&Endpoint> {
+        match self {
+            LinkEnd::Bare(_) => None,
+            LinkEnd::Reliable(ep) => Some(ep),
+        }
+    }
+}
+
+/// A host's attachment to the coprocessor: the link pair, the host's
+/// [`LinkEnd`], the host-side response deframer and the host-side link
+/// trace. The trace is kept apart from the coprocessor's pipeline trace
+/// so a chatty pipeline cannot evict link events from the ring.
+#[derive(Clone)]
+pub(crate) struct HostPort {
+    pub(crate) to_dev: Link,
+    pub(crate) to_host: Link,
+    pub(crate) end: LinkEnd,
+    rx: DevDeframer,
+    pub(crate) trace: TraceBuffer,
+}
+
+impl HostPort {
+    pub(crate) fn new(
+        link: LinkModel,
+        word_bits: u32,
+        transport: Option<TransportConfig>,
+    ) -> HostPort {
+        HostPort {
+            to_dev: Link::new(link),
+            to_host: Link::new(link),
+            end: LinkEnd::new(transport),
+            rx: DevDeframer::new(word_bits),
+            trace: TraceBuffer::disabled(),
+        }
+    }
+
+    /// Advance the host end's timer and put its frames on the
+    /// device-bound link.
+    #[inline]
+    pub(crate) fn transmit(&mut self, now: u64) {
+        self.end.poll(now);
+        for _ in 0..self.end.transmit(now, &mut self.to_dev) {
+            let dir = LinkDir::ToDevice;
+            self.trace.record(now, TraceEventKind::LinkTx { dir });
+        }
+    }
+
+    /// Take what the host-bound link delivers at `now` and hand every
+    /// response the deframer completes to `on_msg`.
+    #[inline]
+    pub(crate) fn receive(&mut self, now: u64, mut on_msg: impl FnMut(DevMsg)) {
+        let rx = &mut self.rx;
+        let taken = self.end.receive(now, &mut self.to_host, |f| {
+            if let Some(msg) = rx.push(f).expect("device frames are well-formed") {
+                on_msg(msg);
+            }
+        });
+        for _ in 0..taken {
+            let dir = LinkDir::ToHost;
+            self.trace.record(now, TraceEventKind::LinkRx { dir });
+        }
+    }
+
+    /// This port's earliest pending event: the host end's (see
+    /// [`LinkEnd::next_event`]) or a frame arriving on either link.
+    #[inline]
+    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
+        let host = self.end.next_event(now, &self.to_dev);
+        if host.is_some_and(|t| t <= now) {
+            return host; // work this cycle: no wire event can be earlier
+        }
+        let wires = earliest(
+            self.to_dev.next_event_cycle(now),
+            self.to_host.next_event_cycle(now),
+        );
+        earliest(host, wires)
+    }
+
+    /// The host end is quiet and no frame is travelling either way.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.end.is_quiet() && self.to_dev.in_flight() == 0 && self.to_host.in_flight() == 0
+    }
+
+    /// Injected faults on both directions plus the host end's transport
+    /// counters.
+    pub(crate) fn link_stats(&self) -> LinkStats {
+        let mut s = LinkStats::default();
+        s.add_faults(&self.to_dev.fault_stats());
+        s.add_faults(&self.to_host.fault_stats());
+        self.end.add_stats(&mut s);
+        s
     }
 }
 

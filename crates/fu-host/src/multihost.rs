@@ -14,44 +14,44 @@
 //! tag carry the issuing host's index, a convention the per-host drivers
 //! enforce. Error responses carry no tag and are delivered to host 0,
 //! which acts as the management CPU — a documented design decision.
+//!
+//! Each host attaches through the same host port as [`crate::System`]:
+//! its link pair, its bare-or-reliable end of that pair (`LinkEnd` in
+//! [`crate::link`]) and its response deframer. The link pump — transmit,
+//! receive, the idle-skip event set, idleness and statistics — is
+//! therefore written once for both host types. Per host, the multi-port
+//! transceiver adds the device-side `LinkEnd` of the pair and the
+//! reassembly of that host's messages.
 
 use std::collections::VecDeque;
 
-use crate::link::{FaultModel, Link, LinkModel, LinkStats};
+use crate::link::{earliest, FaultModel, HostPort, LinkEnd, LinkModel, LinkStats};
 use fu_isa::msg::{DevDeframer, HostDeframer};
-use fu_isa::transport::{Endpoint, TransportConfig};
+use fu_isa::transport::TransportConfig;
 use fu_isa::{DevMsg, HostMsg, Tag};
 use fu_rtm::{ActivityMode, CoprocConfig, Coprocessor, FunctionalUnit};
 use rtl_sim::area::log2_ceil;
 use rtl_sim::{SimError, SimStats};
 
-struct HostPort {
-    to_dev: Link,
-    to_host: Link,
-    /// Frames queued on the host, awaiting link bandwidth.
-    tx: VecDeque<u32>,
+/// One attached host: its [`HostPort`] plus the device-side state the
+/// multi-port transceiver keeps for it.
+struct Host {
+    port: HostPort,
+    /// The device-side end of this host's link pair. It sits at the
+    /// multi-port transceiver edge — the shared coprocessor stays bare.
+    edge: LinkEnd,
     /// Device-edge reassembly of this host's messages.
-    edge: HostDeframer,
+    deframer: HostDeframer,
     /// Complete messages awaiting injection into the coprocessor.
     inject: VecDeque<HostMsg>,
-    /// Host-side response reassembly.
-    rx: DevDeframer,
     /// Fully received responses.
     responses: VecDeque<DevMsg>,
-    /// Frames routed to this host, awaiting link bandwidth on the
-    /// device side.
-    pending_out: VecDeque<u32>,
-    /// Reliable endpoints at either end of this port's link pair, `None`
-    /// for the bare link. The device-side endpoint lives at the
-    /// multi-port transceiver edge — the shared coprocessor stays bare.
-    host_ep: Option<Endpoint>,
-    dev_ep: Option<Endpoint>,
 }
 
 /// `m` host CPUs sharing one coprocessor.
 pub struct MultiHostSystem {
     coproc: Coprocessor,
-    ports: Vec<HostPort>,
+    hosts: Vec<Host>,
     /// Transmit-side demultiplexer: reassembles device messages so they
     /// can be routed whole to the owning host's link.
     route: DevDeframer,
@@ -85,23 +85,18 @@ impl MultiHostSystem {
         cfg.rx_frames_per_cycle = link.port_frames_per_cycle;
         cfg.tx_frames_per_cycle = link.port_frames_per_cycle;
         let word_bits = cfg.word_bits;
-        let ports = (0..n_hosts)
-            .map(|_| HostPort {
-                to_dev: Link::new(link),
-                to_host: Link::new(link),
-                tx: VecDeque::new(),
-                edge: HostDeframer::new(word_bits),
+        let hosts = (0..n_hosts)
+            .map(|_| Host {
+                port: HostPort::new(link, word_bits, None),
+                edge: LinkEnd::new(None),
+                deframer: HostDeframer::new(word_bits),
                 inject: VecDeque::new(),
-                rx: DevDeframer::new(word_bits),
                 responses: VecDeque::new(),
-                pending_out: VecDeque::new(),
-                host_ep: None,
-                dev_ep: None,
             })
             .collect();
         Ok(MultiHostSystem {
             coproc: Coprocessor::new(cfg, units)?,
-            ports,
+            hosts,
             route: DevDeframer::new(word_bits),
             injecting: VecDeque::new(),
             rr: 0,
@@ -129,23 +124,23 @@ impl MultiHostSystem {
         faults: Option<FaultModel>,
     ) -> Result<MultiHostSystem, SimError> {
         let mut sys = MultiHostSystem::new(cfg, units, link, n_hosts)?;
-        for (i, p) in sys.ports.iter_mut().enumerate() {
+        for (i, h) in sys.hosts.iter_mut().enumerate() {
             if let Some(m) = faults {
                 let stream = |k: u64| {
                     m.with_seed(m.seed ^ (2 * i as u64 + k).wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 };
-                p.to_dev.install_faults(stream(1));
-                p.to_host.install_faults(stream(2));
+                h.port.to_dev.install_faults(stream(1));
+                h.port.to_host.install_faults(stream(2));
             }
-            p.host_ep = Some(Endpoint::new(transport));
-            p.dev_ep = Some(Endpoint::new(transport));
+            h.port.end = LinkEnd::new(Some(transport));
+            h.edge = LinkEnd::new(Some(transport));
         }
         Ok(sys)
     }
 
     /// Number of attached hosts.
     pub fn n_hosts(&self) -> usize {
-        self.ports.len()
+        self.hosts.len()
     }
 
     /// Tag bits reserved for the host index.
@@ -176,7 +171,7 @@ impl MultiHostSystem {
 
     /// Which host does a branded tag belong to?
     fn tag_host(&self, tag: Tag) -> usize {
-        (tag >> (16 - self.host_bits)) as usize % self.ports.len()
+        (tag >> (16 - self.host_bits)) as usize % self.hosts.len()
     }
 
     /// Queue a message from `host`. Tagged messages must already carry a
@@ -196,7 +191,7 @@ impl MultiHostSystem {
                 "tag {t:#x} is not branded for host {host}"
             );
         }
-        self.ports[host].tx.extend(msg.frames(self.word_bits));
+        self.hosts[host].port.end.send(msg.frames(self.word_bits));
     }
 
     /// Select the coprocessor's scheduling mode (see [`ActivityMode`]).
@@ -211,60 +206,32 @@ impl MultiHostSystem {
 
     /// Take the next response for `host`.
     pub fn recv(&mut self, host: usize) -> Option<DevMsg> {
-        self.ports[host].responses.pop_front()
+        self.hosts[host].responses.pop_front()
     }
 
     /// Advance one FPGA clock cycle.
     pub fn step(&mut self) {
         let now = self.cycle;
-        // Host side: inject queued frames into each host's link. A
-        // reliable port feeds its endpoint, which paces the wire.
-        for p in &mut self.ports {
-            if let Some(ep) = p.host_ep.as_mut() {
-                ep.poll(now);
-                while let Some(f) = p.tx.pop_front() {
-                    ep.send(f);
-                }
-                while p.to_dev.can_send(now) {
-                    let Some(f) = ep.pull_frame(now) else {
-                        break;
-                    };
-                    p.to_dev.send(now, f);
-                }
-            } else {
-                while !p.tx.is_empty() && p.to_dev.can_send(now) {
-                    let f = p.tx.pop_front().expect("checked non-empty");
-                    p.to_dev.send(now, f);
-                }
-            }
+        // Host side: each host end paces its frames onto its link.
+        for h in &mut self.hosts {
+            h.port.transmit(now);
         }
-        // Device edge: reassemble per-host messages (through the
-        // device-side endpoint when the port is reliable).
-        for p in &mut self.ports {
-            if let Some(ep) = p.dev_ep.as_mut() {
-                ep.poll(now);
-                while let Some(f) = p.to_dev.recv(now) {
-                    ep.on_frame(now, f);
+        // Device edge: reassemble per-host messages.
+        for h in &mut self.hosts {
+            let (deframer, inject) = (&mut h.deframer, &mut h.inject);
+            h.edge.poll(now);
+            h.edge.receive(now, &mut h.port.to_dev, |f| {
+                if let Some(msg) = deframer.push(f).expect("host frames well-formed") {
+                    inject.push_back(msg);
                 }
-                while let Some(payload) = ep.deliver() {
-                    if let Some(msg) = p.edge.push(payload).expect("host frames well-formed") {
-                        p.inject.push_back(msg);
-                    }
-                }
-            } else {
-                while let Some(f) = p.to_dev.recv(now) {
-                    if let Some(msg) = p.edge.push(f).expect("host frames well-formed") {
-                        p.inject.push_back(msg);
-                    }
-                }
-            }
+            });
         }
         // Message-granular round-robin injection into the coprocessor.
         if self.injecting.is_empty() {
-            let n = self.ports.len();
+            let n = self.hosts.len();
             for i in 0..n {
                 let idx = (self.rr + i) % n;
-                if let Some(msg) = self.ports[idx].inject.pop_front() {
+                if let Some(msg) = self.hosts[idx].inject.pop_front() {
                     // `injecting` is empty here; extend reuses its buffer
                     // instead of allocating a fresh Vec per message.
                     self.injecting.extend(msg.frames(self.word_bits));
@@ -295,47 +262,16 @@ impl MultiHostSystem {
                     | DevMsg::SyncAck { tag } => self.tag_host(*tag),
                     DevMsg::Error { .. } => 0, // management CPU
                 };
-                for frame in msg.frames(self.word_bits) {
-                    // Device-side per-host serialisation is modelled as
-                    // instantaneous; the per-host link applies its own
-                    // latency/bandwidth below.
-                    self.ports[host].pending_out.push_back(frame);
-                }
+                // Device-side per-host serialisation is modelled as
+                // instantaneous; the per-host link applies its own
+                // latency/bandwidth below.
+                self.hosts[host].edge.send(msg.frames(self.word_bits));
             }
         }
-        for p in &mut self.ports {
-            if let Some(ep) = p.dev_ep.as_mut() {
-                while let Some(f) = p.pending_out.pop_front() {
-                    ep.send(f);
-                }
-                while p.to_host.can_send(now) {
-                    let Some(f) = ep.pull_frame(now) else {
-                        break;
-                    };
-                    p.to_host.send(now, f);
-                }
-            } else {
-                while !p.pending_out.is_empty() && p.to_host.can_send(now) {
-                    let f = p.pending_out.pop_front().expect("checked non-empty");
-                    p.to_host.send(now, f);
-                }
-            }
-            if let Some(ep) = p.host_ep.as_mut() {
-                while let Some(f) = p.to_host.recv(now) {
-                    ep.on_frame(now, f);
-                }
-                while let Some(payload) = ep.deliver() {
-                    if let Some(msg) = p.rx.push(payload).expect("device frames well-formed") {
-                        p.responses.push_back(msg);
-                    }
-                }
-            } else {
-                while let Some(f) = p.to_host.recv(now) {
-                    if let Some(msg) = p.rx.push(f).expect("device frames well-formed") {
-                        p.responses.push_back(msg);
-                    }
-                }
-            }
+        for h in &mut self.hosts {
+            h.edge.transmit(now, &mut h.port.to_host);
+            let responses = &mut h.responses;
+            h.port.receive(now, |msg| responses.push_back(msg));
         }
         self.cycle += 1;
     }
@@ -346,7 +282,7 @@ impl MultiHostSystem {
     /// [`SimError::Timeout`] when the budget runs out.
     pub fn recv_blocking(&mut self, host: usize, max_cycles: u64) -> Result<DevMsg, SimError> {
         let start = self.cycle;
-        while self.ports[host].responses.is_empty() {
+        while self.hosts[host].responses.is_empty() {
             let elapsed = self.cycle - start;
             if elapsed >= max_cycles {
                 return Err(SimError::Timeout {
@@ -358,28 +294,35 @@ impl MultiHostSystem {
                 self.step();
             }
         }
-        Ok(self.ports[host].responses.pop_front().expect("non-empty"))
+        Ok(self.hosts[host].responses.pop_front().expect("non-empty"))
     }
 
     /// Jump over cycles in which nothing can happen (see
-    /// [`crate::System`] — same idea, with per-port event sources).
-    /// Returns the number of cycles skipped (0 means: step normally).
+    /// [`crate::System`] — same idea, with each host's port and device
+    /// edge as event sources). Returns the number of cycles skipped (0
+    /// means: step normally).
     fn idle_skip(&mut self, budget: u64) -> u64 {
         // Pending injection work means the device edge does something
         // every cycle — never skip over it.
-        if !self.injecting.is_empty() || self.ports.iter().any(|p| !p.inject.is_empty()) {
+        if !self.injecting.is_empty() || self.hosts.iter().any(|h| !h.inject.is_empty()) {
             return 0;
         }
         let now = self.cycle;
+        let hosts = &self.hosts;
         let skip = self.coproc.skip_to_next_event(budget, || {
             let mut next = None;
-            for p in &self.ports {
-                match p.next_event(now) {
-                    // Work this cycle: no later port can change that.
-                    Some(t) if t <= now => return Some(t),
-                    Some(t) => next = Some(next.map_or(t, |n: u64| n.min(t))),
-                    None => {}
+            // Return at the first end with work this cycle: nothing can be
+            // earlier, and this runs before every stepped cycle.
+            for h in hosts {
+                let port = h.port.next_event(now);
+                if port.is_some_and(|t| t <= now) {
+                    return port;
                 }
+                let edge = h.edge.next_event(now, &h.port.to_host);
+                if edge.is_some_and(|t| t <= now) {
+                    return edge;
+                }
+                next = earliest(next, earliest(port, edge));
             }
             next
         });
@@ -392,66 +335,18 @@ impl MultiHostSystem {
     pub fn is_idle(&self) -> bool {
         self.injecting.is_empty()
             && self.coproc.is_idle()
-            && self.ports.iter().all(|p| {
-                p.tx.is_empty()
-                    && p.inject.is_empty()
-                    && p.to_dev.in_flight() == 0
-                    && p.to_host.in_flight() == 0
-                    && p.pending_out.is_empty()
-                    && p.endpoints().all(|ep| ep.is_quiescent() || ep.is_dead())
-            })
+            && self
+                .hosts
+                .iter()
+                .all(|h| h.port.is_quiet() && h.edge.is_quiet() && h.inject.is_empty())
     }
 
     /// Aggregate reliability statistics for one port: injected faults on
     /// both link directions plus transport counters from both endpoints.
     pub fn link_stats(&self, host: usize) -> LinkStats {
-        let p = &self.ports[host];
-        let mut s = LinkStats::default();
-        s.add_faults(&p.to_dev.fault_stats());
-        s.add_faults(&p.to_host.fault_stats());
-        for ep in p.endpoints() {
-            s.add_transport(ep.stats());
-        }
+        let h = &self.hosts[host];
+        let mut s = h.port.link_stats();
+        h.edge.add_stats(&mut s);
         s
-    }
-}
-
-impl HostPort {
-    fn endpoints(&self) -> impl Iterator<Item = &Endpoint> {
-        [self.host_ep.as_ref(), self.dev_ep.as_ref()]
-            .into_iter()
-            .flatten()
-    }
-
-    /// This port's earliest pending event: a frame arriving on either
-    /// link, a bandwidth gate reopening with frames queued behind it, or
-    /// an endpoint's retransmit deadline. An endpoint with frames to push
-    /// or deliver has work this cycle, which is an event at `now`.
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // Plain branches rather than an iterator chain: this runs on every
-        // scheduling decision of an idle multi-host system.
-        let mut next = None;
-        let mut consider = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
-        for ep in self.endpoints() {
-            if ep.has_tx_work() || ep.has_deliverable() {
-                return Some(now);
-            }
-            if let Some(t) = ep.next_event_cycle() {
-                consider(t);
-            }
-        }
-        if !self.tx.is_empty() {
-            consider(self.to_dev.next_send_cycle());
-        }
-        if let Some(t) = self.to_dev.next_event_cycle(now) {
-            consider(t);
-        }
-        if !self.pending_out.is_empty() {
-            consider(self.to_host.next_send_cycle());
-        }
-        if let Some(t) = self.to_host.next_event_cycle(now) {
-            consider(t);
-        }
-        next
     }
 }

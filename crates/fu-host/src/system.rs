@@ -7,8 +7,8 @@
 
 use std::collections::VecDeque;
 
-use crate::link::{FaultModel, Link, LinkModel, LinkStats};
-use fu_isa::msg::{DevDeframer, ErrorCode};
+use crate::link::{FaultModel, HostPort, LinkModel, LinkStats};
+use fu_isa::msg::ErrorCode;
 use fu_isa::transport::{Endpoint, TransportConfig};
 use fu_isa::{DevMsg, HostMsg};
 use fu_rtm::{ActivityMode, CoprocConfig, CoprocSnapshot, Coprocessor, FunctionalUnit};
@@ -22,14 +22,9 @@ use rtl_sim::{LinkDir, RecoveryStats, SimError, SimStats, TraceBuffer, TraceEven
 #[derive(Clone)]
 pub struct SystemSnapshot {
     coproc: CoprocSnapshot,
-    to_dev: Link,
-    to_host: Link,
-    host_tx: VecDeque<u32>,
-    host_ep: Option<Endpoint>,
+    port: HostPort,
     responses: VecDeque<DevMsg>,
-    deframer: DevDeframer,
     cycle: u64,
-    link_trace: TraceBuffer,
     last_retransmits: u64,
     /// Lifetime responses enqueued at capture time (replay dedup basis).
     resp_seq: u64,
@@ -64,21 +59,12 @@ struct RecoveryState {
 /// Host + link + coprocessor.
 pub struct System {
     coproc: Coprocessor,
-    to_dev: Link,
-    to_host: Link,
-    /// Frames queued on the host, waiting for link bandwidth (bare mode).
-    host_tx: VecDeque<u32>,
-    /// Host-side reliable endpoint; `None` means the bare frame link.
-    host_ep: Option<Endpoint>,
+    /// The link pair and the host's bare-or-reliable end of it.
+    port: HostPort,
     /// Responses fully received by the host.
     responses: VecDeque<DevMsg>,
-    deframer: DevDeframer,
     cycle: u64,
     word_bits: u32,
-    /// Host-side trace of link activity, kept separate from the
-    /// coprocessor's pipeline trace so a chatty pipeline cannot evict
-    /// link events from the ring.
-    link_trace: TraceBuffer,
     /// Total transport retransmits observed through the previous step;
     /// per-step deltas become [`TraceEventKind::LinkRetransmit`] events.
     last_retransmits: u64,
@@ -100,33 +86,13 @@ pub struct System {
 }
 
 impl System {
-    /// Assemble a system. The link model's port width is applied to the
-    /// coprocessor configuration so the two stay consistent.
+    /// Assemble a system over the bare frame link.
     pub fn new(
-        mut cfg: CoprocConfig,
+        cfg: CoprocConfig,
         units: Vec<Box<dyn FunctionalUnit>>,
         link: LinkModel,
     ) -> Result<System, SimError> {
-        cfg.rx_frames_per_cycle = link.port_frames_per_cycle;
-        cfg.tx_frames_per_cycle = link.port_frames_per_cycle;
-        let word_bits = cfg.word_bits;
-        Ok(System {
-            coproc: Coprocessor::new(cfg, units)?,
-            to_dev: Link::new(link),
-            to_host: Link::new(link),
-            host_tx: VecDeque::new(),
-            host_ep: None,
-            responses: VecDeque::new(),
-            deframer: DevDeframer::new(word_bits),
-            cycle: 0,
-            word_bits,
-            link_trace: TraceBuffer::disabled(),
-            last_retransmits: 0,
-            resp_seq: 0,
-            resp_delivered: 0,
-            recovery: None,
-            pending_rollback: false,
-        })
+        System::assemble(cfg, units, link, None, None)
     }
 
     /// Assemble a system with the reliable transport enabled on both ends
@@ -135,33 +101,42 @@ impl System {
     /// given; device→host derives a distinct seed so the two directions
     /// see independent fault streams).
     pub fn new_reliable(
-        mut cfg: CoprocConfig,
+        cfg: CoprocConfig,
         units: Vec<Box<dyn FunctionalUnit>>,
         link: LinkModel,
         transport: TransportConfig,
         faults: Option<FaultModel>,
     ) -> Result<System, SimError> {
+        System::assemble(cfg, units, link, Some(transport), faults)
+    }
+
+    /// The one assembler behind both constructors. The link model's port
+    /// width is applied to the coprocessor configuration, and the device
+    /// frame port gets the same transport as the host end, so the two
+    /// always agree.
+    fn assemble(
+        mut cfg: CoprocConfig,
+        units: Vec<Box<dyn FunctionalUnit>>,
+        link: LinkModel,
+        transport: Option<TransportConfig>,
+        faults: Option<FaultModel>,
+    ) -> Result<System, SimError> {
         cfg.rx_frames_per_cycle = link.port_frames_per_cycle;
         cfg.tx_frames_per_cycle = link.port_frames_per_cycle;
-        cfg.transport = Some(transport);
+        cfg.transport = transport;
         let word_bits = cfg.word_bits;
-        let mut to_dev = Link::new(link);
-        let mut to_host = Link::new(link);
+        let mut port = HostPort::new(link, word_bits, transport);
         if let Some(m) = faults {
-            to_dev.install_faults(m);
-            to_host.install_faults(m.with_seed(m.seed.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15));
+            port.to_dev.install_faults(m);
+            port.to_host
+                .install_faults(m.with_seed(m.seed.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15));
         }
         Ok(System {
             coproc: Coprocessor::new(cfg, units)?,
-            to_dev,
-            to_host,
-            host_tx: VecDeque::new(),
-            host_ep: Some(Endpoint::new(transport)),
+            port,
             responses: VecDeque::new(),
-            deframer: DevDeframer::new(word_bits),
             cycle: 0,
             word_bits,
-            link_trace: TraceBuffer::disabled(),
             last_retransmits: 0,
             resp_seq: 0,
             resp_delivered: 0,
@@ -187,7 +162,7 @@ impl System {
 
     /// Timing model of the interconnect (both directions share one).
     pub fn link_model(&self) -> &LinkModel {
-        self.to_dev.model()
+        self.port.to_dev.model()
     }
 
     /// Queue a message for transmission.
@@ -195,13 +170,7 @@ impl System {
         if let Some(rec) = self.recovery.as_mut() {
             rec.journal.push(msg.clone());
         }
-        if let Some(ep) = self.host_ep.as_mut() {
-            for f in msg.frames(self.word_bits) {
-                ep.send(f);
-            }
-        } else {
-            self.host_tx.extend(msg.frames(self.word_bits));
-        }
+        self.port.end.send(msg.frames(self.word_bits));
     }
 
     /// Select the coprocessor's scheduling mode (see [`ActivityMode`]).
@@ -233,7 +202,7 @@ impl System {
     /// separate ring buffers — see [`System::link_trace`].
     pub fn set_trace_depth(&mut self, depth: usize) {
         self.coproc.set_trace_depth(depth);
-        self.link_trace = if depth > 0 {
+        self.port.trace = if depth > 0 {
             TraceBuffer::new(depth)
         } else {
             TraceBuffer::disabled()
@@ -242,7 +211,7 @@ impl System {
 
     /// The host-side link trace (frame tx/rx and retransmit deltas).
     pub fn link_trace(&self) -> &TraceBuffer {
-        &self.link_trace
+        &self.port.trace
     }
 
     /// Take the next fully-received response, if any.
@@ -262,106 +231,67 @@ impl System {
     /// Advance one FPGA clock cycle.
     pub fn step(&mut self) {
         let now = self.cycle;
-        // Host side: inject queued frames as bandwidth allows. In
-        // reliable mode the endpoint paces transmission (window + timer);
-        // in bare mode the raw frame queue drains directly.
-        if let Some(ep) = self.host_ep.as_mut() {
-            ep.poll(now);
-            while self.to_dev.can_send(now) {
-                let Some(f) = ep.pull_frame(now) else {
-                    break;
-                };
-                self.to_dev.send(now, f);
-                self.link_trace.record(
-                    now,
-                    TraceEventKind::LinkTx {
-                        dir: LinkDir::ToDevice,
-                    },
-                );
-            }
-        }
-        while !self.host_tx.is_empty() && self.to_dev.can_send(now) {
-            let f = self.host_tx.pop_front().expect("checked non-empty");
-            self.to_dev.send(now, f);
-            self.link_trace.record(
-                now,
-                TraceEventKind::LinkTx {
-                    dir: LinkDir::ToDevice,
-                },
-            );
-        }
+        // Host side: the host end paces its frames onto the link.
+        self.port.transmit(now);
         // Deliver device-bound frames into the receive FIFO (respecting
         // the port width via rx_space and real flow control on overflow).
-        for _ in 0..self.to_dev.model().port_frames_per_cycle {
-            let Some(f) = self.to_dev.recv(now) else {
+        let port = &mut self.port;
+        for _ in 0..port.to_dev.model().port_frames_per_cycle {
+            let Some(f) = port.to_dev.recv(now) else {
                 break;
             };
             if !self.coproc.push_frame(f) {
-                self.to_dev.unrecv(now, f);
+                port.to_dev.unrecv(now, f);
                 break;
             }
-            self.link_trace.record(
-                now,
-                TraceEventKind::LinkRx {
-                    dir: LinkDir::ToDevice,
-                },
-            );
+            let dir = LinkDir::ToDevice;
+            port.trace.record(now, TraceEventKind::LinkRx { dir });
         }
         // Clock the FPGA.
         self.coproc.step();
         // Drain transmit frames onto the host-bound link.
-        for _ in 0..self.to_host.model().port_frames_per_cycle {
-            if !self.to_host.can_send(now) {
+        for _ in 0..port.to_host.model().port_frames_per_cycle {
+            if !port.to_host.can_send(now) {
                 break;
             }
             let Some(f) = self.coproc.pop_frame() else {
                 break;
             };
-            self.to_host.send(now, f);
-            self.link_trace.record(
-                now,
-                TraceEventKind::LinkTx {
-                    dir: LinkDir::ToHost,
-                },
-            );
+            port.to_host.send(now, f);
+            let dir = LinkDir::ToHost;
+            port.trace.record(now, TraceEventKind::LinkTx { dir });
         }
-        // Host receives. In reliable mode the wire carries transport
-        // segments: validate/ack them, then deframe whatever payload the
-        // endpoint releases in order.
-        while let Some(f) = self.to_host.recv(now) {
-            self.link_trace.record(
-                now,
-                TraceEventKind::LinkRx {
-                    dir: LinkDir::ToHost,
-                },
-            );
-            if let Some(ep) = self.host_ep.as_mut() {
-                ep.on_frame(now, f);
-            } else if let Some(msg) = self
-                .deframer
-                .push(f)
-                .expect("device frames are well-formed")
-            {
-                self.enqueue_response(msg);
+        // Host receives, and each response goes toward the consumer under
+        // the recovery policy: with rollback enabled an in-band soft error
+        // is consumed as the rollback trigger (it never surfaces), and
+        // replayed responses the consumer already took before a rollback
+        // are suppressed, so the observable stream carries no duplicates.
+        let recovering = self.recovery.is_some();
+        port.receive(now, |msg| {
+            if recovering {
+                if let DevMsg::Error {
+                    code: ErrorCode::SoftError,
+                    ..
+                } = msg
+                {
+                    self.pending_rollback = true;
+                    return;
+                }
             }
-        }
-        while let Some(p) = self.host_ep.as_mut().and_then(Endpoint::deliver) {
-            if let Some(msg) = self
-                .deframer
-                .push(p)
-                .expect("validated payload frames are well-formed")
-            {
-                self.enqueue_response(msg);
+            let seq = self.resp_seq;
+            self.resp_seq += 1;
+            if seq >= self.resp_delivered {
+                self.responses.push_back(msg);
             }
-        }
+        });
         // Retransmissions happen inside the endpoints; surface each
         // step's delta as one trace event so fault-injection tests can
         // reconcile trace totals against `link_stats`.
-        let retx = self.host_ep.as_ref().map_or(0, |ep| ep.stats().retransmits)
+        let retx = port.end.endpoint().map_or(0, |ep| ep.stats().retransmits)
             + self.coproc.transport_stats().map_or(0, |t| t.retransmits);
         if retx > self.last_retransmits {
             let segments = (retx - self.last_retransmits) as u32;
-            self.link_trace
+            port.trace
                 .record(now, TraceEventKind::LinkRetransmit { segments });
             self.last_retransmits = retx;
         }
@@ -373,44 +303,15 @@ impl System {
         }
     }
 
-    /// Deliver a deframed response toward the consumer, applying the
-    /// recovery policy: with rollback enabled an in-band soft error is
-    /// consumed as the rollback trigger (it never surfaces), and replayed
-    /// responses the consumer already took before a rollback are
-    /// suppressed, so the observable stream carries no duplicates.
-    fn enqueue_response(&mut self, msg: DevMsg) {
-        if self.recovery.is_some() {
-            if let DevMsg::Error {
-                code: ErrorCode::SoftError,
-                ..
-            } = msg
-            {
-                self.pending_rollback = true;
-                return;
-            }
-        }
-        let seq = self.resp_seq;
-        self.resp_seq += 1;
-        if seq < self.resp_delivered {
-            return;
-        }
-        self.responses.push_back(msg);
-    }
-
     /// Capture the complete host+link+device state. `None` when an
     /// attached functional unit does not support state cloning (see
     /// [`FunctionalUnit::clone_unit`]).
     pub fn checkpoint(&self) -> Option<SystemSnapshot> {
         Some(SystemSnapshot {
             coproc: self.coproc.snapshot()?,
-            to_dev: self.to_dev.clone(),
-            to_host: self.to_host.clone(),
-            host_tx: self.host_tx.clone(),
-            host_ep: self.host_ep.clone(),
+            port: self.port.clone(),
             responses: self.responses.clone(),
-            deframer: self.deframer.clone(),
             cycle: self.cycle,
-            link_trace: self.link_trace.clone(),
             last_retransmits: self.last_retransmits,
             resp_seq: self.resp_seq,
             delivered: self.resp_delivered,
@@ -425,13 +326,8 @@ impl System {
     /// from the restored queue and suppressed on regeneration.
     pub fn restore(&mut self, snap: &SystemSnapshot) {
         self.coproc.restore(&snap.coproc);
-        self.to_dev = snap.to_dev.clone();
-        self.to_host = snap.to_host.clone();
-        self.host_tx = snap.host_tx.clone();
-        self.host_ep = snap.host_ep.clone();
-        self.deframer = snap.deframer.clone();
+        self.port = snap.port.clone();
         self.cycle = snap.cycle;
-        self.link_trace = snap.link_trace.clone();
         self.last_retransmits = snap.last_retransmits;
         self.resp_seq = snap.resp_seq;
         self.pending_rollback = false;
@@ -489,7 +385,7 @@ impl System {
         // checkpointing may resume once the counters agree again.
         let r = self.coproc.recovery_stats();
         rec.soft_handled = r.seus_detected - r.seus_corrected;
-        self.link_trace.record(
+        self.port.trace.record(
             self.cycle,
             TraceEventKind::Rollback {
                 to_cycle,
@@ -569,34 +465,13 @@ impl System {
 
     /// Jump over cycles in which nothing can happen. Returns the number
     /// of cycles skipped (0 means: step normally). The host's event set
-    /// is the head in-flight frame on either link, the reopening of the
-    /// outbound bandwidth gate while the host queue is non-empty, and the
-    /// host endpoint's retransmit deadline; an endpoint with frames to
-    /// push or deliver has work this cycle.
+    /// is its port's (see `HostPort::next_event`).
     fn idle_skip(&mut self, budget: u64) -> u64 {
         let now = self.cycle;
-        let skip = self.coproc.skip_to_next_event(budget, || {
-            let mut next = None;
-            let mut consider = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
-            if let Some(ep) = &self.host_ep {
-                if ep.has_tx_work() || ep.has_deliverable() {
-                    return Some(now);
-                }
-                if let Some(t) = ep.next_event_cycle() {
-                    consider(t);
-                }
-            }
-            if !self.host_tx.is_empty() {
-                consider(self.to_dev.next_send_cycle());
-            }
-            if let Some(t) = self.to_dev.next_event_cycle(now) {
-                consider(t);
-            }
-            if let Some(t) = self.to_host.next_event_cycle(now) {
-                consider(t);
-            }
-            next
-        });
+        let port = &self.port;
+        let skip = self
+            .coproc
+            .skip_to_next_event(budget, || port.next_event(now));
         self.cycle += skip;
         skip
     }
@@ -616,24 +491,18 @@ impl System {
     /// have exhausted their retries (a dead endpoint will never drain, so
     /// waiting on it would hang every caller).
     pub fn is_idle(&self) -> bool {
-        self.host_tx.is_empty()
-            && self.to_dev.in_flight() == 0
-            && self.to_host.in_flight() == 0
+        self.port.is_quiet()
             && (self.coproc.is_idle()
                 // A sender that gave up mid-message leaves a partial
                 // message in the device's deframe buffer forever; with the
                 // link declared dead that is as settled as it gets.
                 || (self.transport_gave_up() && self.coproc.stalled_mid_message()))
             && (self.coproc.transport_quiescent() || self.transport_gave_up())
-            && self
-                .host_ep
-                .as_ref()
-                .is_none_or(|ep| ep.is_quiescent() || ep.is_dead())
     }
 
     /// Did either endpoint exhaust its retransmit budget?
     pub fn transport_gave_up(&self) -> bool {
-        self.host_ep.as_ref().is_some_and(|ep| ep.is_dead())
+        self.port.end.endpoint().is_some_and(Endpoint::is_dead)
             || self.coproc.transport_stats().is_some_and(|s| s.gave_up)
     }
 
@@ -641,12 +510,7 @@ impl System {
     /// directions plus transport counters from both endpoints. All zeros
     /// on a bare, fault-free system.
     pub fn link_stats(&self) -> LinkStats {
-        let mut s = LinkStats::default();
-        s.add_faults(&self.to_dev.fault_stats());
-        s.add_faults(&self.to_host.fault_stats());
-        if let Some(ep) = self.host_ep.as_ref() {
-            s.add_transport(ep.stats());
-        }
+        let mut s = self.port.link_stats();
         if let Some(t) = self.coproc.transport_stats() {
             s.add_transport(&t);
         }
@@ -655,7 +519,8 @@ impl System {
 
     /// Total frames moved in each direction: `(to device, to host)`.
     pub fn frames_carried(&self) -> (u64, u64) {
-        (self.to_dev.frames_carried(), self.to_host.frames_carried())
+        let p = &self.port;
+        (p.to_dev.frames_carried(), p.to_host.frames_carried())
     }
 
     /// Convert a cycle count to microseconds at `clock_mhz`.

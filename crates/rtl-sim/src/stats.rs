@@ -489,18 +489,6 @@ impl SimStats {
             .collect()
     }
 
-    /// Quiet-span scheduler deadline counters (registered and reached).
-    #[must_use]
-    pub fn wheel(&self) -> WheelStats {
-        self.wheel
-    }
-
-    /// Soft-error resilience counters (injection/detection/recovery).
-    #[must_use]
-    pub fn recovery(&self) -> RecoveryStats {
-        self.recovery
-    }
-
     /// p50/p95/p99 of the three per-instruction latency legs.
     #[must_use]
     pub fn latency_snapshot(&self) -> LatencySnapshot {
@@ -762,8 +750,8 @@ mod tests {
             ..SimStats::default()
         };
         a += &b;
-        assert_eq!(a.wheel().wakes_scheduled, 5);
-        assert_eq!(a.wheel().wakes_fired, 4);
+        assert_eq!(a.wheel.wakes_scheduled, 5);
+        assert_eq!(a.wheel.wakes_fired, 4);
         let text = a.to_string();
         assert!(text.contains("5 wakes scheduled"), "{text}");
         // Modes that never schedule stay silent.

@@ -263,15 +263,26 @@ fn activity_modes_agree_on_a_multihost_burn() {
     // Two hosts over the slow prototyping link sharing one long-latency
     // unit: host 0 runs synchronous burn round trips (the coprocessor is
     // quiet but busy for 800 cycles per instruction), host 1 interleaves
-    // plain register round trips. Both scheduling modes must agree on
-    // every observable; the scheduled kernel must do strictly less
-    // stepping work than the exhaustive reference.
+    // plain register round trips. The burn runs over bare ports and over
+    // reliable ports with faults injected on every link. For each, both
+    // scheduling modes must agree on every observable; the scheduled
+    // kernel must do strictly less stepping work than the exhaustive
+    // reference.
+    use fu_host::FaultModel;
+    use fu_isa::transport::TransportConfig;
     use fu_rtm::ActivityMode;
-    let run = |mode: ActivityMode| {
+    let link = LinkModel::prototyping();
+    let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
+    let run = |mode: ActivityMode, reliable: bool| {
         let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("burn", 1, 800))];
-        let mut s =
-            MultiHostSystem::new(CoprocConfig::default(), units, LinkModel::prototyping(), 2)
-                .unwrap();
+        let cfg = CoprocConfig::default();
+        let mut s = if reliable {
+            let faults = Some(FaultModel::uniform(0x00F4_0175, 30));
+            MultiHostSystem::new_reliable(cfg, units, link, 2, tcfg, faults)
+        } else {
+            MultiHostSystem::new(cfg, units, link, 2)
+        }
+        .unwrap();
         s.set_activity_mode(mode);
         let mut responses = Vec::new();
         for round in 0..3u16 {
@@ -319,21 +330,43 @@ fn activity_modes_agree_on_a_multihost_burn() {
             responses.push(s.recv_blocking(0, 10_000_000).unwrap());
             responses.push(s.recv_blocking(1, 10_000_000).unwrap());
         }
-        (responses, s.cycle(), s.sim_stats())
+        let links: Vec<_> = (0..2).map(|h| s.link_stats(h)).collect();
+        (responses, s.cycle(), s.sim_stats(), links)
     };
-    let e = run(ActivityMode::Exhaustive);
-    let w = run(ActivityMode::Scheduled);
-    assert_eq!(e.0, w.0, "exhaustive vs scheduled responses diverged");
-    assert_eq!(e.1, w.1, "exhaustive vs scheduled cycle counts diverged");
-    assert_eq!(e.2.cycles_simulated, w.2.cycles_simulated);
-    assert_eq!(e.2.stage_busy, w.2.stage_busy, "busy accounting diverged");
-    assert!(
-        w.2.cycles_stepped < e.2.cycles_stepped,
-        "scheduled stepped {} vs exhaustive {}",
-        w.2.cycles_stepped,
-        e.2.cycles_stepped
-    );
-    assert!(w.2.wheel.wakes_fired > 0, "no deadline reached");
+    let mut streams = Vec::new();
+    for reliable in [false, true] {
+        let e = run(ActivityMode::Exhaustive, reliable);
+        let w = run(ActivityMode::Scheduled, reliable);
+        let what = if reliable { "reliable" } else { "bare" };
+        assert_eq!(
+            e.0, w.0,
+            "{what}: exhaustive vs scheduled responses diverged"
+        );
+        assert_eq!(
+            e.1, w.1,
+            "{what}: exhaustive vs scheduled cycle counts diverged"
+        );
+        assert_eq!(e.2.cycles_simulated, w.2.cycles_simulated, "{what}");
+        assert_eq!(
+            e.2.stage_busy, w.2.stage_busy,
+            "{what}: busy accounting diverged"
+        );
+        assert_eq!(e.3, w.3, "{what}: per-host link stats diverged");
+        assert!(
+            w.2.cycles_stepped < e.2.cycles_stepped,
+            "{what}: scheduled stepped {} vs exhaustive {}",
+            w.2.cycles_stepped,
+            e.2.cycles_stepped
+        );
+        assert!(w.2.wheel.wakes_fired > 0, "{what}: no deadline reached");
+        let faults: u64 =
+            w.3.iter()
+                .map(|st| st.frames_dropped + st.frames_corrupted)
+                .sum();
+        assert_eq!(reliable, faults > 0, "{what}: {:?}", w.3);
+        streams.push(w.0);
+    }
+    assert_eq!(streams[0], streams[1], "reliable ports changed the answers");
 }
 
 #[test]
