@@ -31,7 +31,7 @@ use fu_isa::msg::ErrorCode;
 use fu_isa::{DevMsg, HostMsg};
 use fu_rtm::{ActivityMode, CoprocConfig};
 use fu_units::standard_units;
-use rtl_sim::{SimError, SimStats};
+use rtl_sim::{splitmix64, SimError, SimStats};
 
 // Compile-time audit that whole shards can migrate across threads; this
 // is what the `Send` bounds on `FunctionalUnit`/`Kernel` buy.
@@ -42,16 +42,6 @@ const _: fn() = || {
     assert_send::<Job>();
     assert_send::<JobResult>();
 };
-
-/// splitmix64, used to derive independent per-shard seeds from the farm
-/// seed (same generator the link fault model uses).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// How jobs are assigned to shards. Both policies are pure functions of
 /// the job list, computed up front on the calling thread, so serial and

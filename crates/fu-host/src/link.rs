@@ -18,19 +18,7 @@ use std::collections::VecDeque;
 use fu_isa::msg::DevDeframer;
 use fu_isa::transport::{Endpoint, TransportConfig};
 use fu_isa::DevMsg;
-use rtl_sim::{LinkDir, TraceBuffer, TraceEventKind};
-
-/// splitmix64 — the fault model's hash/PRNG. Statistically strong enough
-/// for fault sampling, trivially seedable, and stateless per frame index,
-/// which is what makes fault patterns reproducible and independent of
-/// simulation scheduling.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use rtl_sim::{splitmix64, LinkDir, TraceBuffer, TraceEventKind};
 
 /// A seeded, deterministic per-frame fault model for a [`Link`].
 ///

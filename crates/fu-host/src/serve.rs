@@ -553,15 +553,7 @@ pub mod workload {
     use super::TenantId;
     use crate::farm::Job;
     use fu_isa::{HostMsg, InstrWord, UserInstr, Word};
-
-    /// splitmix64 (the farm/fault-model generator).
-    fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use rtl_sim::splitmix64;
 
     /// Open-loop workload shape.
     #[derive(Debug, Clone, Copy)]

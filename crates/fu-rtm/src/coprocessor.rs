@@ -21,7 +21,7 @@
 use crate::arbiter::WriteArbiter;
 use crate::config::CoprocConfig;
 use crate::decoder::{DecodedOp, Decoder};
-use crate::dispatcher::{DispatchStats, Dispatcher, StallClass};
+use crate::dispatcher::{DispatchStats, Dispatcher, Plan, StallClass};
 use crate::encoder::{MessageEncoder, SequencedResponse};
 use crate::execute::{ExecOp, Execution};
 use crate::flagfile::FlagFile;
@@ -886,22 +886,9 @@ impl Coprocessor {
         // Stage inputs and outputs must be empty: any resident item makes
         // a stage do observable work on the next step. A partial message
         // in the deframe buffer is frozen while the receive FIFO is
-        // empty; the decoded head is dry-run classified below.
-        if !(self.rx_fifo.is_idle()
-            && self.msg_slot.is_idle()
-            && self.exec_slot.is_idle()
-            && self.resp_slot.is_idle()
-            && self.dev_slot.is_idle()
-            && self.tx_fifo.is_idle()
-            && self.serializer.is_idle()
-            && self.execution.is_idle()
-            && self.arbiter.is_idle()
-            && self.watchdog_errors.is_empty()
-            && self
-                .transceiver
-                .as_ref()
-                .is_none_or(|t| !t.has_deliverable() && !t.has_tx_work()))
-        {
+        // empty; the decoded head is judged by the dispatcher's decision
+        // below.
+        if !self.stages_empty() {
             return QuietVerdict::Busy;
         }
         let mut deadlines = Deadlines::default();
@@ -916,12 +903,8 @@ impl Coprocessor {
             }
             // The decoded head must provably stall; a head that would
             // advance is work.
-            if let Some(op) = self.decoded_slot.peek() {
-                if Dispatcher::classify_head(op, &self.fus, &self.lock, &self.futable)
-                    == StallClass::Progress
-                {
-                    return QuietVerdict::Busy;
-                }
+            if self.head_decision().is_some_and(|d| d.is_ok()) {
+                return QuietVerdict::Busy;
             }
             for i in 0..self.fus.len() {
                 if !self.fu_active[i] || self.fu_quarantined[i] {
@@ -981,12 +964,9 @@ impl Coprocessor {
             }
             self.decoded_slot.note_held_cycles(k);
             self.stage_busy.dispatcher += k;
-            let class = Dispatcher::classify_head(
-                self.decoded_slot.peek().expect("head checked above"),
-                &self.fus,
-                &self.lock,
-                &self.futable,
-            );
+            let Some(Err(class)) = self.head_decision() else {
+                unreachable!("a quiet span's decoded head stalls")
+            };
             self.dispatcher
                 .note_stalled_span(class, start, k, &mut self.lock, &mut self.trace);
         } else {
@@ -1143,23 +1123,43 @@ impl Coprocessor {
     }
 
     fn pipeline_drained(&self) -> bool {
+        self.decoded_slot.is_idle()
+            && self.lock.quiescent()
+            && self.no_fu_activity()
+            && self.stages_empty()
+    }
+
+    /// Every stage and inter-stage register except the decoded slot is
+    /// empty, no watchdog error waits and the transceiver has nothing to
+    /// deliver or send.
+    fn stages_empty(&self) -> bool {
         self.rx_fifo.is_idle()
             && self.msg_slot.is_idle()
-            && self.decoded_slot.is_idle()
             && self.exec_slot.is_idle()
             && self.resp_slot.is_idle()
             && self.dev_slot.is_idle()
-            && self.serializer.is_idle()
             && self.tx_fifo.is_idle()
-            && self.lock.quiescent()
+            && self.serializer.is_idle()
             && self.execution.is_idle()
             && self.arbiter.is_idle()
-            && self.no_fu_activity()
             && self.watchdog_errors.is_empty()
             && self
                 .transceiver
                 .as_ref()
                 .is_none_or(|t| !t.has_deliverable() && !t.has_tx_work())
+    }
+
+    /// The dispatcher's decision for the decoded head, if one is
+    /// resident — the same [`Dispatcher::decide`] its evaluate acts on.
+    fn head_decision(&self) -> Option<Result<Plan, StallClass>> {
+        let op = self.decoded_slot.peek()?;
+        Some(Dispatcher::decide(
+            op,
+            self.exec_slot.can_push(),
+            &self.fus,
+            &self.lock,
+            &self.futable,
+        ))
     }
 
     /// O(1) stand-in for scanning every unit: the active set is exact
@@ -2249,6 +2249,11 @@ mod tests {
         assert_eq!(out_st, out_s);
         assert_eq!(stepped.cycle(), sched.cycle());
         assert_eq!(stepped.stats(), sched.stats(), "CoprocStats incl. stalls");
+        assert_eq!(
+            stepped.lock.counters(),
+            sched.lock.counters(),
+            "lock acquires and stall count"
+        );
         let (sg, ss) = (stepped.sim_stats(), sched.sim_stats());
         assert_eq!(sg.stage_busy, ss.stage_busy);
         assert_eq!(sg.lat_issue_dispatch, ss.lat_issue_dispatch);

@@ -17,6 +17,14 @@
 //!   pipeline — which is precisely why the response stream keeps issue
 //!   order;
 //! * `FENCE`/`SYNC` hold the dispatcher until the machine is quiescent.
+//!
+//! The policy is written once, in `Dispatcher::decide`: a pure function
+//! of the decoded head and the machine state that says whether the head
+//! makes progress this cycle, and under which plan, or stalls, and why.
+//! `Dispatcher::eval` acts on that decision, and the event-scheduled
+//! kernel asks the same function when it judges a span quiet and when it
+//! skips one. Every stall, one stepped cycle or a skipped span, is
+//! recorded by one routine, `Dispatcher::note_stalled_span`.
 
 use crate::decoder::DecodedOp;
 use crate::encoder::SequencedResponse;
@@ -49,23 +57,79 @@ pub struct DispatchStats {
     pub stall_fence: u64,
 }
 
-/// What the decoded head at the dispatcher would do this cycle, judged
-/// without side effects — the event-scheduled kernel's dry run. A head
-/// that would advance means the machine is *not* quiet; a head that
-/// stalls pins the stall cause for the whole quiet span (nothing that
-/// could change the verdict — an arbiter release, an execution-slot
-/// drain, an FU completion — happens during a span the scheduler deemed
-/// quiet).
+/// Why the decoded head stalls this cycle, as decided by
+/// [`Dispatcher::decide`]. A stall found at the start of a quiet span
+/// holds for the whole span: nothing that could end it (an arbiter
+/// release, an execution-slot drain, an FU completion) happens during a
+/// span the scheduler deemed quiet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StallClass {
-    /// The head would make progress (dispatch, forward, respond, retire).
-    Progress,
-    /// Stalled on a register lock (RAW/WAW hazard).
+    /// The execution stage cannot take a push.
+    ExecFull,
+    /// A register lock (RAW/WAW hazard).
     Lock,
-    /// Stalled waiting for quiescence (FENCE/SYNC).
+    /// Waiting for quiescence (FENCE/SYNC).
     Fence,
-    /// Stalled on a busy functional unit (the unit's index).
+    /// A busy functional unit (the unit's index).
     FuBusy(usize),
+}
+
+/// How the decoded head makes progress, as decided by
+/// [`Dispatcher::decide`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Plan {
+    /// Hand the user instruction to its unit under this hazard plan.
+    Dispatch(Hazards),
+    /// Lock the ticket and forward the register write (COPY, LOADI,
+    /// COPYF, SETF, host WriteReg/WriteFlags) to the execution stage.
+    Write(LockTicket),
+    /// Answer with an in-band error: a decode error, a quarantined unit,
+    /// or one register named as both destinations.
+    Error(ErrorCode, u32),
+    /// NOP, FENCE, host reads and SYNC: the op's own progress path.
+    Pass,
+}
+
+/// A user instruction's hazard plan, from one round of its unit's
+/// variety queries: the sources it reads, whether it reads its aux flag
+/// register, its second destination and the ticket locking its
+/// destinations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Hazards {
+    reads: [bool; 3],
+    reads_flags: bool,
+    dst2: Option<u8>,
+    ticket: LockTicket,
+}
+
+impl Hazards {
+    fn of(instr: &UserInstr, unit: &dyn FunctionalUnit) -> Hazards {
+        let v = instr.variety;
+        let aux_role = unit.aux_role();
+        let writes_data = unit.variety_writes_data(v);
+        let dst2 = (aux_role == AuxRole::SecondDest && writes_data).then_some(instr.aux_reg);
+        Hazards {
+            reads: unit.variety_reads_srcs(v),
+            reads_flags: aux_role == AuxRole::FlagSource && unit.variety_reads_flags(v),
+            dst2,
+            ticket: LockTicket::new(
+                writes_data.then_some(instr.dst_reg),
+                dst2,
+                unit.variety_writes_flags(v).then_some(instr.dst_flag),
+            ),
+        }
+    }
+
+    /// A RAW hazard on a source actually read, or a destination the lock
+    /// manager cannot grant.
+    fn blocked(&self, instr: &UserInstr, lock: &LockManager) -> bool {
+        [instr.src1, instr.src2, instr.src3]
+            .iter()
+            .zip(self.reads)
+            .any(|(r, used)| used && lock.data_locked(*r))
+            || (self.reads_flags && lock.flag_locked(instr.aux_reg))
+            || !lock.can_acquire(&self.ticket)
+    }
 }
 
 /// The dispatcher stage.
@@ -106,12 +170,94 @@ impl Dispatcher {
                 .all(|(i, f)| f.is_idle() || futable.is_quarantined(i))
     }
 
-    /// One evaluate phase: handle at most one decoded operation. Returns
-    /// the index of the functional unit that received a user dispatch, the
-    /// lock ticket it carries and its dispatch sequence number, if a
-    /// dispatch happened — the coprocessor's activity tracker marks that
-    /// unit busy, the watchdog remembers the ticket so a hung unit's locks
-    /// can be force-released, and the latency profiler keys on the seq.
+    /// The dispatcher's policy: does the decoded head `op` make progress
+    /// this cycle, and how, or does it stall, and why? Pure, so the
+    /// event-scheduled kernel asks it too, both to judge a span quiet and
+    /// to replay the span's stalls. `exec_room` says whether the
+    /// execution stage can take a push this cycle.
+    ///
+    /// The checks keep the hardware's order. An error answer needs exec
+    /// room. A user dispatch checks locks, then unit occupancy, and never
+    /// exec room. Register writes, host reads and SYNC check exec room
+    /// before locks or quiescence. FENCE checks quiescence only.
+    pub(crate) fn decide(
+        op: &DecodedOp,
+        exec_room: bool,
+        fus: &[Box<dyn FunctionalUnit>],
+        lock: &LockManager,
+        futable: &FuTable,
+    ) -> Result<Plan, StallClass> {
+        let room = || exec_room.then_some(()).ok_or(StallClass::ExecFull);
+        let quiet = || {
+            Self::quiescent(lock, fus, futable)
+                .then_some(Plan::Pass)
+                .ok_or(StallClass::Fence)
+        };
+        let unlocked = |locked: bool, plan: Plan| {
+            room()?;
+            (!locked).then_some(plan).ok_or(StallClass::Lock)
+        };
+        let write = |ticket: LockTicket, src_locked: bool| {
+            unlocked(
+                src_locked || !lock.can_acquire(&ticket),
+                Plan::Write(ticket),
+            )
+        };
+        let data = |dst| LockTicket::new(Some(dst), None, None);
+        let flag = |dst| LockTicket::new(None, None, Some(dst));
+        match *op {
+            DecodedOp::User { instr, fu_index } => {
+                if futable.is_quarantined(fu_index) {
+                    // The unit was quarantined while this instruction was
+                    // in flight past the decoder; fail fast instead of
+                    // stalling on a unit that will never accept work again.
+                    room()?;
+                    return Ok(Plan::Error(ErrorCode::FuQuarantined, instr.func as u32));
+                }
+                let hazards = Hazards::of(&instr, &*fus[fu_index]);
+                if let Some(d2) = hazards.dst2.filter(|&d2| d2 == instr.dst_reg) {
+                    // One register cannot take both results; report instead
+                    // of wedging the lock manager.
+                    room()?;
+                    return Ok(Plan::Error(ErrorCode::BadRegister, d2 as u32));
+                }
+                if hazards.blocked(&instr, lock) {
+                    Err(StallClass::Lock)
+                } else if !fus[fu_index].can_dispatch() {
+                    Err(StallClass::FuBusy(fu_index))
+                } else {
+                    Ok(Plan::Dispatch(hazards))
+                }
+            }
+            DecodedOp::Mgmt(MgmtOp::Nop) => Ok(Plan::Pass),
+            DecodedOp::Mgmt(MgmtOp::Fence) => quiet(),
+            DecodedOp::Sync { .. } => room().and_then(|()| quiet()),
+            DecodedOp::ReadReg { reg, .. } => unlocked(lock.data_locked(reg), Plan::Pass),
+            DecodedOp::ReadFlags { reg, .. } => unlocked(lock.flag_locked(reg), Plan::Pass),
+            DecodedOp::Error { code, info } => room().map(|()| Plan::Error(code, info)),
+            DecodedOp::Mgmt(MgmtOp::Copy { dst, src }) => write(data(dst), lock.data_locked(src)),
+            DecodedOp::Mgmt(MgmtOp::LoadImm { dst, .. }) | DecodedOp::WriteReg { reg: dst, .. } => {
+                write(data(dst), false)
+            }
+            DecodedOp::Mgmt(MgmtOp::CopyFlags { dst, src }) => {
+                write(flag(dst), lock.flag_locked(src))
+            }
+            DecodedOp::Mgmt(MgmtOp::SetFlags { dst, .. })
+            | DecodedOp::WriteFlags { reg: dst, .. } => write(flag(dst), false),
+        }
+    }
+
+    /// One evaluate phase: handle at most one decoded operation. The
+    /// head's fate is `Dispatcher::decide`'s: a stall is recorded
+    /// through `Dispatcher::note_stalled_span`, progress takes the op
+    /// and runs its progress path.
+    ///
+    /// Returns the index of the functional unit that received a user
+    /// dispatch, the lock ticket it carries and its dispatch sequence
+    /// number, if a dispatch happened — the coprocessor's activity
+    /// tracker marks that unit busy, the watchdog remembers the ticket so
+    /// a hung unit's locks can be force-released, and the latency
+    /// profiler keys on the seq.
     #[allow(clippy::too_many_arguments)] // the stage's port list, as in hardware
     pub fn eval(
         &mut self,
@@ -125,340 +271,73 @@ impl Dispatcher {
         cycle: u64,
         trace: &mut TraceBuffer,
     ) -> Option<(usize, LockTicket, u64)> {
-        let op = input.peek()?;
-        match op.clone() {
-            DecodedOp::User { instr, fu_index } => {
-                if futable.is_quarantined(fu_index) {
-                    // The unit was quarantined while this instruction was
-                    // in flight past the decoder; fail fast instead of
-                    // stalling on a unit that will never accept work again.
-                    if exec_out.can_push() {
-                        self.respond(
-                            exec_out,
-                            DevMsg::Error {
-                                code: ErrorCode::FuQuarantined,
-                                info: instr.func as u32,
-                            },
-                        );
-                        input.take();
-                    } else {
-                        self.stats.stall_exec_full += 1;
-                        trace.record(
-                            cycle,
-                            TraceEventKind::StageStall {
-                                stage: "dispatcher",
-                                cause: StallCause::ExecFull,
-                            },
-                        );
+        let plan = match Self::decide(input.peek()?, exec_out.can_push(), fus, lock, futable) {
+            Ok(plan) => plan,
+            Err(class) => {
+                self.note_stalled_span(class, cycle, 1, lock, trace);
+                return None;
+            }
+        };
+        let op = input.take().expect("the head was peeked above");
+        match (op, plan) {
+            (DecodedOp::User { instr, fu_index }, Plan::Dispatch(hazards)) => {
+                return Some(self.dispatch_user(
+                    instr, fu_index, hazards, fus, lock, regfile, flagfile, cycle, trace,
+                ));
+            }
+            (op, Plan::Write(ticket)) => {
+                let write = match op {
+                    DecodedOp::Mgmt(MgmtOp::Copy { dst, src }) => ExecOp::WriteData {
+                        reg: dst,
+                        value: regfile.read(src),
+                        ticket,
+                    },
+                    DecodedOp::Mgmt(MgmtOp::LoadImm { dst, imm }) => ExecOp::WriteData {
+                        reg: dst,
+                        value: Word::from_u64(imm as u64, self.word_bits),
+                        ticket,
+                    },
+                    DecodedOp::WriteReg { reg, value } => ExecOp::WriteData { reg, value, ticket },
+                    DecodedOp::Mgmt(MgmtOp::CopyFlags { dst, src }) => ExecOp::WriteFlags {
+                        reg: dst,
+                        flags: flagfile.read(src),
+                        ticket,
+                    },
+                    DecodedOp::Mgmt(MgmtOp::SetFlags { dst, imm }) => ExecOp::WriteFlags {
+                        reg: dst,
+                        flags: Flags(imm),
+                        ticket,
+                    },
+                    DecodedOp::WriteFlags { reg, flags } => {
+                        ExecOp::WriteFlags { reg, flags, ticket }
                     }
-                    return None;
-                }
-                return self.try_dispatch_user(
-                    instr, fu_index, input, exec_out, fus, lock, regfile, flagfile, cycle, trace,
-                );
+                    op => unreachable!("{op:?} writes no register"),
+                };
+                Self::acquire(lock, ticket, cycle, trace);
+                exec_out.push(write);
+                self.stats.mgmt_forwarded += 1;
             }
-            DecodedOp::Mgmt(MgmtOp::Nop) => {
-                input.take();
+            (_, Plan::Error(code, info)) => self.respond(exec_out, DevMsg::Error { code, info }),
+            (DecodedOp::Mgmt(MgmtOp::Nop), _) => {}
+            (DecodedOp::Mgmt(MgmtOp::Fence), _) => self.stats.mgmt_forwarded += 1,
+            (DecodedOp::ReadReg { reg, tag }, _) => {
+                let value = regfile.read(reg);
+                self.respond(exec_out, DevMsg::Data { tag, value });
             }
-            DecodedOp::Mgmt(MgmtOp::Copy { dst, src }) => {
-                self.try_exec_write(
-                    input,
-                    exec_out,
-                    lock,
-                    regfile,
-                    dst,
-                    Some(src),
-                    None,
-                    cycle,
-                    trace,
-                );
+            (DecodedOp::ReadFlags { reg, tag }, _) => {
+                let flags = flagfile.read(reg);
+                self.respond(exec_out, DevMsg::Flags { tag, flags });
             }
-            DecodedOp::Mgmt(MgmtOp::LoadImm { dst, imm }) => {
-                let value = Word::from_u64(imm as u64, self.word_bits);
-                self.try_exec_write(
-                    input,
-                    exec_out,
-                    lock,
-                    regfile,
-                    dst,
-                    None,
-                    Some(value),
-                    cycle,
-                    trace,
-                );
-            }
-            DecodedOp::WriteReg { reg, value } => {
-                self.try_exec_write(
-                    input,
-                    exec_out,
-                    lock,
-                    regfile,
-                    reg,
-                    None,
-                    Some(value),
-                    cycle,
-                    trace,
-                );
-            }
-            DecodedOp::Mgmt(MgmtOp::CopyFlags { dst, src }) => {
-                self.try_exec_write_flags(
-                    input,
-                    exec_out,
-                    lock,
-                    flagfile,
-                    dst,
-                    Some(src),
-                    None,
-                    cycle,
-                    trace,
-                );
-            }
-            DecodedOp::Mgmt(MgmtOp::SetFlags { dst, imm }) => {
-                self.try_exec_write_flags(
-                    input,
-                    exec_out,
-                    lock,
-                    flagfile,
-                    dst,
-                    None,
-                    Some(Flags(imm)),
-                    cycle,
-                    trace,
-                );
-            }
-            DecodedOp::WriteFlags { reg, flags } => {
-                self.try_exec_write_flags(
-                    input,
-                    exec_out,
-                    lock,
-                    flagfile,
-                    reg,
-                    None,
-                    Some(flags),
-                    cycle,
-                    trace,
-                );
-            }
-            DecodedOp::Mgmt(MgmtOp::Fence) => {
-                if Self::quiescent(lock, fus, futable) {
-                    input.take();
-                    self.stats.mgmt_forwarded += 1;
-                } else {
-                    self.stats.stall_fence += 1;
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::Fence,
-                        },
-                    );
-                }
-            }
-            DecodedOp::ReadReg { reg, tag } => {
-                if !exec_out.can_push() {
-                    self.stats.stall_exec_full += 1;
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::ExecFull,
-                        },
-                    );
-                } else if lock.data_locked(reg) {
-                    self.stats.stall_lock += 1;
-                    lock.note_stall();
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::Lock,
-                        },
-                    );
-                } else {
-                    let value = regfile.read(reg);
-                    self.respond(exec_out, DevMsg::Data { tag, value });
-                    input.take();
-                }
-            }
-            DecodedOp::ReadFlags { reg, tag } => {
-                if !exec_out.can_push() {
-                    self.stats.stall_exec_full += 1;
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::ExecFull,
-                        },
-                    );
-                } else if lock.flag_locked(reg) {
-                    self.stats.stall_lock += 1;
-                    lock.note_stall();
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::Lock,
-                        },
-                    );
-                } else {
-                    let flags = flagfile.read(reg);
-                    self.respond(exec_out, DevMsg::Flags { tag, flags });
-                    input.take();
-                }
-            }
-            DecodedOp::Sync { tag } => {
-                if !exec_out.can_push() {
-                    self.stats.stall_exec_full += 1;
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::ExecFull,
-                        },
-                    );
-                } else if !Self::quiescent(lock, fus, futable) {
-                    self.stats.stall_fence += 1;
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::Fence,
-                        },
-                    );
-                } else {
-                    self.respond(exec_out, DevMsg::SyncAck { tag });
-                    input.take();
-                }
-            }
-            DecodedOp::Error { code, info } => {
-                if exec_out.can_push() {
-                    self.respond(exec_out, DevMsg::Error { code, info });
-                    input.take();
-                } else {
-                    self.stats.stall_exec_full += 1;
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::ExecFull,
-                        },
-                    );
-                }
-            }
+            (DecodedOp::Sync { tag }, _) => self.respond(exec_out, DevMsg::SyncAck { tag }),
+            (op, plan) => unreachable!("{plan:?} does not apply to {op:?}"),
         }
         None
     }
 
-    /// Dry-run classification of the decoded head: what would `eval` do
-    /// this cycle? Mirrors `eval`'s decision order exactly but mutates
-    /// nothing. Callers must only rely on the verdict while the
-    /// execution-stage slot can accept a push (the event-scheduled
-    /// kernel's quiet-span precondition); with `exec_out` full the real
-    /// `eval` takes ExecFull branches this dry run does not model.
-    pub(crate) fn classify_head(
-        op: &DecodedOp,
-        fus: &[Box<dyn FunctionalUnit>],
-        lock: &LockManager,
-        futable: &FuTable,
-    ) -> StallClass {
-        match op {
-            DecodedOp::User { instr, fu_index } => {
-                let fu_index = *fu_index;
-                if futable.is_quarantined(fu_index) {
-                    return StallClass::Progress; // fails fast with an error response
-                }
-                let unit = &fus[fu_index];
-                let v = instr.variety;
-                let aux_role = unit.aux_role();
-                let reads = unit.variety_reads_srcs(v);
-                let reads_flags = aux_role == AuxRole::FlagSource && unit.variety_reads_flags(v);
-                let writes_data = unit.variety_writes_data(v);
-                let writes_flags = unit.variety_writes_flags(v);
-                let dst2 =
-                    (aux_role == AuxRole::SecondDest && writes_data).then_some(instr.aux_reg);
-                if dst2.is_some_and(|d2| d2 == instr.dst_reg) {
-                    return StallClass::Progress; // error response, not a stall
-                }
-                let ticket = LockTicket::new(
-                    writes_data.then_some(instr.dst_reg),
-                    dst2,
-                    writes_flags.then_some(instr.dst_flag),
-                );
-                let srcs = [instr.src1, instr.src2, instr.src3];
-                let raw_blocked = srcs
-                    .iter()
-                    .zip(reads)
-                    .any(|(r, used)| used && lock.data_locked(*r))
-                    || (reads_flags && lock.flag_locked(instr.aux_reg));
-                if raw_blocked || !lock.can_acquire(&ticket) {
-                    return StallClass::Lock;
-                }
-                if !fus[fu_index].can_dispatch() {
-                    return StallClass::FuBusy(fu_index);
-                }
-                StallClass::Progress
-            }
-            DecodedOp::Mgmt(MgmtOp::Nop) => StallClass::Progress,
-            DecodedOp::Mgmt(MgmtOp::Copy { dst, src }) => {
-                Self::classify_exec_write(lock, *dst, Some(*src))
-            }
-            DecodedOp::Mgmt(MgmtOp::LoadImm { dst, .. }) => {
-                Self::classify_exec_write(lock, *dst, None)
-            }
-            DecodedOp::WriteReg { reg, .. } => Self::classify_exec_write(lock, *reg, None),
-            DecodedOp::Mgmt(MgmtOp::CopyFlags { dst, src }) => {
-                Self::classify_exec_write_flags(lock, *dst, Some(*src))
-            }
-            DecodedOp::Mgmt(MgmtOp::SetFlags { dst, .. }) => {
-                Self::classify_exec_write_flags(lock, *dst, None)
-            }
-            DecodedOp::WriteFlags { reg, .. } => Self::classify_exec_write_flags(lock, *reg, None),
-            DecodedOp::Mgmt(MgmtOp::Fence) | DecodedOp::Sync { .. } => {
-                if Self::quiescent(lock, fus, futable) {
-                    StallClass::Progress
-                } else {
-                    StallClass::Fence
-                }
-            }
-            DecodedOp::ReadReg { reg, .. } => {
-                if lock.data_locked(*reg) {
-                    StallClass::Lock
-                } else {
-                    StallClass::Progress
-                }
-            }
-            DecodedOp::ReadFlags { reg, .. } => {
-                if lock.flag_locked(*reg) {
-                    StallClass::Lock
-                } else {
-                    StallClass::Progress
-                }
-            }
-            DecodedOp::Error { .. } => StallClass::Progress,
-        }
-    }
-
-    fn classify_exec_write(lock: &LockManager, dst: u8, src: Option<u8>) -> StallClass {
-        let ticket = LockTicket::new(Some(dst), None, None);
-        if src.is_some_and(|s| lock.data_locked(s)) || !lock.can_acquire(&ticket) {
-            StallClass::Lock
-        } else {
-            StallClass::Progress
-        }
-    }
-
-    fn classify_exec_write_flags(lock: &LockManager, dst: u8, src: Option<u8>) -> StallClass {
-        let ticket = LockTicket::new(None, None, Some(dst));
-        if src.is_some_and(|s| lock.flag_locked(s)) || !lock.can_acquire(&ticket) {
-            StallClass::Lock
-        } else {
-            StallClass::Progress
-        }
-    }
-
-    /// Replay `n` fast-forwarded stall cycles of class `class` starting
-    /// at `start_cycle`: identical counter and trace effects to `eval`
-    /// stalling once per cycle over the span.
+    /// Record `n` stall cycles of class `class` starting at
+    /// `start_cycle`: the stall counters, the lock manager's stall count
+    /// and one trace event per cycle. The one place a stall is recorded,
+    /// for a stepped cycle (`n == 1`) and a skipped span alike.
     pub(crate) fn note_stalled_span(
         &mut self,
         class: StallClass,
@@ -467,25 +346,20 @@ impl Dispatcher {
         lock: &mut LockManager,
         trace: &mut TraceBuffer,
     ) {
+        let stage_stall = |cause| TraceEventKind::StageStall {
+            stage: "dispatcher",
+            cause,
+        };
         let (kind, bump): (TraceEventKind, &mut u64) = match class {
-            StallClass::Progress => unreachable!("no stall span for a progressing head"),
+            StallClass::ExecFull => (
+                stage_stall(StallCause::ExecFull),
+                &mut self.stats.stall_exec_full,
+            ),
             StallClass::Lock => {
                 lock.note_stalls(n);
-                (
-                    TraceEventKind::StageStall {
-                        stage: "dispatcher",
-                        cause: StallCause::Lock,
-                    },
-                    &mut self.stats.stall_lock,
-                )
+                (stage_stall(StallCause::Lock), &mut self.stats.stall_lock)
             }
-            StallClass::Fence => (
-                TraceEventKind::StageStall {
-                    stage: "dispatcher",
-                    cause: StallCause::Fence,
-                },
-                &mut self.stats.stall_fence,
-            ),
+            StallClass::Fence => (stage_stall(StallCause::Fence), &mut self.stats.stall_fence),
             StallClass::FuBusy(unit) => (
                 TraceEventKind::FuBusy { unit: unit as u8 },
                 &mut self.stats.stall_fu_busy,
@@ -499,116 +373,8 @@ impl Dispatcher {
         }
     }
 
-    /// Dispatch path for user instructions. Returns the target unit's
-    /// index when the dispatch went through.
-    #[allow(clippy::too_many_arguments)]
-    fn try_dispatch_user(
-        &mut self,
-        instr: UserInstr,
-        fu_index: usize,
-        input: &mut HandshakeSlot<DecodedOp>,
-        exec_out: &mut HandshakeSlot<ExecOp>,
-        fus: &mut [Box<dyn FunctionalUnit>],
-        lock: &mut LockManager,
-        regfile: &mut RegFile,
-        flagfile: &mut FlagFile,
-        cycle: u64,
-        trace: &mut TraceBuffer,
-    ) -> Option<(usize, LockTicket, u64)> {
-        let unit = &fus[fu_index];
-        let v = instr.variety;
-        let aux_role = unit.aux_role();
-        let reads = unit.variety_reads_srcs(v);
-        let reads_flags = aux_role == AuxRole::FlagSource && unit.variety_reads_flags(v);
-        let writes_data = unit.variety_writes_data(v);
-        let writes_flags = unit.variety_writes_flags(v);
-
-        let dst2 = (aux_role == AuxRole::SecondDest && writes_data).then_some(instr.aux_reg);
-        if let Some(d2) = dst2 {
-            if d2 == instr.dst_reg {
-                // One register cannot take both results; report instead of
-                // wedging the lock manager.
-                if exec_out.can_push() {
-                    self.respond(
-                        exec_out,
-                        DevMsg::Error {
-                            code: ErrorCode::BadRegister,
-                            info: d2 as u32,
-                        },
-                    );
-                    input.take();
-                } else {
-                    self.stats.stall_exec_full += 1;
-                    trace.record(
-                        cycle,
-                        TraceEventKind::StageStall {
-                            stage: "dispatcher",
-                            cause: StallCause::ExecFull,
-                        },
-                    );
-                }
-                return None;
-            }
-        }
-        let ticket = LockTicket::new(
-            writes_data.then_some(instr.dst_reg),
-            dst2,
-            writes_flags.then_some(instr.dst_flag),
-        );
-
-        // RAW hazards on sources actually read.
-        let srcs = [instr.src1, instr.src2, instr.src3];
-        let raw_blocked = srcs
-            .iter()
-            .zip(reads)
-            .any(|(r, used)| used && lock.data_locked(*r))
-            || (reads_flags && lock.flag_locked(instr.aux_reg));
-        if raw_blocked || !lock.can_acquire(&ticket) {
-            self.stats.stall_lock += 1;
-            lock.note_stall();
-            trace.record(
-                cycle,
-                TraceEventKind::StageStall {
-                    stage: "dispatcher",
-                    cause: StallCause::Lock,
-                },
-            );
-            return None;
-        }
-        if !fus[fu_index].can_dispatch() {
-            self.stats.stall_fu_busy += 1;
-            trace.record(
-                cycle,
-                TraceEventKind::FuBusy {
-                    unit: fu_index as u8,
-                },
-            );
-            return None;
-        }
-
-        let zero = Word::zero(self.word_bits);
-        let ops = [
-            if reads[0] {
-                regfile.read(instr.src1)
-            } else {
-                zero
-            },
-            if reads[1] {
-                regfile.read(instr.src2)
-            } else {
-                zero
-            },
-            if reads[2] {
-                regfile.read(instr.src3)
-            } else {
-                zero
-            },
-        ];
-        let flags_in = if reads_flags {
-            flagfile.read(instr.aux_reg)
-        } else {
-            Flags::NONE
-        };
+    /// Lock a ticket's registers and trace the acquisition.
+    fn acquire(lock: &mut LockManager, ticket: LockTicket, cycle: u64, trace: &mut TraceBuffer) {
         lock.acquire(&ticket);
         trace.record(
             cycle,
@@ -617,6 +383,44 @@ impl Dispatcher {
                 flag: ticket.flag,
             },
         );
+    }
+
+    /// Hand a user instruction to its unit under its hazard plan: read
+    /// the operands it uses, lock its destinations and send the packet.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch_user(
+        &mut self,
+        instr: UserInstr,
+        fu_index: usize,
+        hazards: Hazards,
+        fus: &mut [Box<dyn FunctionalUnit>],
+        lock: &mut LockManager,
+        regfile: &mut RegFile,
+        flagfile: &mut FlagFile,
+        cycle: u64,
+        trace: &mut TraceBuffer,
+    ) -> (usize, LockTicket, u64) {
+        let Hazards {
+            reads,
+            reads_flags,
+            dst2,
+            ticket,
+        } = hazards;
+        let zero = Word::zero(self.word_bits);
+        let srcs = [instr.src1, instr.src2, instr.src3];
+        let ops = std::array::from_fn(|i| {
+            if reads[i] {
+                regfile.read(srcs[i])
+            } else {
+                zero
+            }
+        });
+        let flags_in = if reads_flags {
+            flagfile.read(instr.aux_reg)
+        } else {
+            Flags::NONE
+        };
+        Self::acquire(lock, ticket, cycle, trace);
         let seq = self.next_seq;
         self.next_seq += 1;
         trace.record(
@@ -627,7 +431,7 @@ impl Dispatcher {
             },
         );
         fus[fu_index].dispatch(DispatchPacket {
-            variety: v,
+            variety: instr.variety,
             ops,
             flags_in,
             dst_reg: instr.dst_reg,
@@ -638,130 +442,7 @@ impl Dispatcher {
             seq,
         });
         self.stats.user_dispatched += 1;
-        input.take();
-        Some((fu_index, ticket, seq))
-    }
-
-    /// Shared path for data-register writes resolved in the pipeline
-    /// (COPY, LOADI, host WriteReg).
-    #[allow(clippy::too_many_arguments)]
-    fn try_exec_write(
-        &mut self,
-        input: &mut HandshakeSlot<DecodedOp>,
-        exec_out: &mut HandshakeSlot<ExecOp>,
-        lock: &mut LockManager,
-        regfile: &mut RegFile,
-        dst: u8,
-        src: Option<u8>,
-        imm: Option<Word>,
-        cycle: u64,
-        trace: &mut TraceBuffer,
-    ) {
-        if !exec_out.can_push() {
-            self.stats.stall_exec_full += 1;
-            trace.record(
-                cycle,
-                TraceEventKind::StageStall {
-                    stage: "dispatcher",
-                    cause: StallCause::ExecFull,
-                },
-            );
-            return;
-        }
-        let ticket = LockTicket::new(Some(dst), None, None);
-        if src.is_some_and(|s| lock.data_locked(s)) || !lock.can_acquire(&ticket) {
-            self.stats.stall_lock += 1;
-            lock.note_stall();
-            trace.record(
-                cycle,
-                TraceEventKind::StageStall {
-                    stage: "dispatcher",
-                    cause: StallCause::Lock,
-                },
-            );
-            return;
-        }
-        let value = match (src, imm) {
-            (Some(s), None) => regfile.read(s),
-            (None, Some(v)) => v,
-            _ => unreachable!("exactly one of src/imm"),
-        };
-        lock.acquire(&ticket);
-        trace.record(
-            cycle,
-            TraceEventKind::LockAcquire {
-                data: ticket.data,
-                flag: ticket.flag,
-            },
-        );
-        exec_out.push(ExecOp::WriteData {
-            reg: dst,
-            value,
-            ticket,
-        });
-        self.stats.mgmt_forwarded += 1;
-        input.take();
-    }
-
-    /// Shared path for flag-register writes (COPYF, SETF, host
-    /// WriteFlags).
-    #[allow(clippy::too_many_arguments)]
-    fn try_exec_write_flags(
-        &mut self,
-        input: &mut HandshakeSlot<DecodedOp>,
-        exec_out: &mut HandshakeSlot<ExecOp>,
-        lock: &mut LockManager,
-        flagfile: &mut FlagFile,
-        dst: u8,
-        src: Option<u8>,
-        imm: Option<Flags>,
-        cycle: u64,
-        trace: &mut TraceBuffer,
-    ) {
-        if !exec_out.can_push() {
-            self.stats.stall_exec_full += 1;
-            trace.record(
-                cycle,
-                TraceEventKind::StageStall {
-                    stage: "dispatcher",
-                    cause: StallCause::ExecFull,
-                },
-            );
-            return;
-        }
-        let ticket = LockTicket::new(None, None, Some(dst));
-        if src.is_some_and(|s| lock.flag_locked(s)) || !lock.can_acquire(&ticket) {
-            self.stats.stall_lock += 1;
-            lock.note_stall();
-            trace.record(
-                cycle,
-                TraceEventKind::StageStall {
-                    stage: "dispatcher",
-                    cause: StallCause::Lock,
-                },
-            );
-            return;
-        }
-        let flags = match (src, imm) {
-            (Some(s), None) => flagfile.read(s),
-            (None, Some(f)) => f,
-            _ => unreachable!("exactly one of src/imm"),
-        };
-        lock.acquire(&ticket);
-        trace.record(
-            cycle,
-            TraceEventKind::LockAcquire {
-                data: ticket.data,
-                flag: ticket.flag,
-            },
-        );
-        exec_out.push(ExecOp::WriteFlags {
-            reg: dst,
-            flags,
-            ticket,
-        });
-        self.stats.mgmt_forwarded += 1;
-        input.take();
+        (fu_index, ticket, seq)
     }
 
     /// Return to the power-on state.

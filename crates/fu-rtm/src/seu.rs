@@ -13,6 +13,8 @@
 //! a million quiet cycles pays O(strikes-in-span), not O(cycles), to stay
 //! bit-identical with per-cycle stepping.
 
+use rtl_sim::splitmix64;
+
 /// Which class of device state a strike lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeuTarget {
@@ -103,13 +105,6 @@ pub struct Strike {
     pub index: u8,
     /// Bit position within the struck word (reduced modulo its width).
     pub bit: u8,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The strike scheduler. Holds only the next strike's cycle and index;

@@ -48,7 +48,7 @@ pub use component::{Clocked, SimError};
 pub use fifo::Fifo;
 pub use handshake::HandshakeSlot;
 pub use reg::{Reg, SatCounter};
-pub use stall::StallFuzzer;
+pub use stall::{splitmix64, StallFuzzer};
 pub use stats::{
     LatencyHistogram, LatencySnapshot, Percentiles, RecoveryStats, ServeStats, SimStats, SlotStats,
     TenantCounters, WheelStats,

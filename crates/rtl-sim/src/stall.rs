@@ -58,7 +58,12 @@ impl StallFuzzer {
     }
 }
 
-fn splitmix64(mut z: u64) -> u64 {
+/// splitmix64: a stateless 64-bit mixer, used as a seedable hash and
+/// PRNG by every seeded generator in the workspace (this fuzzer, link
+/// fault models, SEU strike schedules, farm shard seeds, serving
+/// workloads). Keyed by a frame or strike index, it gives the same
+/// pattern however the simulation is scheduled.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
