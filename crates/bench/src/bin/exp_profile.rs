@@ -11,16 +11,21 @@
 //! sim-speed smoke (arith batch over the prototyping link, scheduled
 //! kernel, tracing off) and compares its deterministic work counters
 //! against `ci/sim_speed_baseline.json`, failing on a >5% regression.
+//! The same baseline pins the reliable multi-host smoke's stepped cycles.
 //! Wall-clock for traced vs untraced runs is printed for the record but
 //! never gated — a loaded runner can double wall-clock without any real
-//! regression.
+//! regression. Both smokes' stepped cycles are also printed split by
+//! step reason: the first event source that kept each one from being
+//! skipped.
 //!
 //! ```text
 //! cargo run --release -p bench --bin exp_profile [-- --smoke]
 //! cargo run --release -p bench --bin exp_profile -- --write-baseline
 //! ```
 
-use bench::profile::{overhead_wall_ms, profile_workload, ProfileRun, SmokeBaseline};
+use bench::profile::{
+    overhead_wall_ms, profile_workload, reliable_smoke, sim_speed_smoke, ProfileRun, SmokeBaseline,
+};
 use bench::Table;
 use fu_rtm::ActivityMode;
 
@@ -84,12 +89,39 @@ fn main() {
     let baseline = SmokeBaseline::from_json(&baseline_text).expect("parse baseline");
     current
         .check_against(&baseline)
-        .expect("sim-speed smoke regressed against ci/sim_speed_baseline.json");
+        .expect("a smoke regressed against ci/sim_speed_baseline.json");
     println!(
         "gate: sim-speed smoke within its baseline bounds: {} vs baseline {}",
         current.scheduled.to_inline_json(),
         baseline.scheduled.to_inline_json()
     );
+    println!(
+        "gate: reliable multi-host smoke within its baseline bounds: {} vs baseline {}\n",
+        current.reliable.to_inline_json(),
+        baseline.reliable.to_inline_json()
+    );
+
+    // ---- why each stepped cycle was stepped ----------------------------
+    let mut reasons = Table::new([
+        "smoke", "stepped", "stage", "unit", "deadline", "host", "direct",
+    ]);
+    for (name, sim) in [
+        ("sim-speed", sim_speed_smoke(ActivityMode::Scheduled)),
+        ("reliable", reliable_smoke(ActivityMode::Scheduled).sim),
+    ] {
+        let r = sim.step_reasons;
+        reasons.row([
+            name.to_string(),
+            sim.cycles_stepped.to_string(),
+            r.stage.to_string(),
+            r.unit.to_string(),
+            r.deadline.to_string(),
+            r.host.to_string(),
+            r.direct.to_string(),
+        ]);
+    }
+    reasons.print();
+    println!();
 
     let (untraced_ms, traced_ms) = overhead_wall_ms(ActivityMode::Scheduled);
     let ratio = if untraced_ms > 0.0 {

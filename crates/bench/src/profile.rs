@@ -11,11 +11,15 @@
 //! The module also carries the CI regression gate for tracing overhead:
 //! a deterministic work-count baseline for the E8 sim-speed smoke
 //! configuration (`ci/sim_speed_baseline.json`) that the `exp_profile`
-//! binary refuses to exceed by more than 5%.
+//! binary refuses to exceed by more than 5%. A second work-count section
+//! pins the reliable multi-host smoke, whose stepped cycles show whether
+//! the scheduler still skips to each host's transmit event.
 
 use std::time::Instant;
 
-use fu_host::{Farm, FarmConfig, Job, LinkModel};
+use fu_host::{Farm, FarmConfig, Job, LinkModel, LinkStats, MultiHostSystem};
+use fu_isa::transport::TransportConfig;
+use fu_isa::{DevMsg, HostMsg, Word};
 use fu_rtm::{ActivityMode, CoprocConfig};
 use rtl_sim::{LatencySnapshot, SimStats};
 
@@ -165,6 +169,115 @@ pub fn work_counts(sim: &SimStats) -> Counters {
     )
 }
 
+/// Hosts in the reliable multi-host smoke.
+pub const RELIABLE_HOSTS: usize = 4;
+/// Round trips each host makes in the reliable multi-host smoke.
+pub const RELIABLE_TRIPS: u16 = 50;
+
+/// What the reliable multi-host smoke leaves observable, plus its
+/// scheduler statistics.
+#[derive(Debug, Clone)]
+pub struct ReliableRun {
+    /// Every reply, in the order the hosts observed them.
+    pub replies: Vec<DevMsg>,
+    /// Simulated cycles at the last reply.
+    pub cycle: u64,
+    /// Each host port's link statistics.
+    pub links: Vec<LinkStats>,
+    /// Scheduler statistics of the shared coprocessor.
+    pub sim: SimStats,
+}
+
+/// The reliable multi-host smoke: [`RELIABLE_HOSTS`] closed-loop hosts
+/// on reliable prototyping-link ports, fault-free. Each host writes an
+/// operand, adds a per-host constant to it and reads the sum back before
+/// its next trip. Nearly every cycle waits on a bandwidth gate (50
+/// cycles per frame) or on a frame in flight, so the stepped cycles
+/// measure how exactly the scheduler finds each port's next event.
+///
+/// # Panics
+/// When a reply is missing or carries the wrong sum.
+pub fn reliable_smoke(mode: ActivityMode) -> ReliableRun {
+    let link = LinkModel::prototyping();
+    let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
+    let units = fu_units::standard_units(32);
+    let mut sys = MultiHostSystem::new_reliable(
+        CoprocConfig::default(),
+        units,
+        link,
+        RELIABLE_HOSTS,
+        tcfg,
+        None,
+    )
+    .expect("four hosts fit the tag space");
+    sys.set_activity_mode(mode);
+    let word = |v: u64| Word::from_u64(v, 32);
+    let regs = |h: usize| (1 + 3 * h as u8, 2 + 3 * h as u8, 3 + 3 * h as u8);
+    let trip = |sys: &mut MultiHostSystem, h: usize, t: u16| {
+        let (ra, rb, rd) = regs(h);
+        if t == 0 {
+            let value = word(1000 * h as u64);
+            sys.send(h, &HostMsg::WriteReg { reg: rb, value });
+        }
+        let value = word(u64::from(t));
+        sys.send(h, &HostMsg::WriteReg { reg: ra, value });
+        let add = format!("ADD r{rd}, r{ra}, r{rb}, f{h}");
+        let instr = fu_isa::asm::assemble_line(&add, 1)
+            .expect("assembles")
+            .expect("one instruction");
+        sys.send(h, &HostMsg::Instr(instr));
+        let tag = sys.brand_tag(h, t);
+        sys.send(h, &HostMsg::ReadReg { reg: rd, tag });
+    };
+    for h in 0..RELIABLE_HOSTS {
+        trip(&mut sys, h, 0);
+    }
+    let mut replies = Vec::new();
+    for t in 0..RELIABLE_TRIPS {
+        for h in 0..RELIABLE_HOSTS {
+            let reply = sys.recv_blocking(h, 1_000_000).expect("reply");
+            let want = 1000 * h as u64 + u64::from(t);
+            assert!(
+                matches!(&reply, DevMsg::Data { value, .. } if value.as_u64() == want),
+                "host {h} trip {t}: {reply:?}"
+            );
+            replies.push(reply);
+            if t + 1 < RELIABLE_TRIPS {
+                trip(&mut sys, h, t + 1);
+            }
+        }
+    }
+    ReliableRun {
+        replies,
+        cycle: sys.cycle(),
+        links: (0..RELIABLE_HOSTS).map(|h| sys.link_stats(h)).collect(),
+        sim: sys.sim_stats(),
+    }
+}
+
+/// The reliable multi-host smoke's work counters. Simulated cycles are
+/// pinned; stepped cycles and stage evaluations may grow by 5%. A host
+/// port that reports work while its bandwidth gate is closed multiplies
+/// the stepped cycles, so it fails this gate.
+pub const RELIABLE_COUNTS: Spec = &[
+    ("cycles_simulated", Bound::Exact),
+    ("cycles_stepped", Bound::Within5Pct),
+    ("stage_evals_total", Bound::Within5Pct),
+];
+
+/// Distil the [`RELIABLE_COUNTS`] from a stats snapshot.
+#[must_use]
+pub fn reliable_counts(sim: &SimStats) -> Counters {
+    Counters::new(
+        RELIABLE_COUNTS,
+        [
+            sim.cycles_simulated,
+            sim.cycles_stepped,
+            sim.stage_evals.iter().map(|&(_, n)| n).sum(),
+        ],
+    )
+}
+
 /// The CI baseline document: one pinned-counter section per smoke.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmokeBaseline {
@@ -178,14 +291,17 @@ pub struct SmokeBaseline {
     /// multi-tenant run whose admission and completion behaviour is
     /// pinned exactly, with 5% headroom on scheduler efficiency).
     pub serving: Counters,
+    /// [`RELIABLE_COUNTS`] from the scheduled reliable multi-host smoke.
+    pub reliable: Counters,
 }
 
 impl SmokeBaseline {
     /// Section keys and specs, in document order.
-    const SECTIONS: [(&'static str, Spec); 3] = [
+    const SECTIONS: [(&'static str, Spec); 4] = [
         ("scheduled", WORK_COUNTS),
         ("soft_errors", SOFT_COUNTS),
         ("serving", SERVE_COUNTS),
+        ("reliable", RELIABLE_COUNTS),
     ];
 
     /// Measure the current smoke counters.
@@ -194,11 +310,12 @@ impl SmokeBaseline {
             scheduled: work_counts(&sim_speed_smoke(ActivityMode::Scheduled)),
             soft: soft_error_smoke(),
             serving: serving_smoke(),
+            reliable: reliable_counts(&reliable_smoke(ActivityMode::Scheduled).sim),
         }
     }
 
-    fn sections(&self) -> [&Counters; 3] {
-        [&self.scheduled, &self.soft, &self.serving]
+    fn sections(&self) -> [&Counters; 4] {
+        [&self.scheduled, &self.soft, &self.serving, &self.reliable]
     }
 
     /// Serialize as the baseline JSON document.
@@ -226,7 +343,9 @@ impl SmokeBaseline {
                 .ok_or_else(|| format!("baseline is missing the {key} section"))?;
             if starts.last().is_some_and(|&prev| at < prev) {
                 return Err(
-                    "baseline sections out of order (scheduled, soft_errors, serving)".into(),
+                    "baseline sections out of order (scheduled, soft_errors, serving, \
+                     reliable)"
+                        .into(),
                 );
             }
             starts.push(at);
@@ -238,6 +357,7 @@ impl SmokeBaseline {
             scheduled: section(0)?,
             soft: section(1)?,
             serving: section(2)?,
+            reliable: section(3)?,
         })
     }
 
@@ -293,6 +413,7 @@ mod tests {
             scheduled: counts(1234, 8765),
             soft: Counters::new(SOFT_COUNTS, [33, 7, 6, 1, 3]),
             serving: Counters::new(SERVE_COUNTS, [500, 100, 40, 900_000]),
+            reliable: Counters::new(RELIABLE_COUNTS, [60_000, 4_000, 2_500]),
         };
         assert_eq!(SmokeBaseline::from_json(&b.to_json()), Ok(b));
     }

@@ -515,17 +515,24 @@ impl LinkEnd {
         taken
     }
 
-    /// This end's earliest pending event, given the link it transmits on:
-    /// `now` when an endpoint has frames to push or deliver, else its
-    /// retransmit deadline; for a bare end with frames queued, the
-    /// reopening of the bandwidth gate. Plain branches rather than an
-    /// iterator chain: this runs on every scheduling decision.
+    /// This end's earliest pending event, given the link it transmits on.
+    /// A bare end with frames queued waits for the bandwidth gate to
+    /// reopen. A reliable end is due `now` only with payloads to deliver;
+    /// with frames to send it waits for the earlier of the gate and its
+    /// retransmit deadline, and otherwise for the deadline alone. That is
+    /// exact: [`LinkEnd::transmit`] pulls no frame while the gate is
+    /// closed, and the deadline is the only cycle at which `poll` acts.
+    /// Plain branches rather than an iterator chain: this runs on every
+    /// scheduling decision.
     #[inline]
     pub(crate) fn next_event(&self, now: u64, tx: &Link) -> Option<u64> {
         match self {
             LinkEnd::Bare(q) if q.is_empty() => None,
             LinkEnd::Bare(_) => Some(tx.next_send_cycle()),
-            LinkEnd::Reliable(ep) if ep.has_tx_work() || ep.has_deliverable() => Some(now),
+            LinkEnd::Reliable(ep) if ep.has_deliverable() => Some(now),
+            LinkEnd::Reliable(ep) if ep.has_tx_work() => {
+                earliest(Some(tx.next_send_cycle().max(now)), ep.next_event_cycle())
+            }
             LinkEnd::Reliable(ep) => ep.next_event_cycle(),
         }
     }

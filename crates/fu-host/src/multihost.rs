@@ -302,14 +302,14 @@ impl MultiHostSystem {
     /// edge as event sources). Returns the number of cycles skipped (0
     /// means: step normally).
     fn idle_skip(&mut self, budget: u64) -> u64 {
-        // Pending injection work means the device edge does something
-        // every cycle — never skip over it.
-        if !self.injecting.is_empty() || self.hosts.iter().any(|h| !h.inject.is_empty()) {
-            return 0;
-        }
         let now = self.cycle;
-        let hosts = &self.hosts;
+        let (hosts, injecting) = (&self.hosts, &self.injecting);
         let skip = self.coproc.skip_to_next_event(budget, || {
+            // Pending injection work means the device edge does something
+            // every cycle — never skip over it.
+            if !injecting.is_empty() || hosts.iter().any(|h| !h.inject.is_empty()) {
+                return Some(now);
+            }
             let mut next = None;
             // Return at the first end with work this cycle: nothing can be
             // earlier, and this runs before every stepped cycle.

@@ -40,7 +40,7 @@ use fu_isa::{DevMsg, Flags, Word};
 use rtl_sim::area::log2_ceil;
 use rtl_sim::{
     AreaEstimate, Clocked, CriticalPath, Fifo, HandshakeSlot, LatencyHistogram, RecoveryStats,
-    SimError, SimStats, TraceBuffer, TraceEventKind, WheelStats,
+    SimError, SimStats, StepReason, StepReasons, TraceBuffer, TraceEventKind, WheelStats,
 };
 use std::collections::VecDeque;
 
@@ -73,8 +73,9 @@ pub enum ActivityMode {
 /// [`Coprocessor::skip_quiet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuietVerdict {
-    /// Observable work exists this cycle; the machine must step.
-    Busy,
+    /// Observable work exists this cycle; the machine must step, for the
+    /// given reason.
+    Busy(StepReason),
     /// Provably quiet strictly before the given absolute cycle — the
     /// earliest registered wake. Skipping any number of cycles that
     /// lands at or before it is bit-identical to stepping them.
@@ -218,6 +219,11 @@ pub struct Coprocessor {
     /// ([`FunctionalUnit::needs_clock_when_idle`]).
     fu_always_clock: Vec<bool>,
     skipped_cycles: u64,
+    /// Stepped cycles by the reason no skip was taken.
+    step_reasons: StepReasons,
+    /// The reason the last scheduling decision returned no skip; the
+    /// next [`Coprocessor::step`] counts it (or `Direct` when none).
+    step_reason: Option<StepReason>,
     stage_evals: StageEvals,
     /// Cycles each stage had work (pipeline utilization). Unlike
     /// `stage_evals` this is counted identically in both scheduling
@@ -314,6 +320,8 @@ impl Coprocessor {
             n_active_fus: 0,
             fu_always_clock: fus.iter().map(|f| f.needs_clock_when_idle()).collect(),
             skipped_cycles: 0,
+            step_reasons: StepReasons::default(),
+            step_reason: None,
             stage_evals: StageEvals::default(),
             stage_busy: StageEvals::default(),
             decoded_since: None,
@@ -398,6 +406,8 @@ impl Coprocessor {
     /// behaviour is identical in both modes, cycle for cycle.
     pub fn step(&mut self) {
         let gated = self.activity == ActivityMode::Scheduled;
+        let reason = self.step_reason.take().unwrap_or(StepReason::Direct);
+        self.step_reasons.record(reason);
 
         // ---- reliable transceiver: timer + rx delivery ----
         if let Some(t) = self.transceiver.as_mut() {
@@ -601,7 +611,7 @@ impl Coprocessor {
         // how a memory-cell upset escapes a write-time check.
         let mut cell_strikes: Vec<Strike> = Vec::new();
         while let Some(s) = self.seu.as_mut().and_then(|m| m.take(cycle)) {
-            if let Some(cell) = self.apply_strike_pre_commit(s) {
+            if let Some(cell) = self.apply_strike_pre_commit(s, cycle) {
                 cell_strikes.push(cell);
             }
         }
@@ -716,12 +726,13 @@ impl Coprocessor {
             .record(cycle, TraceEventKind::FuQuarantined { unit: i as u8 });
     }
 
-    /// Record one strike and apply it if it lands before the clock edge.
-    /// Stored-cell strikes are returned to flip after the commit instead.
-    fn apply_strike_pre_commit(&mut self, s: Strike) -> Option<Strike> {
+    /// Record one strike, due at cycle `at`, and apply it if it lands
+    /// before the clock edge. Stored-cell strikes are returned to flip
+    /// after the commit instead.
+    fn apply_strike_pre_commit(&mut self, s: Strike, at: u64) -> Option<Strike> {
         self.recovery.seus_injected += 1;
         self.trace.record(
-            self.cycle,
+            at,
             TraceEventKind::SeuInjected {
                 target: s.target.label(),
                 index: s.index,
@@ -742,7 +753,7 @@ impl Coprocessor {
                 self.recovery.seus_detected += 1;
                 self.recovery.seus_corrected += 1;
                 self.trace
-                    .record(self.cycle, TraceEventKind::SeuCorrected { unit: slot });
+                    .record(at, TraceEventKind::SeuCorrected { unit: slot });
                 None
             }
         }
@@ -839,11 +850,16 @@ impl Coprocessor {
     /// hit any unit still holding in-flight work (the pending flip is
     /// judged at the next retire, exactly as in the stepped path); a
     /// quiet span stages no register writes, so the fallback only ever
-    /// absorbs.
+    /// absorbs. Each strike is traced at the cycle it was due, as the
+    /// stepped path traces it.
     fn apply_span_strikes(&mut self) {
         let end = self.cycle - 1;
-        while let Some(s) = self.seu.as_mut().and_then(|m| m.take(end)) {
-            if let Some(cell) = self.apply_strike_pre_commit(s) {
+        while let Some(m) = self.seu.as_mut() {
+            let at = m.next_strike_cycle();
+            let Some(s) = m.take(end) else {
+                break;
+            };
+            if let Some(cell) = self.apply_strike_pre_commit(s, at) {
                 self.apply_cell_strike(cell);
             }
         }
@@ -889,7 +905,7 @@ impl Coprocessor {
         // empty; the decoded head is judged by the dispatcher's decision
         // below.
         if !self.stages_empty() {
-            return QuietVerdict::Busy;
+            return QuietVerdict::Busy(StepReason::Stage);
         }
         let mut deadlines = Deadlines::default();
         // With no unit holding work and no head waiting, only the
@@ -898,13 +914,13 @@ impl Coprocessor {
             // A unit holding a completion gives the write arbiter work.
             for (i, fu) in self.fus.iter().enumerate() {
                 if self.fu_active[i] && !self.fu_quarantined[i] && fu.peek_output().is_some() {
-                    return QuietVerdict::Busy;
+                    return QuietVerdict::Busy(StepReason::Unit);
                 }
             }
             // The decoded head must provably stall; a head that would
             // advance is work.
             if self.head_decision().is_some_and(|d| d.is_ok()) {
-                return QuietVerdict::Busy;
+                return QuietVerdict::Busy(StepReason::Stage);
             }
             for i in 0..self.fus.len() {
                 if !self.fu_active[i] || self.fu_quarantined[i] {
@@ -913,7 +929,7 @@ impl Coprocessor {
                 let Some(hint) = self.fus[i].wake_hint() else {
                     // The unit cannot bound its next change: step it.
                     self.wakes.wakes_scheduled += deadlines.registered;
-                    return QuietVerdict::Busy;
+                    return QuietVerdict::Busy(StepReason::Unit);
                 };
                 deadlines.add(self.cycle.saturating_add(hint.max(1)));
                 if let Some(max) = self.cfg.max_busy_cycles {
@@ -928,7 +944,7 @@ impl Coprocessor {
         }
         self.wakes.wakes_scheduled += deadlines.registered;
         match deadlines.earliest {
-            Some(t) if t <= self.cycle => QuietVerdict::Busy,
+            Some(t) if t <= self.cycle => QuietVerdict::Busy(StepReason::Deadline),
             Some(u64::MAX) | None => QuietVerdict::Indefinite,
             Some(t) => {
                 self.armed = Some((self.cycle, deadlines));
@@ -1019,16 +1035,24 @@ impl Coprocessor {
     /// cycle means the host has work now. With no event anywhere the
     /// whole budget is skipped, so a timeout fires exactly when per-cycle
     /// stepping would fire it.
+    ///
+    /// A decision that returns 0 under `Scheduled` records why — the
+    /// verdict's [`StepReason`], or `Host` — and the next
+    /// [`Coprocessor::step`] counts it in [`SimStats::step_reasons`].
     pub fn skip_to_next_event(
         &mut self,
         budget: u64,
         host_next: impl FnOnce() -> Option<u64>,
     ) -> u64 {
+        self.step_reason = None;
         if self.activity == ActivityMode::Exhaustive {
             return 0;
         }
         let own = match self.quiet_verdict() {
-            QuietVerdict::Busy => return 0,
+            QuietVerdict::Busy(reason) => {
+                self.step_reason = Some(reason);
+                return 0;
+            }
             QuietVerdict::Until(t) => Some(t),
             QuietVerdict::Indefinite => None,
         };
@@ -1036,6 +1060,10 @@ impl Coprocessor {
             Some(t) => t.saturating_sub(self.cycle).min(budget),
             None => budget,
         };
+        if skip == 0 {
+            // The machine's own wake lies ahead, so the host's is now.
+            self.step_reason = Some(StepReason::Host);
+        }
         self.skip_quiet(skip);
         skip
     }
@@ -1082,6 +1110,7 @@ impl Coprocessor {
             lat_dispatch_retire: self.lat_dispatch_retire.clone(),
             lat_issue_retire: self.lat_issue_retire.clone(),
             wheel: self.wakes,
+            step_reasons: self.step_reasons,
             recovery: self.recovery,
         }
     }
@@ -1457,6 +1486,8 @@ impl Coprocessor {
         self.fu_active.fill(false);
         self.n_active_fus = 0;
         self.skipped_cycles = 0;
+        self.step_reasons = StepReasons::default();
+        self.step_reason = None;
         self.stage_evals = StageEvals::default();
         self.stage_busy = StageEvals::default();
         self.decoded_since = None;
@@ -1516,6 +1547,8 @@ impl Coprocessor {
             n_active_fus: self.n_active_fus,
             fu_always_clock: self.fu_always_clock.clone(),
             skipped_cycles: self.skipped_cycles,
+            step_reasons: self.step_reasons,
+            step_reason: self.step_reason,
             stage_evals: self.stage_evals,
             stage_busy: self.stage_busy,
             decoded_since: self.decoded_since,
@@ -2174,7 +2207,7 @@ mod tests {
             let skip = if frames.is_empty() {
                 match coproc.quiet_verdict() {
                     QuietVerdict::Until(t) => t - coproc.cycle(),
-                    QuietVerdict::Busy | QuietVerdict::Indefinite => 0,
+                    QuietVerdict::Busy(_) | QuietVerdict::Indefinite => 0,
                 }
             } else {
                 0

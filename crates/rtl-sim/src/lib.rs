@@ -51,6 +51,6 @@ pub use reg::{Reg, SatCounter};
 pub use stall::{splitmix64, StallFuzzer};
 pub use stats::{
     LatencyHistogram, LatencySnapshot, Percentiles, RecoveryStats, ServeStats, SimStats, SlotStats,
-    TenantCounters, WheelStats,
+    StepReason, StepReasons, TenantCounters, WheelStats,
 };
 pub use trace::{LinkDir, StallCause, TraceBuffer, TraceEvent, TraceEventKind, VcdWriter};

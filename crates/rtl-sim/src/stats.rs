@@ -357,6 +357,75 @@ impl std::ops::AddAssign<&WheelStats> for WheelStats {
     }
 }
 
+/// Why a quiet-span scheduler stepped a cycle instead of skipping it:
+/// the first event source that forbade the skip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepReason {
+    /// A stage input or output is occupied, or the decoded head would
+    /// make progress.
+    Stage,
+    /// An active unit holds an unretired output or cannot bound its next
+    /// change with a wake hint.
+    Unit,
+    /// A unit, watchdog or transport deadline is due this cycle.
+    Deadline,
+    /// The driving host has an event this cycle (a frame to send or
+    /// deliver, a message to inject, a frame arriving).
+    Host,
+    /// The cycle was stepped without a scheduling decision: the caller
+    /// stepped directly, or the kernel never skips
+    /// (`ActivityMode::Exhaustive`).
+    Direct,
+}
+
+/// Stepped cycles by [`StepReason`]. The five counters always sum to
+/// [`SimStats::cycles_stepped`]. Like `cycles_stepped` they describe how
+/// the simulation was driven, so they differ across scheduling modes but
+/// are exact deterministic functions of the workload within one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepReasons {
+    /// Stepped for pipeline stage work.
+    pub stage: u64,
+    /// Stepped for an active unit.
+    pub unit: u64,
+    /// Stepped for a deadline due now.
+    pub deadline: u64,
+    /// Stepped for a host event due now.
+    pub host: u64,
+    /// Stepped without a scheduling decision.
+    pub direct: u64,
+}
+
+impl StepReasons {
+    /// Count one stepped cycle.
+    #[inline]
+    pub fn record(&mut self, reason: StepReason) {
+        match reason {
+            StepReason::Stage => self.stage += 1,
+            StepReason::Unit => self.unit += 1,
+            StepReason::Deadline => self.deadline += 1,
+            StepReason::Host => self.host += 1,
+            StepReason::Direct => self.direct += 1,
+        }
+    }
+
+    /// All stepped cycles (equals [`SimStats::cycles_stepped`]).
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.stage + self.unit + self.deadline + self.host + self.direct
+    }
+}
+
+impl std::ops::AddAssign<&StepReasons> for StepReasons {
+    fn add_assign(&mut self, rhs: &StepReasons) {
+        self.stage += rhs.stage;
+        self.unit += rhs.unit;
+        self.deadline += rhs.deadline;
+        self.host += rhs.host;
+        self.direct += rhs.direct;
+    }
+}
+
 /// Scheduler-level counters for an activity-aware simulation.
 ///
 /// `cycles_simulated` is the authoritative simulated-time clock:
@@ -396,6 +465,9 @@ pub struct SimStats {
     /// legitimately differ across scheduling modes — but they are exact
     /// deterministic functions of the workload within one mode.
     pub wheel: WheelStats,
+    /// Stepped cycles by the reason the scheduler could not skip them.
+    /// Mode-dependent like `cycles_stepped`, which they sum to.
+    pub step_reasons: StepReasons,
     /// Soft-error resilience counters (zero unless SEU injection or
     /// recovery ran). Like `wheel`, these describe the fault history of
     /// the run, not what it computed: a faulty protected run and its
@@ -525,6 +597,7 @@ impl std::ops::AddAssign<&SimStats> for SimStats {
         self.lat_dispatch_retire += &rhs.lat_dispatch_retire;
         self.lat_issue_retire += &rhs.lat_issue_retire;
         self.wheel += &rhs.wheel;
+        self.step_reasons += &rhs.step_reasons;
         self.recovery += &rhs.recovery;
     }
 }
@@ -639,6 +712,9 @@ mod tests {
             ..SimStats::default()
         };
         a.lat_issue_retire.record(5);
+        for r in [StepReason::Stage, StepReason::Host, StepReason::Host] {
+            a.step_reasons.record(r);
+        }
         let mut b = SimStats {
             cycles_simulated: 50,
             cycles_stepped: 50,
@@ -648,6 +724,7 @@ mod tests {
             ..SimStats::default()
         };
         b.lat_issue_retire.record(9);
+        b.step_reasons.record(StepReason::Direct);
         let total: SimStats = [a.clone(), b].into_iter().sum();
         assert_eq!(total.cycles_simulated, 150);
         assert_eq!(total.cycles_stepped, 110);
@@ -661,6 +738,12 @@ mod tests {
             vec![("decode", 10), ("dispatch", 4), ("encode", 6)]
         );
         assert_eq!(total.lat_issue_retire.count(), 2);
+        let r = total.step_reasons;
+        assert_eq!(
+            (r.stage, r.unit, r.deadline, r.host, r.direct),
+            (1, 0, 0, 2, 1)
+        );
+        assert_eq!(r.total(), 4);
         assert_eq!(total.lat_issue_retire.max(), 9);
         // Identity element.
         assert_eq!(a.clone() + SimStats::default(), a);

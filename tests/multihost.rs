@@ -430,3 +430,95 @@ fn reliable_ports_resync_past_magic_looking_operands() {
         assert!(corrupted > 0, "seed {seed:#x}: no frame was corrupted");
     }
 }
+
+#[test]
+fn reliable_closed_loop_skips_to_each_transmit_event() {
+    // Four closed-loop hosts on fault-free reliable prototyping-link
+    // ports (the CI smoke). Almost every cycle waits on a bandwidth gate
+    // (50 cycles per frame) or on a frame in flight, so the scheduled
+    // kernel must step little more than one cycle per wire frame sent
+    // plus one per stage evaluation — and stay bit-identical to the
+    // exhaustive reference.
+    use bench::profile::reliable_smoke;
+    use fu_isa::transport::{ACK_SEGMENT_FRAMES, DATA_SEGMENT_FRAMES};
+    use fu_rtm::ActivityMode;
+    let e = reliable_smoke(ActivityMode::Exhaustive);
+    let w = reliable_smoke(ActivityMode::Scheduled);
+    assert_eq!(e.replies, w.replies, "replies diverged");
+    assert_eq!(e.cycle, w.cycle, "cycle counts diverged");
+    assert_eq!(e.links, w.links, "per-host link stats diverged");
+    assert_eq!(
+        e.sim.stage_busy, w.sim.stage_busy,
+        "busy accounting diverged"
+    );
+    for s in [&e.sim, &w.sim] {
+        assert_eq!(
+            s.step_reasons.total(),
+            s.cycles_stepped,
+            "{:?}",
+            s.step_reasons
+        );
+    }
+    let ls: fu_host::LinkStats = w.links.iter().copied().sum();
+    assert_eq!(ls.retransmits, 0, "a fault-free link retransmitted");
+    let wire =
+        DATA_SEGMENT_FRAMES as u64 * ls.segments_sent + ACK_SEGMENT_FRAMES as u64 * ls.acks_sent;
+    let evals: u64 = w.sim.stage_evals.iter().map(|&(_, n)| n).sum();
+    assert!(
+        w.sim.cycles_stepped <= wire + evals,
+        "stepped {} cycles for {wire} wire frames and {evals} stage evals",
+        w.sim.cycles_stepped
+    );
+}
+
+#[test]
+fn reliable_send_behind_a_closed_gate_skips_to_its_reopening() {
+    // A send made while the host's bandwidth gate is closed and its
+    // endpoint has nothing else to send must jump straight to the gate's
+    // reopening rather than stepping every cycle up to it.
+    use fu_isa::transport::{TransportConfig, DATA_SEGMENT_FRAMES};
+    use fu_rtm::ActivityMode;
+    let link = LinkModel::prototyping();
+    let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
+    let run = |mode: ActivityMode| {
+        let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 1))];
+        let mut s =
+            MultiHostSystem::new_reliable(CoprocConfig::default(), units, link, 1, tcfg, None)
+                .unwrap();
+        s.set_activity_mode(mode);
+        let write = HostMsg::WriteReg {
+            reg: 1,
+            value: Word::from_u64(7, 32),
+        };
+        // One wire frame every 50 cycles from cycle 0: the last one goes
+        // out at `last`, and the gate stays closed until `last + 50`.
+        let wire = (write.frame_len(32) * DATA_SEGMENT_FRAMES) as u64;
+        let last = (wire - 1) * link.cycles_per_frame;
+        s.send(0, &write);
+        assert!(
+            s.recv_blocking(0, last + 1).is_err(),
+            "nothing to receive yet"
+        );
+        assert_eq!(s.cycle(), last + 1);
+        let stepped = s.sim_stats().cycles_stepped;
+        s.send(
+            0,
+            &HostMsg::ReadReg {
+                reg: 1,
+                tag: s.brand_tag(0, 0),
+            },
+        );
+        let gap = link.cycles_per_frame - 1;
+        assert!(s.recv_blocking(0, gap).is_err(), "nothing to receive yet");
+        assert_eq!(s.cycle(), last + link.cycles_per_frame);
+        let waited = s.sim_stats().cycles_stepped - stepped;
+        let reply = s.recv_blocking(0, 1_000_000).unwrap();
+        (waited, reply, s.cycle(), s.link_stats(0))
+    };
+    let (waited, reply, cycle, links) = run(ActivityMode::Scheduled);
+    assert_eq!(waited, 0, "stepped {waited} cycles waiting for the gate");
+    assert!(matches!(reply, DevMsg::Data { ref value, .. } if value.as_u64() == 7));
+    let (stepped_all, e_reply, e_cycle, e_links) = run(ActivityMode::Exhaustive);
+    assert_eq!(stepped_all, link.cycles_per_frame - 1);
+    assert_eq!((reply, cycle, links), (e_reply, e_cycle, e_links));
+}

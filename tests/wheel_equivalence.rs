@@ -7,11 +7,12 @@
 //! statistics and retained trace events.
 //!
 //! The only permitted differences are the *work* counters that describe
-//! how the simulator spent its time (`cycles_stepped`,
-//! `cycles_skipped`, `stage_evals`, and the deadline counters); those
-//! are exactly what the optimisation exists to reduce, so the harness
-//! additionally checks the scheduled run never steps more cycles than
-//! the exhaustive run it shadows.
+//! how the simulator spent its time (`cycles_stepped` and its step
+//! reasons, `cycles_skipped`, `stage_evals`, and the deadline
+//! counters); those are exactly what the optimisation exists to reduce,
+//! so the harness additionally checks the scheduled run never steps
+//! more cycles than the exhaustive run it shadows, and that every
+//! stepped cycle carries exactly one step reason.
 //!
 //! A panic inside a job is caught by the farm and reported as identical
 //! error data in every mode, which would let the equality checks pass
@@ -92,6 +93,14 @@ fn observe(
             );
         }
     }
+    // Every stepped cycle is attributed to exactly one step reason.
+    let sim = farm.sim_stats();
+    assert_eq!(
+        sim.step_reasons.total(),
+        sim.cycles_stepped,
+        "{mode:?}: step reasons {:?}",
+        sim.step_reasons
+    );
     Observed {
         serial,
         parallel,
@@ -102,7 +111,7 @@ fn observe(
             .map(|r| r.trace.clone())
             .collect(),
         link: farm.link_stats(),
-        sim: farm.sim_stats(),
+        sim,
     }
 }
 
