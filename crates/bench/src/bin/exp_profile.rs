@@ -23,9 +23,7 @@
 //! cargo run --release -p bench --bin exp_profile -- --write-baseline
 //! ```
 
-use bench::profile::{
-    overhead_wall_ms, profile_workload, reliable_smoke, sim_speed_smoke, ProfileRun, SmokeBaseline,
-};
+use bench::profile::{overhead_wall_ms, profile_workload, ProfileRun, SmokeBaseline};
 use bench::Table;
 use fu_rtm::ActivityMode;
 
@@ -77,7 +75,7 @@ fn main() {
     println!("every traced run verified bit-identical to its untraced twin\n");
 
     // ---- the deterministic overhead gate -----------------------------
-    let current = SmokeBaseline::measure();
+    let (current, smoke_stats) = SmokeBaseline::measure();
     if write_baseline {
         std::fs::write(BASELINE_PATH, current.to_json()).expect("write baseline");
         println!("wrote {BASELINE_PATH}: {current:?}");
@@ -105,10 +103,7 @@ fn main() {
     let mut reasons = Table::new([
         "smoke", "stepped", "stage", "unit", "deadline", "host", "direct",
     ]);
-    for (name, sim) in [
-        ("sim-speed", sim_speed_smoke(ActivityMode::Scheduled)),
-        ("reliable", reliable_smoke(ActivityMode::Scheduled).sim),
-    ] {
+    for (name, sim) in &smoke_stats {
         let r = sim.step_reasons;
         reasons.row([
             name.to_string(),

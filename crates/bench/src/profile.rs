@@ -304,14 +304,19 @@ impl SmokeBaseline {
         ("reliable", RELIABLE_COUNTS),
     ];
 
-    /// Measure the current smoke counters.
-    pub fn measure() -> SmokeBaseline {
-        SmokeBaseline {
-            scheduled: work_counts(&sim_speed_smoke(ActivityMode::Scheduled)),
+    /// Measure the current smoke counters. Also returns, by name, the
+    /// full scheduler statistics of the sim-speed and reliable smokes the
+    /// `scheduled` and `reliable` sections were distilled from.
+    pub fn measure() -> (SmokeBaseline, [(&'static str, SimStats); 2]) {
+        let sim_speed = sim_speed_smoke(ActivityMode::Scheduled);
+        let reliable = reliable_smoke(ActivityMode::Scheduled).sim;
+        let baseline = SmokeBaseline {
+            scheduled: work_counts(&sim_speed),
             soft: soft_error_smoke(),
             serving: serving_smoke(),
-            reliable: reliable_counts(&reliable_smoke(ActivityMode::Scheduled).sim),
-        }
+            reliable: reliable_counts(&reliable),
+        };
+        (baseline, [("sim-speed", sim_speed), ("reliable", reliable)])
     }
 
     fn sections(&self) -> [&Counters; 4] {
@@ -443,7 +448,7 @@ mod tests {
 
     #[test]
     fn measured_smoke_counters_show_the_wheel_working() {
-        let m = SmokeBaseline::measure().scheduled;
+        let m = SmokeBaseline::measure().0.scheduled;
         let reference = work_counts(&sim_speed_smoke(ActivityMode::Exhaustive));
         assert_eq!(m.get("cycles_simulated"), reference.get("cycles_simulated"));
         assert_eq!(

@@ -226,13 +226,10 @@ impl Driver {
     /// Issue a batch of instructions, overlapping issue with execution.
     ///
     /// Every instruction is queued onto the link and the system is
-    /// advanced at link pace during issue, so by the time the last
+    /// stepped at link pace during issue, so by the time the last
     /// instruction leaves the host the device is already deep into the
     /// batch. Any responses produced meanwhile accumulate in the system's
     /// response queue (see [`Driver::poll`] / [`Driver::wait_tag`]).
-    /// Each message's wire time goes through [`System::advance`], which
-    /// skips the quiet cycles between frames on a slow link; every send
-    /// still happens on the cycle it would with per-cycle stepping.
     pub fn exec_batch(&mut self, instrs: &[InstrWord]) {
         let wb = self.sys.word_bits();
         let pace = self.sys.link_model().cycles_per_frame;
@@ -243,7 +240,9 @@ impl Driver {
             // Clock the co-simulation for as long as this message
             // occupies the outbound link, draining responses as they
             // appear — the "pipelined" part of batch issue.
-            self.sys.advance(wire_cycles);
+            for _ in 0..wire_cycles {
+                self.sys.step();
+            }
         }
     }
 

@@ -463,23 +463,6 @@ impl System {
         Ok(self.cycle.saturating_sub(start))
     }
 
-    /// Advance exactly `n` cycles, skipping every quiet span among them
-    /// and stepping the rest — bit-identical to calling [`System::step`]
-    /// `n` times. The count is of cycles advanced, not a target cycle, so
-    /// a rollback that rewinds the clock mid-way still advances `n`.
-    pub fn advance(&mut self, n: u64) {
-        let mut left = n;
-        while left > 0 {
-            match self.idle_skip(left) {
-                0 => {
-                    self.step();
-                    left -= 1;
-                }
-                skipped => left -= skipped,
-            }
-        }
-    }
-
     /// Jump over cycles in which nothing can happen. Returns the number
     /// of cycles skipped (0 means: step normally). The host's event set
     /// is its port's (see `HostPort::next_event`).

@@ -278,129 +278,3 @@ fn pipelined_batch_issue_matches_one_at_a_time() {
     util::assert_parks_clean(serial);
     util::assert_parks_clean(batched);
 }
-
-/// A 64-instruction mix of dependent and independent ALU operations over
-/// r1..r15 for the batch-issue equivalence runs.
-fn batch_program() -> String {
-    let ops = ["ADD", "SUB", "XOR", "OR"];
-    (0..64)
-        .map(|i| {
-            let (d, s1, s2) = (3 + (i * 5) % 13, 1 + (i * 7) % 15, 1 + (i * 3) % 15);
-            format!("{} r{d}, r{s1}, r{s2}, f{}", ops[i % 4], i % 4)
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Everything a batch-issue run leaves observable: the cycles the issue
-/// phase advanced, the final cycle, the read-back responses (the whole
-/// register file), the merged pipeline and link trace, the stage busy
-/// counts and the link statistics.
-#[derive(Debug, PartialEq)]
-struct BatchRun {
-    issue_cycles: u64,
-    end_cycle: u64,
-    responses: Vec<fu_isa::DevMsg>,
-    trace: Vec<rtl_sim::TraceEvent>,
-    stage_busy: Vec<(&'static str, u64)>,
-    link: fu_host::LinkStats,
-}
-
-/// Issue [`batch_program`] through `submit_program`, then sync and read
-/// every register back. Returns the observables, the cycles stepped
-/// during the issue phase and the final scheduler statistics.
-fn batch_issue_run(
-    link: LinkModel,
-    mode: fu_rtm::ActivityMode,
-    seu: Option<fu_rtm::SeuConfig>,
-) -> (BatchRun, u64, rtl_sim::SimStats) {
-    let mut cfg = CoprocConfig {
-        data_regs: 16,
-        flag_regs: 4,
-        ..CoprocConfig::default()
-    };
-    if let Some(seu) = seu {
-        cfg = cfg.with_parity().with_seu(seu);
-    }
-    let mut sys = System::new(cfg, standard_units(32), link).unwrap();
-    sys.set_activity_mode(mode);
-    if seu.is_some() {
-        sys.enable_recovery(8)
-            .expect("standard units are clone-capable");
-    }
-    let mut d = Driver::new(sys, util::DRIVER_TIMEOUT);
-    d.enable_tracing(1 << 16);
-    for r in 1..16u8 {
-        d.write_reg(r, 0x1000 + 37 * u64::from(r));
-    }
-    let (c0, s0) = (d.cycles(), d.system().sim_stats().cycles_stepped);
-    assert_eq!(d.submit_program(&batch_program()).unwrap(), 64);
-    let issue_cycles = d.cycles() - c0;
-    let issue_stepped = d.system().sim_stats().cycles_stepped - s0;
-    d.sync().unwrap();
-    let last = (0..16u8).map(|r| d.read_reg_async(r)).last().unwrap();
-    let responses = d.wait_tag(last).unwrap();
-    let sim = d.system().sim_stats();
-    let run = BatchRun {
-        issue_cycles,
-        end_cycle: d.cycles(),
-        responses,
-        trace: d.dump_trace(),
-        stage_busy: sim.stage_busy.clone(),
-        link: d.system().link_stats(),
-    };
-    (run, issue_stepped, sim)
-}
-
-#[test]
-fn skip_aware_batch_issue_matches_exhaustive_stepping() {
-    use fu_rtm::ActivityMode::{Exhaustive, Scheduled};
-    for link in [LinkModel::prototyping(), LinkModel::pcie_like()] {
-        let (reference, ref_stepped, ref_sim) = batch_issue_run(link, Exhaustive, None);
-        let (got, stepped, sim) = batch_issue_run(link, Scheduled, None);
-        assert_eq!(reference, got, "{}: batch issue diverged", link.name);
-        let wire = 64 * 3 * link.cycles_per_frame;
-        assert_eq!(got.issue_cycles, wire, "{}: issue phase length", link.name);
-        assert_eq!(
-            ref_stepped, wire,
-            "{}: the reference steps it all",
-            link.name
-        );
-        for s in [&ref_sim, &sim] {
-            assert_eq!(s.step_reasons.total(), s.cycles_stepped, "{}", link.name);
-        }
-        if link.name == "prototyping" {
-            assert!(
-                stepped * 10 < wire,
-                "scheduled issue stepped {stepped} of {wire} cycles"
-            );
-        }
-    }
-}
-
-#[test]
-fn skip_aware_batch_issue_survives_a_rollback_during_issue() {
-    use fu_rtm::ActivityMode::{Exhaustive, Scheduled};
-    let seu = Some(fu_rtm::SeuConfig::all(0x5EED, 2_000));
-    let link = LinkModel::prototyping();
-    let (reference, _, ref_sim) = batch_issue_run(link, Exhaustive, seu);
-    let (got, _, sim) = batch_issue_run(link, Scheduled, seu);
-    assert_eq!(
-        reference.issue_cycles, got.issue_cycles,
-        "a rollback during issue must advance the same cycles in both modes"
-    );
-    assert_eq!(reference, got, "protected batch issue diverged");
-    assert!(
-        sim.recovery.rollbacks > 0,
-        "no rollback: {:?}",
-        sim.recovery
-    );
-    assert!(
-        got.issue_cycles < 64 * 3 * link.cycles_per_frame,
-        "no rollback rewound the clock during issue"
-    );
-    assert_eq!(ref_sim.recovery, sim.recovery);
-    for s in [&ref_sim, &sim] {
-        assert_eq!(s.step_reasons.total(), s.cycles_stepped);
-    }
-}

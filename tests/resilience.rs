@@ -29,6 +29,29 @@ fn dependent_add() -> HostMsg {
     }))
 }
 
+/// Queue `n_adds` dependent adds (r2 += r1, r1 = 3), reading r2 back
+/// after every eighth and at the end, then a `Sync`.
+fn send_dependent_adds(sys: &mut System, n_adds: usize) {
+    sys.send(&HostMsg::WriteReg {
+        reg: 1,
+        value: Word::from_u64(3, 32),
+    });
+    sys.send(&HostMsg::WriteReg {
+        reg: 2,
+        value: Word::from_u64(0, 32),
+    });
+    let mut tag = 0u16;
+    for i in 0..n_adds {
+        sys.send(&dependent_add());
+        if i % 8 == 7 {
+            sys.send(&HostMsg::ReadReg { reg: 2, tag });
+            tag += 1;
+        }
+    }
+    sys.send(&HostMsg::ReadReg { reg: 2, tag });
+    sys.send(&HostMsg::Sync { tag: tag + 1 });
+}
+
 /// Everything an application could observe about a finished run.
 #[derive(Debug, PartialEq)]
 struct Observation {
@@ -59,25 +82,15 @@ fn protected_run(
     sys.enable_recovery(ckpt_interval)
         .expect("LatencyFu is clone-capable");
 
-    sys.send(&HostMsg::WriteReg {
-        reg: 1,
-        value: Word::from_u64(3, 32),
-    });
-    sys.send(&HostMsg::WriteReg {
-        reg: 2,
-        value: Word::from_u64(0, 32),
-    });
-    let mut tag = 0u16;
-    for i in 0..n_adds {
-        sys.send(&dependent_add());
-        if i % 8 == 7 {
-            sys.send(&HostMsg::ReadReg { reg: 2, tag });
-            tag += 1;
-        }
-    }
-    sys.send(&HostMsg::ReadReg { reg: 2, tag });
-    sys.send(&HostMsg::Sync { tag: tag + 1 });
+    send_dependent_adds(&mut sys, n_adds);
     util::settle(&mut sys, 40_000_000);
+    let sim = sys.sim_stats();
+    assert_eq!(
+        sim.step_reasons.total(),
+        sim.cycles_stepped,
+        "step reasons must account for every stepped cycle, rollbacks included: {:?}",
+        sim.step_reasons
+    );
     Observation {
         responses: std::iter::from_fn(|| sys.recv()).collect(),
         cycles: sys.cycle(),
@@ -111,6 +124,50 @@ proptest! {
                 mode, seed, mean
             );
         }
+    }
+}
+
+/// On the prototyping link the scheduled kernel skips most of a
+/// protected run, so strikes land inside skipped spans. Each is applied
+/// when its span ends but traced at the cycle it was due, as per-cycle
+/// stepping traces it: the traced run, rollbacks included, is the same
+/// in both modes.
+#[test]
+fn strikes_in_skipped_spans_are_traced_at_their_due_cycle() {
+    let run = |mode: ActivityMode| {
+        let cfg = CoprocConfig::default()
+            .with_parity()
+            .with_redundancy(Redundancy::Dmr)
+            .with_seu(SeuConfig::all(0x5EED, 60));
+        let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 3))];
+        let mut sys = System::new(cfg, units, LinkModel::prototyping()).expect("valid config");
+        sys.set_activity_mode(mode);
+        sys.set_trace_depth(1 << 16);
+        sys.enable_recovery(4).expect("LatencyFu is clone-capable");
+        send_dependent_adds(&mut sys, 24);
+        util::settle(&mut sys, 40_000_000);
+        let responses: Vec<DevMsg> = std::iter::from_fn(|| sys.recv()).collect();
+        let trace: Vec<rtl_sim::TraceEvent> = sys.coproc().trace().events().copied().collect();
+        (responses, sys.cycle(), trace, sys.sim_stats())
+    };
+    let (ref_resp, ref_cycle, ref_trace, ref_sim) = run(ActivityMode::Exhaustive);
+    let (resp, cycle, trace, sim) = run(ActivityMode::Scheduled);
+    assert!(
+        ref_sim.recovery.rollbacks > 0,
+        "no rollback: {:?}",
+        ref_sim.recovery
+    );
+    assert!(
+        sim.cycles_skipped > sim.cycles_stepped,
+        "the scheduled run barely skipped: {} stepped, {} skipped",
+        sim.cycles_stepped,
+        sim.cycles_skipped
+    );
+    assert_eq!((ref_resp, ref_cycle), (resp, cycle));
+    assert_eq!(ref_sim.recovery, sim.recovery);
+    assert_eq!(ref_trace, trace, "traces diverged between modes");
+    for s in [&ref_sim, &sim] {
+        assert_eq!(s.step_reasons.total(), s.cycles_stepped);
     }
 }
 
