@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use fu_isa::msg::DevDeframer;
+use fu_isa::msg::{DevDeframer, ErrorCode};
 use fu_isa::transport::{Endpoint, TransportConfig};
 use fu_isa::DevMsg;
 use rtl_sim::{splitmix64, LinkDir, TraceBuffer, TraceEventKind};
@@ -603,15 +603,21 @@ impl HostPort {
     }
 
     /// Take what the host-bound link delivers at `now` and hand every
-    /// response the deframer completes to `on_msg`.
+    /// response the deframer completes to `on_msg`. A malformed frame
+    /// becomes an in-band `BadFrame` error carrying its header, as the
+    /// device's message buffer reports one.
     #[inline]
     pub(crate) fn receive(&mut self, now: u64, mut on_msg: impl FnMut(DevMsg)) {
         let rx = &mut self.rx;
-        let taken = self.end.receive(now, &mut self.to_host, |f| {
-            if let Some(msg) = rx.push(f).expect("device frames are well-formed") {
-                on_msg(msg);
-            }
-        });
+        let on_frame = |f: u32| match rx.push(f) {
+            Ok(Some(msg)) => on_msg(msg),
+            Ok(None) => {}
+            Err(e) => on_msg(DevMsg::Error {
+                code: ErrorCode::BadFrame,
+                info: e.header,
+            }),
+        };
+        let taken = self.end.receive(now, &mut self.to_host, on_frame);
         for _ in 0..taken {
             let dir = LinkDir::ToHost;
             self.trace.record(now, TraceEventKind::LinkRx { dir });
@@ -815,5 +821,29 @@ mod tests {
         }
         assert_eq!(got, (0..100u32).collect::<Vec<_>>());
         assert_eq!(l.fault_stats(), FaultStats::default());
+    }
+
+    #[test]
+    fn malformed_device_frames_become_in_band_errors() {
+        let mut port = HostPort::new(LinkModel::ideal(), 32, None);
+        let bad_code = 0x8f99_0000; // an error header with no such code
+        let stream = [0x7700_0000, bad_code, 7]
+            .into_iter()
+            .chain(DevMsg::SyncAck { tag: 3 }.frames(32));
+        for (now, f) in stream.enumerate() {
+            port.to_host.send(now as u64, f);
+        }
+        let mut got = Vec::new();
+        for now in 0..8 {
+            port.receive(now, |m| got.push(m));
+        }
+        let bad = |info| DevMsg::Error {
+            code: ErrorCode::BadFrame,
+            info,
+        };
+        assert_eq!(
+            got,
+            [bad(0x7700_0000), bad(bad_code), DevMsg::SyncAck { tag: 3 }]
+        );
     }
 }

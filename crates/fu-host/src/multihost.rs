@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 
 use crate::link::{earliest, FaultModel, HostPort, LinkEnd, LinkModel, LinkStats};
-use fu_isa::msg::{DevDeframer, HostDeframer};
+use fu_isa::msg::{DevDeframer, ErrorCode, HostDeframer};
 use fu_isa::transport::TransportConfig;
 use fu_isa::{DevMsg, HostMsg, Tag};
 use fu_rtm::{ActivityMode, CoprocConfig, Coprocessor, FunctionalUnit};
@@ -216,15 +216,26 @@ impl MultiHostSystem {
         for h in &mut self.hosts {
             h.port.transmit(now);
         }
-        // Device edge: reassemble per-host messages.
+        // Device edge: reassemble per-host messages. A malformed frame is
+        // answered to its host with an in-band `BadFrame` error carrying
+        // the header, as the device's message buffer answers one.
         for h in &mut self.hosts {
             let (deframer, inject) = (&mut h.deframer, &mut h.inject);
+            let mut bad = Vec::new();
             h.edge.poll(now);
-            h.edge.receive(now, &mut h.port.to_dev, |f| {
-                if let Some(msg) = deframer.push(f).expect("host frames well-formed") {
-                    inject.push_back(msg);
-                }
-            });
+            let on_frame = |f: u32| match deframer.push(f) {
+                Ok(Some(msg)) => inject.push_back(msg),
+                Ok(None) => {}
+                Err(e) => bad.push(e.header),
+            };
+            h.edge.receive(now, &mut h.port.to_dev, on_frame);
+            for info in bad {
+                let err = DevMsg::Error {
+                    code: ErrorCode::BadFrame,
+                    info,
+                };
+                h.edge.send(err.frames(self.word_bits));
+            }
         }
         // Message-granular round-robin injection into the coprocessor.
         if self.injecting.is_empty() {
@@ -348,5 +359,31 @@ impl MultiHostSystem {
         let mut s = h.port.link_stats();
         h.edge.add_stats(&mut s);
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fu_rtm::testing::LatencyFu;
+
+    #[test]
+    fn malformed_host_frames_are_answered_in_band_to_their_host() {
+        let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 1))];
+        let link = LinkModel::tightly_coupled();
+        let mut s = MultiHostSystem::new(CoprocConfig::default(), units, link, 2).unwrap();
+        s.hosts[1].port.to_dev.send(0, 0xee00_0000); // no host message has type 0xee
+        let tag = s.brand_tag(1, 5);
+        s.send(1, &HostMsg::Sync { tag });
+        let bad = DevMsg::Error {
+            code: ErrorCode::BadFrame,
+            info: 0xee00_0000,
+        };
+        assert_eq!(s.recv_blocking(1, 10_000).unwrap(), bad);
+        assert_eq!(s.recv_blocking(1, 10_000).unwrap(), DevMsg::SyncAck { tag });
+        while !s.is_idle() {
+            s.step();
+        }
+        assert_eq!(s.recv(0), None, "only the sending host hears of it");
     }
 }

@@ -16,6 +16,8 @@
 //! framing layer is exactly what a different transceiver would replace;
 //! everything above it is framework-fixed.
 
+use std::marker::PhantomData;
+
 use crate::flags::Flags;
 use crate::instr::{InstrWord, RegNum};
 use crate::word::Word;
@@ -293,15 +295,6 @@ impl DevMsg {
     }
 }
 
-/// Streaming deserialiser for host → coprocessor frames (the stateful part
-/// of the RTM's message-buffer stage).
-#[derive(Debug, Clone)]
-pub struct HostDeframer {
-    word_bits: u32,
-    pending: Vec<u32>,
-    need: usize,
-}
-
 /// Framing error: the stream contained an unknown type code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameError {
@@ -317,116 +310,117 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl HostDeframer {
-    /// A deframer for a coprocessor configured with `word_bits`-wide
-    /// registers.
-    pub fn new(word_bits: u32) -> Self {
-        HostDeframer {
-            word_bits,
-            pending: Vec::new(),
-            need: 0,
-        }
-    }
+/// A message type of one wire direction, as a [`Deframer`] reads it.
+pub trait WireMsg: Sized {
+    /// Decode the frames of one message received so far (`frames[0]` is
+    /// its header): `Ok(None)` while frames are still missing.
+    fn decode(frames: &[u32], word_bits: u32) -> Result<Option<Self>, FrameError>;
+}
 
-    /// True while a message is partially received.
-    pub fn mid_message(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Feed one frame; returns a complete message when one finishes.
-    pub fn push(&mut self, frame: u32) -> Result<Option<HostMsg>, FrameError> {
-        if self.pending.is_empty() {
-            let ty = (frame >> 24) as u8;
-            self.need = match ty {
-                wire::WRITE_REG => 1 + (self.word_bits / 32) as usize,
-                wire::INSTR => 3,
-                wire::WRITE_FLAGS | wire::READ_REG | wire::READ_FLAGS | wire::SYNC => 1,
-                _ => return Err(FrameError { header: frame }),
-            };
-        }
-        self.pending.push(frame);
-        if self.pending.len() < self.need {
+impl WireMsg for HostMsg {
+    fn decode(f: &[u32], word_bits: u32) -> Result<Option<HostMsg>, FrameError> {
+        let (ty, reg, low) = ((f[0] >> 24) as u8, (f[0] >> 16) as u8, f[0] as u16);
+        let need = match ty {
+            wire::WRITE_REG => 1 + (word_bits / 32) as usize,
+            wire::INSTR => 3,
+            wire::WRITE_FLAGS | wire::READ_REG | wire::READ_FLAGS | wire::SYNC => 1,
+            _ => return Err(FrameError { header: f[0] }),
+        };
+        if f.len() < need {
             return Ok(None);
         }
-        let frames = std::mem::take(&mut self.pending);
-        let h = frames[0];
-        let ty = (h >> 24) as u8;
-        let reg = (h >> 16) as u8;
-        let low = h as u16;
         Ok(Some(match ty {
             wire::WRITE_REG => HostMsg::WriteReg {
                 reg,
-                value: Word::from_limbs(&frames[1..]),
+                value: Word::from_limbs(&f[1..]),
             },
             wire::WRITE_FLAGS => HostMsg::WriteFlags {
                 reg,
                 flags: Flags(low as u8),
             },
-            wire::INSTR => HostMsg::Instr(InstrWord((frames[1] as u64) << 32 | frames[2] as u64)),
+            wire::INSTR => HostMsg::Instr(InstrWord((f[1] as u64) << 32 | f[2] as u64)),
             wire::READ_REG => HostMsg::ReadReg { reg, tag: low },
             wire::READ_FLAGS => HostMsg::ReadFlags { reg, tag: low },
-            wire::SYNC => HostMsg::Sync { tag: low },
-            _ => unreachable!("type checked at header time"),
+            _ => HostMsg::Sync { tag: low },
         }))
     }
 }
 
-/// Streaming deserialiser for coprocessor → host frames (lives in the host
-/// driver).
-#[derive(Debug, Clone)]
-pub struct DevDeframer {
-    word_bits: u32,
-    pending: Vec<u32>,
-    need: usize,
-}
-
-impl DevDeframer {
-    /// A deframer for a coprocessor configured with `word_bits`-wide
-    /// registers.
-    pub fn new(word_bits: u32) -> Self {
-        DevDeframer {
-            word_bits,
-            pending: Vec::new(),
-            need: 0,
-        }
-    }
-
-    /// Feed one frame; returns a complete message when one finishes.
-    pub fn push(&mut self, frame: u32) -> Result<Option<DevMsg>, FrameError> {
-        if self.pending.is_empty() {
-            let ty = (frame >> 24) as u8;
-            self.need = match ty {
-                wire::DATA => 1 + (self.word_bits / 32) as usize,
-                wire::ERROR => 2,
-                wire::FLAGS | wire::SYNC_ACK => 1,
-                _ => return Err(FrameError { header: frame }),
-            };
-        }
-        self.pending.push(frame);
-        if self.pending.len() < self.need {
+impl WireMsg for DevMsg {
+    fn decode(f: &[u32], word_bits: u32) -> Result<Option<DevMsg>, FrameError> {
+        let (ty, mid, low) = ((f[0] >> 24) as u8, (f[0] >> 16) as u8, f[0] as u16);
+        let need = match ty {
+            wire::DATA => 1 + (word_bits / 32) as usize,
+            wire::ERROR => 2,
+            wire::FLAGS | wire::SYNC_ACK => 1,
+            _ => return Err(FrameError { header: f[0] }),
+        };
+        if f.len() < need {
             return Ok(None);
         }
-        let frames = std::mem::take(&mut self.pending);
-        let h = frames[0];
-        let ty = (h >> 24) as u8;
-        let mid = (h >> 16) as u8;
-        let low = h as u16;
         Ok(Some(match ty {
             wire::DATA => DevMsg::Data {
                 tag: low,
-                value: Word::from_limbs(&frames[1..]),
+                value: Word::from_limbs(&f[1..]),
             },
             wire::FLAGS => DevMsg::Flags {
                 tag: low,
                 flags: Flags(mid),
             },
             wire::SYNC_ACK => DevMsg::SyncAck { tag: low },
-            wire::ERROR => DevMsg::Error {
-                code: ErrorCode::from_u8(mid).ok_or(FrameError { header: h })?,
-                info: frames[1],
+            _ => DevMsg::Error {
+                code: ErrorCode::from_u8(mid).ok_or(FrameError { header: f[0] })?,
+                info: f[1],
             },
-            _ => unreachable!("type checked at header time"),
         }))
+    }
+}
+
+/// Streaming, allocation-free deserialiser for one wire direction. It
+/// holds a message's frames in an inline buffer the size of the longest
+/// message ([`Frames::MAX`]) until they decode. A decoded message and a
+/// framing error both empty it, so the next frame is read as a header.
+#[derive(Debug, Clone)]
+pub struct Deframer<M> {
+    word_bits: u32,
+    buf: [u32; Frames::MAX],
+    len: u8,
+    msg: PhantomData<fn() -> M>,
+}
+
+/// Host → coprocessor deframer (the stateful part of the RTM's
+/// message-buffer stage).
+pub type HostDeframer = Deframer<HostMsg>;
+
+/// Coprocessor → host deframer (lives in the host driver).
+pub type DevDeframer = Deframer<DevMsg>;
+
+impl<M: WireMsg> Deframer<M> {
+    /// A deframer for a coprocessor configured with `word_bits`-wide
+    /// registers.
+    pub fn new(word_bits: u32) -> Self {
+        Deframer {
+            word_bits,
+            buf: [0; Frames::MAX],
+            len: 0,
+            msg: PhantomData,
+        }
+    }
+
+    /// True while a message is partially received.
+    pub fn mid_message(&self) -> bool {
+        self.len > 0
+    }
+
+    /// Feed one frame; returns a complete message when one finishes.
+    pub fn push(&mut self, frame: u32) -> Result<Option<M>, FrameError> {
+        self.buf[self.len as usize] = frame;
+        self.len += 1;
+        let got = M::decode(&self.buf[..self.len as usize], self.word_bits);
+        if !matches!(got, Ok(None)) {
+            self.len = 0;
+        }
+        got
     }
 }
 
@@ -600,5 +594,111 @@ mod tests {
             }
             prop_assert_eq!(out, Some(m));
         }
+    }
+
+    /// A frame whose type byte is, for `sel` below 10, one of the ten
+    /// type codes of either direction (the rest of it random), and
+    /// otherwise fully random — so an arbitrary stream reaches every
+    /// decode path, not only the unknown-header error.
+    fn biased_frame(sel: u8, raw: u32) -> u32 {
+        const TYPES: [u8; 10] = [1, 2, 3, 4, 5, 6, 0x81, 0x82, 0x86, 0x8f];
+        match TYPES.get(sel as usize) {
+            Some(&ty) => (ty as u32) << 24 | raw & 0x00ff_ffff,
+            None => raw,
+        }
+    }
+
+    /// Feed `stream` to a fresh deframer, checking `mid_message` after
+    /// every frame; returns the messages it completed.
+    fn feed<M: WireMsg>(word_bits: u32, stream: &[u32]) -> Vec<M> {
+        let mut d = Deframer::<M>::new(word_bits);
+        let mut out = Vec::new();
+        for &f in stream {
+            match d.push(f) {
+                Ok(None) => assert!(d.mid_message(), "an unfinished message is held"),
+                Ok(Some(m)) => {
+                    assert!(!d.mid_message(), "a completed message leaves nothing");
+                    out.push(m);
+                }
+                Err(_) => assert!(!d.mid_message(), "an error leaves nothing"),
+            }
+        }
+        out
+    }
+
+    fn host_msg(sel: u8, v: u128, word_bits: u32) -> HostMsg {
+        let (reg, tag) = (v as u8, (v >> 8) as u16);
+        match sel % 6 {
+            0 => HostMsg::WriteReg {
+                reg,
+                value: Word::from_u128(v, word_bits),
+            },
+            1 => HostMsg::WriteFlags {
+                reg,
+                flags: Flags(v as u8),
+            },
+            2 => HostMsg::Instr(InstrWord(v as u64)),
+            3 => HostMsg::ReadReg { reg, tag },
+            4 => HostMsg::ReadFlags { reg, tag },
+            _ => HostMsg::Sync { tag },
+        }
+    }
+
+    fn dev_msg(sel: u8, v: u128, word_bits: u32) -> DevMsg {
+        let tag = (v >> 8) as u16;
+        match sel % 4 {
+            0 => DevMsg::Data {
+                tag,
+                value: Word::from_u128(v, word_bits),
+            },
+            1 => DevMsg::Flags {
+                tag,
+                flags: Flags(v as u8),
+            },
+            2 => DevMsg::SyncAck { tag },
+            _ => DevMsg::Error {
+                code: ErrorCode::from_u8(1 + sel % 7).expect("codes 1..=7 exist"),
+                info: v as u32,
+            },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_deframers_take_any_stream(
+            limbs in 1u32..5,
+            raw in proptest::collection::vec((0u8..14, any::<u32>()), 0..48),
+        ) {
+            let stream: Vec<u32> = raw.into_iter().map(|(s, r)| biased_frame(s, r)).collect();
+            feed::<HostMsg>(32 * limbs, &stream);
+            feed::<DevMsg>(32 * limbs, &stream);
+        }
+
+        #[test]
+        fn prop_well_formed_streams_roundtrip(
+            limbs in 1u32..5,
+            picks in proptest::collection::vec((any::<u8>(), any::<u128>()), 1..12),
+        ) {
+            let bits = 32 * limbs;
+            let host: Vec<HostMsg> = picks.iter().map(|&(s, v)| host_msg(s, v, bits)).collect();
+            let frames: Vec<u32> = host.iter().flat_map(|m| m.frames(bits)).collect();
+            prop_assert_eq!(feed::<HostMsg>(bits, &frames), host);
+            let dev: Vec<DevMsg> = picks.iter().map(|&(s, v)| dev_msg(s, v, bits)).collect();
+            let frames: Vec<u32> = dev.iter().flat_map(|m| m.frames(bits)).collect();
+            prop_assert_eq!(feed::<DevMsg>(bits, &frames), dev);
+        }
+    }
+
+    #[test]
+    fn widest_messages_fill_the_inline_buffer_exactly() {
+        let v = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
+        let host = host_msg(0, v, 128);
+        let frames = host.to_frames(128);
+        assert_eq!(frames.len(), Frames::MAX);
+        assert_eq!(feed::<HostMsg>(128, &frames), vec![host]);
+        let dev = dev_msg(0, v, 128);
+        let frames = dev.to_frames(128);
+        assert_eq!(frames.len(), Frames::MAX);
+        assert_eq!(feed::<DevMsg>(128, &frames), vec![dev]);
     }
 }

@@ -218,6 +218,9 @@ pub struct Coprocessor {
     /// Units whose `commit` must run even while idle
     /// ([`FunctionalUnit::needs_clock_when_idle`]).
     fu_always_clock: Vec<bool>,
+    /// Some unit has `fu_always_clock` set. When none has and no unit is
+    /// active, `Scheduled` skips the unit clock loop outright.
+    any_always_clock: bool,
     skipped_cycles: u64,
     /// Stepped cycles by the reason no skip was taken.
     step_reasons: StepReasons,
@@ -284,6 +287,7 @@ impl Coprocessor {
         // entry per function code exactly as in the unprotected machine.
         let fus = protect_units(fus, cfg.redundancy);
         let futable = FuTable::build(&fus)?;
+        let fu_always_clock: Vec<bool> = fus.iter().map(|f| f.needs_clock_when_idle()).collect();
         let mut regfile = RegFile::new(cfg.data_regs, cfg.word_bits);
         let mut flagfile = FlagFile::new(cfg.flag_regs);
         if cfg.parity {
@@ -318,7 +322,8 @@ impl Coprocessor {
             activity: ActivityMode::default(),
             fu_active: vec![false; fus.len()],
             n_active_fus: 0,
-            fu_always_clock: fus.iter().map(|f| f.needs_clock_when_idle()).collect(),
+            any_always_clock: fu_always_clock.contains(&true),
+            fu_always_clock,
             skipped_cycles: 0,
             step_reasons: StepReasons::default(),
             step_reason: None,
@@ -633,15 +638,18 @@ impl Coprocessor {
         for s in cell_strikes {
             self.apply_cell_strike(s);
         }
-        for (i, fu) in self.fus.iter_mut().enumerate() {
-            // Quarantined units lose their clock in *both* modes: a merely
-            // slow (not truly hung) unit must not complete after its locks
-            // were force-released, or the release would happen twice.
-            if self.fu_quarantined[i] {
-                continue;
-            }
-            if !gated || self.fu_active[i] || self.fu_always_clock[i] {
-                fu.commit();
+        if !gated || self.n_active_fus > 0 || self.any_always_clock {
+            for (i, fu) in self.fus.iter_mut().enumerate() {
+                // Quarantined units lose their clock in *both* modes: a
+                // merely slow (not truly hung) unit must not complete after
+                // its locks were force-released, or the release would
+                // happen twice.
+                if self.fu_quarantined[i] {
+                    continue;
+                }
+                if !gated || self.fu_active[i] || self.fu_always_clock[i] {
+                    fu.commit();
+                }
             }
         }
         // Retire units that drained this cycle from the active set.
@@ -1546,6 +1554,7 @@ impl Coprocessor {
             fu_active: self.fu_active.clone(),
             n_active_fus: self.n_active_fus,
             fu_always_clock: self.fu_always_clock.clone(),
+            any_always_clock: self.any_always_clock,
             skipped_cycles: self.skipped_cycles,
             step_reasons: self.step_reasons,
             step_reason: self.step_reason,

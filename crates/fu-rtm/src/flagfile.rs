@@ -130,6 +130,9 @@ impl FlagFile {
 
 impl Clocked for FlagFile {
     fn commit(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
         for (r, v) in self.staged.drain(..) {
             if self.parity_enabled {
                 self.parity[r as usize] = v.0.count_ones() & 1 == 1;

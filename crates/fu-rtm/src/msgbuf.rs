@@ -72,10 +72,9 @@ impl MessageBuffer {
                 }
                 Err(e) => {
                     trace.record(cycle, TraceEventKind::StagePush { stage: "msgbuf" });
-                    out.push(Err(e));
                     // The deframer dropped its partial state with the
-                    // error; resynchronise on the next frame.
-                    self.deframer = HostDeframer::new(self.word_bits);
+                    // error: it resynchronises on the next frame.
+                    out.push(Err(e));
                     break;
                 }
             }

@@ -185,6 +185,9 @@ impl RegFile {
 
 impl Clocked for RegFile {
     fn commit(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
         for (r, v) in self.staged.drain(..) {
             if self.parity_enabled {
                 self.parity[r as usize] = v.popcount() & 1 == 1;

@@ -140,13 +140,17 @@ impl<T> Fifo<T> {
 
 impl<T> Clocked for Fifo<T> {
     fn commit(&mut self) {
-        self.cur.extend(self.staged.drain(..));
-        debug_assert!(self.cur.len() <= self.depth);
+        // Occupancy only grows by staged pushes, so an edge with nothing
+        // staged cannot raise the high-water mark.
+        if !self.staged.is_empty() {
+            self.cur.extend(self.staged.drain(..));
+            debug_assert!(self.cur.len() <= self.depth);
+            self.high_water = self.high_water.max(self.cur.len());
+        }
         self.stats.cycles += 1;
         if !self.cur.is_empty() {
             self.stats.occupied_cycles += 1;
         }
-        self.high_water = self.high_water.max(self.cur.len());
     }
 
     fn reset(&mut self) {

@@ -163,12 +163,13 @@ impl<T> HandshakeSlot<T> {
 
 impl<T> Clocked for HandshakeSlot<T> {
     fn commit(&mut self) {
-        if self.cur.is_none() {
+        // Only a staged item moves; a push required `can_push`, so `cur`
+        // is necessarily empty then. Most edges stage nothing and move
+        // nothing.
+        if self.incoming.is_some() {
+            debug_assert!(self.cur.is_none());
             self.cur = self.incoming.take();
         }
-        // If the consumer did not take this cycle, `cur` stays put and
-        // `incoming` is necessarily `None` (push required can_push).
-        debug_assert!(self.cur.is_none() || self.incoming.is_none());
         self.stats.cycles += 1;
         if self.cur.is_some() {
             self.stats.occupied_cycles += 1;

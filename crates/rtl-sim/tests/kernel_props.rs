@@ -2,8 +2,10 @@
 //! and FIFO invariants the whole reproduction rests on, under arbitrary
 //! operation sequences.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
-use rtl_sim::{Clocked, Fifo, HandshakeSlot, StallFuzzer};
+use rtl_sim::{Clocked, Fifo, HandshakeSlot, SlotStats, StallFuzzer};
 
 proptest! {
     /// A HandshakeSlot never loses, duplicates or reorders items under
@@ -108,5 +110,65 @@ proptest! {
         }
         got.extend(fifo.drain_all());
         prop_assert_eq!(got, (0..next).collect::<Vec<_>>());
+    }
+
+    /// The commit fast paths keep every statistic. Under an arbitrary
+    /// push/take/commit sequence, a slot's and a FIFO's items,
+    /// `SlotStats` and the FIFO's high-water mark match a naive model
+    /// whose every edge moves its staged items and updates every count.
+    #[test]
+    fn commit_fast_paths_match_a_naive_model(
+        depth in 1usize..6,
+        ops in proptest::collection::vec(0u8..4, 0..300),
+    ) {
+        let mut slot = HandshakeSlot::new();
+        let mut fifo = Fifo::new(depth);
+        // Model: (held, staged, stats) for the slot; the FIFO's extra
+        // high-water mark alongside.
+        let (mut s_cur, mut s_in, mut s_stats) = (None, None, SlotStats::default());
+        let (mut f_cur, mut f_in) = (VecDeque::new(), Vec::new());
+        let (mut f_stats, mut f_high) = (SlotStats::default(), 0);
+        for (next, op) in ops.into_iter().enumerate() {
+            match op {
+                0 => {
+                    if s_cur.is_none() && s_in.is_none() {
+                        slot.push(next);
+                        s_in = Some(next);
+                        s_stats.pushes += 1;
+                    }
+                    if f_cur.len() + f_in.len() < depth {
+                        fifo.push(next);
+                        f_in.push(next);
+                        f_stats.pushes += 1;
+                    }
+                }
+                1 => {
+                    let want = s_cur.take();
+                    s_stats.takes += u64::from(want.is_some());
+                    prop_assert_eq!(slot.take(), want);
+                    let want = f_cur.pop_front();
+                    f_stats.takes += u64::from(want.is_some());
+                    prop_assert_eq!(fifo.pop(), want);
+                }
+                _ => {
+                    slot.commit();
+                    if s_cur.is_none() {
+                        s_cur = s_in.take();
+                    }
+                    s_stats.cycles += 1;
+                    s_stats.occupied_cycles += u64::from(s_cur.is_some());
+                    fifo.commit();
+                    f_cur.extend(f_in.drain(..));
+                    f_stats.cycles += 1;
+                    f_stats.occupied_cycles += u64::from(!f_cur.is_empty());
+                    f_high = f_high.max(f_cur.len());
+                }
+            }
+            prop_assert_eq!(*slot.stats(), s_stats);
+            prop_assert_eq!(slot.occupancy(), (s_cur.is_some(), s_in.is_some()));
+            prop_assert_eq!(*fifo.stats(), f_stats);
+            prop_assert_eq!(fifo.high_water(), f_high);
+            prop_assert_eq!(fifo.len(), f_cur.len());
+        }
     }
 }
