@@ -17,6 +17,7 @@
 //! hide a recovery bug.
 
 use bench::faults::fault_sweep_verified;
+use bench::report::{self, Obj};
 use bench::Table;
 use fu_host::LinkModel;
 
@@ -46,7 +47,7 @@ fn main() {
     let seed = parse_seed().unwrap_or(SEED);
     println!("E12 — goodput and completion time vs injected fault rate");
     println!("workload: {N_ADDS} dependent ADDs + read-back + sync, seed {seed:#x}\n");
-    let mut scenarios: Vec<String> = Vec::new();
+    let mut scenarios = Vec::new();
     for link in [
         LinkModel::tightly_coupled(),
         LinkModel::pcie_like(),
@@ -77,38 +78,32 @@ fn main() {
                 format!("{:.2}", run.goodput_per_kcycle()),
                 format!("{:.3}", run.efficiency()),
             ]);
-            scenarios.push(format!(
-                concat!(
-                    "    {{\"link\": \"{}\", \"fault_permille\": {}, ",
-                    "\"cycles\": {}, \"retransmits\": {}, \"dropped\": {}, ",
-                    "\"corrupted\": {}, \"duplicated\": {}, \"wire_frames\": {}, ",
-                    "\"delivered\": {}, \"goodput_per_kcycle\": {:.3}, ",
-                    "\"efficiency\": {:.4}}}"
-                ),
-                link.name,
-                rate,
-                run.cycles,
-                s.retransmits,
-                s.frames_dropped,
-                s.frames_corrupted,
-                s.frames_duplicated,
-                run.wire_to_dev + run.wire_to_host,
-                s.delivered,
-                run.goodput_per_kcycle(),
-                run.efficiency(),
-            ));
+            scenarios.push(
+                Obj::default()
+                    .val("link", link.name)
+                    .val("fault_permille", rate)
+                    .val("cycles", run.cycles)
+                    .val("retransmits", s.retransmits)
+                    .val("dropped", s.frames_dropped)
+                    .val("corrupted", s.frames_corrupted)
+                    .val("duplicated", s.frames_duplicated)
+                    .val("wire_frames", run.wire_to_dev + run.wire_to_host)
+                    .val("delivered", s.delivered)
+                    .fixed("goodput_per_kcycle", run.goodput_per_kcycle(), 3)
+                    .fixed("efficiency", run.efficiency(), 4),
+            );
         }
         t.print();
         println!();
     }
-    let json = format!(
-        "{{\n  \"bench\": \"fault_sweep\",\n  \"seed\": {seed},\n  \"n_adds\": {N_ADDS},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        scenarios.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault_sweep.json");
-    std::fs::write(path, &json).expect("write BENCH_fault_sweep.json");
+    let doc = Obj::default()
+        .val("bench", "fault_sweep")
+        .val("seed", seed)
+        .val("n_adds", N_ADDS)
+        .list("scenarios", scenarios);
+    report::write("BENCH_fault_sweep.json", &doc);
     println!(
         "Every faulty run reproduced the fault-free response stream bit for\n\
-         bit; reliability costs cycles, never answers. Report: BENCH_fault_sweep.json"
+         bit; reliability costs cycles, never answers."
     );
 }

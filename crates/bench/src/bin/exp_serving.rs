@@ -14,20 +14,26 @@
 //! The binary is also CI's serving gate: it runs the deterministic
 //! serving smoke and compares its counters against
 //! `ci/sim_speed_baseline.json` (completed/shed pinned exactly,
-//! rounds/clock within 5%).
+//! rounds/clock within 5%), and fails when that file is unreadable.
 //!
 //! ```text
-//! cargo run --release -p bench --bin exp_serving [-- --smoke]
+//! cargo run --release -p bench --bin exp_serving
 //! ```
 //! (The baseline itself is rewritten by `exp_profile -- --write-baseline`.)
 
+use bench::profile::SmokeBaseline;
+use bench::report::{self, Obj};
 use bench::serving::{serving_run, serving_smoke, ServingRun};
 use bench::{Table, FPGA_MHZ};
 
 /// Fixed seed so runs (and the CI gate) are reproducible.
 const SEED: u64 = 0x0E17_5EED;
-/// Clients in the full sweep (the acceptance workload).
+/// Clients in the sweep (the acceptance workload).
 const CLIENTS: usize = 10_000;
+/// Shard counts swept, narrowest first.
+const SHARDS: &[usize] = &[1, 2, 4];
+/// Tenant counts swept.
+const TENANTS: &[u32] = &[4, 16];
 /// Per-tenant queue bound for the sweep.
 const QUEUE_DEPTH: usize = 32;
 /// Mean per-client inter-arrival gaps, lightest first. Offered rate is
@@ -35,100 +41,56 @@ const QUEUE_DEPTH: usize = 32;
 /// spanning under-saturation to heavy overload for every shard count.
 const GAPS: &[u64] = &[200_000, 50_000, 12_500];
 
-const BASELINE_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../ci/sim_speed_baseline.json"
-);
-const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-
-fn tier_json(r: &ServingRun) -> String {
-    let fields: Vec<String> = r
-        .tiers
-        .iter()
-        .map(|t| {
-            let p = t.counters.latency.percentiles();
-            format!(
-                concat!(
-                    "{{\"tier\": \"{}\", \"weight\": {}, \"tenants\": {}, ",
-                    "\"submitted\": {}, \"completed\": {}, \"shed\": {}, ",
-                    "\"p50_cycles\": {}, \"p99_cycles\": {}, \"shed_rate\": {:.4}}}"
-                ),
-                t.tier,
-                t.weight,
-                t.tenants,
-                t.counters.submitted,
-                t.counters.completed,
-                t.counters.shed,
-                p.p50,
-                p.p99,
-                t.counters.shed_rate()
-            )
-        })
-        .collect();
-    format!("[{}]", fields.join(", "))
-}
-
-fn scenario_json(r: &ServingRun) -> String {
-    format!(
-        concat!(
-            "    {{\"shards\": {}, \"tenants\": {}, \"clients\": {}, ",
-            "\"mean_gap_cycles\": {}, \"offered\": {}, \"admitted\": {}, ",
-            "\"shed\": {}, \"completed\": {}, \"failed\": {}, ",
-            "\"clock_cycles\": {}, \"rounds\": {}, ",
-            "\"sustained_ops_per_sec\": {:.0}, \"shed_fraction\": {:.4}, ",
-            "\"tiers\": {}}}"
-        ),
-        r.shards,
-        r.tenants,
-        r.clients,
-        r.mean_gap,
-        r.offered,
-        r.admitted,
-        r.shed,
-        r.completed,
-        r.failed,
-        r.clock_cycles,
-        r.rounds,
-        r.ops_per_sec,
-        r.shed_fraction,
-        tier_json(r)
-    )
+fn scenario(r: &ServingRun) -> Obj {
+    let tiers = r.tiers.iter().map(|t| {
+        let p = t.counters.latency.percentiles();
+        Obj::default()
+            .val("tier", t.tier)
+            .val("weight", t.weight)
+            .val("tenants", t.tenants)
+            .val("submitted", t.counters.submitted)
+            .val("completed", t.counters.completed)
+            .val("shed", t.counters.shed)
+            .val("p50_cycles", p.p50)
+            .val("p99_cycles", p.p99)
+            .fixed("shed_rate", t.counters.shed_rate(), 4)
+    });
+    Obj::default()
+        .val("shards", r.shards)
+        .val("tenants", r.tenants)
+        .val("clients", r.clients)
+        .val("mean_gap_cycles", r.mean_gap)
+        .val("offered", r.offered)
+        .val("admitted", r.admitted)
+        .val("shed", r.shed)
+        .val("completed", r.completed)
+        .val("failed", r.failed)
+        .val("clock_cycles", r.clock_cycles)
+        .val("rounds", r.rounds)
+        .fixed("sustained_ops_per_sec", r.ops_per_sec, 0)
+        .fixed("shed_fraction", r.shed_fraction, 4)
+        .list("tiers", tiers)
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
     // ---- the deterministic serving gate ------------------------------
     let counts = serving_smoke();
-    println!("serving smoke: {}", counts.to_inline_json());
-    match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => {
-            let baseline = bench::profile::SmokeBaseline::from_json(&text).expect("parse baseline");
-            counts
-                .check_against(&baseline.serving)
-                .expect("serving smoke regressed against ci/sim_speed_baseline.json");
-            println!(
-                "gate: serving smoke within its baseline bounds (baseline {})\n",
-                baseline.serving.to_inline_json()
-            );
-        }
-        Err(e) => println!(
-            "gate skipped: {BASELINE_PATH} unreadable ({e}); run exp_profile -- --write-baseline\n"
-        ),
-    }
+    println!("serving smoke: {}", counts.to_obj().render(0));
+    let baseline = SmokeBaseline::load();
+    counts
+        .check_against(&baseline.serving)
+        .expect("serving smoke regressed against ci/sim_speed_baseline.json");
+    println!(
+        "gate: serving smoke within its baseline bounds (baseline {})\n",
+        baseline.serving.to_obj().render(0)
+    );
 
     // ---- the sweep ---------------------------------------------------
-    let clients = if smoke { 500 } else { CLIENTS };
-    let shard_counts: &[usize] = if smoke { &[2] } else { &[1, 2, 4] };
-    let tenant_counts: &[u32] = if smoke { &[4] } else { &[4, 16] };
-    println!(
-        "E17 — serving sweep, {clients} clients x 2 jobs, seed {SEED:#x}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    println!("E17 — serving sweep, {CLIENTS} clients x 2 jobs, seed {SEED:#x}");
     println!("every completion verified against the generator's expected value\n");
 
     let mut runs: Vec<ServingRun> = Vec::new();
-    for &shards in shard_counts {
+    for &shards in SHARDS {
         let mut t = Table::new([
             "tenants",
             "gap cyc",
@@ -140,9 +102,9 @@ fn main() {
             "silver p50/p99",
             "bronze p50/p99",
         ]);
-        for &tenants in tenant_counts {
+        for &tenants in TENANTS {
             for &gap in GAPS {
-                let r = serving_run(shards, tenants, clients, gap, QUEUE_DEPTH, SEED, true);
+                let r = serving_run(shards, tenants, CLIENTS, gap, QUEUE_DEPTH, SEED, true);
                 let tier_pcts = |name: &str| {
                     r.tiers
                         .iter()
@@ -177,43 +139,29 @@ fn main() {
         assert_eq!(r.offered, r.completed + r.failed + r.shed, "lost jobs");
         assert_eq!(r.failed, 0, "E17 must not fail jobs");
     }
-    // Saturation shape is only meaningful at the full 10k-client load
-    // (the smoke sweep is deliberately tiny; its shedding is exercised
-    // by `serving_smoke` above).
-    if !smoke {
-        let widest = runs
-            .iter()
-            .filter(|r| r.shards == *shard_counts.last().unwrap() && r.mean_gap == GAPS[0])
-            .max_by_key(|r| r.completed)
-            .expect("swept configuration");
-        assert!(
-            widest.shed_fraction < 0.05,
-            "light load on the widest farm should barely shed, got {:.1}%",
-            widest.shed_fraction * 100.0
-        );
-        assert!(
-            runs.iter().any(|r| r.shed > 0),
-            "the sweep never saturated — offered loads are mis-tuned"
-        );
-    }
+    let widest = runs
+        .iter()
+        .filter(|r| r.shards == SHARDS[SHARDS.len() - 1] && r.mean_gap == GAPS[0])
+        .max_by_key(|r| r.completed)
+        .expect("swept configuration");
+    assert!(
+        widest.shed_fraction < 0.05,
+        "light load on the widest farm should barely shed, got {:.1}%",
+        widest.shed_fraction * 100.0
+    );
+    assert!(
+        runs.iter().any(|r| r.shed > 0),
+        "the sweep never saturated — offered loads are mis-tuned"
+    );
 
     // ---- artifact ----------------------------------------------------
-    let scenarios: Vec<String> = runs.iter().map(scenario_json).collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"serving\",\n  \"seed\": {},\n  \"smoke\": {},\n",
-            "  \"clock_mhz\": {},\n  \"clients\": {},\n  \"queue_depth\": {},\n",
-            "  \"smoke_counters\": {},\n",
-            "  \"scenarios\": [\n{}\n  ]\n}}\n"
-        ),
-        SEED,
-        smoke,
-        FPGA_MHZ,
-        clients,
-        QUEUE_DEPTH,
-        counts.to_inline_json(),
-        scenarios.join(",\n")
-    );
-    std::fs::write(BENCH_PATH, &json).expect("write BENCH_serving.json");
-    println!("wrote {BENCH_PATH}");
+    let doc = Obj::default()
+        .val("bench", "serving")
+        .val("seed", SEED)
+        .fixed("clock_mhz", FPGA_MHZ, 0)
+        .val("clients", CLIENTS)
+        .val("queue_depth", QUEUE_DEPTH)
+        .obj("smoke_counters", counts.to_obj())
+        .list("scenarios", runs.iter().map(scenario));
+    report::write("BENCH_serving.json", &doc);
 }

@@ -13,9 +13,10 @@
 //! `(cycles + cycles_lost) / clean_cycles − 1`.
 //!
 //! ```text
-//! cargo run --release -p bench --bin exp_soft_errors [-- --smoke]
+//! cargo run --release -p bench --bin exp_soft_errors
 //! ```
 
+use bench::report::{self, Obj};
 use bench::soft_errors::{resilience_run, soft_error_smoke, Protection};
 use bench::Table;
 use fu_rtm::SeuConfig;
@@ -27,21 +28,19 @@ const INTERVALS: &[u64] = &[400, 150, 50];
 const CKPTS: &[u64] = &[4, 16, 64];
 /// Base seed; per-point seeds are derived by offset.
 const SEED: u64 = 0x0E16_0000;
+/// Seeds per sweep point.
+const N_SEEDS: u64 = 8;
+/// Dependent adds per run.
+const N_ADDS: usize = 192;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (n_seeds, n_adds) = if smoke { (3u64, 96) } else { (8u64, 192) };
-
+    println!("E16 — soft-error resilience sweep");
     println!(
-        "E16 — soft-error resilience sweep{}",
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!(
-        "workload: {n_adds} dependent ADDs + periodic read-back, {n_seeds} seeds per point\n\
+        "workload: {N_ADDS} dependent ADDs + periodic read-back, {N_SEEDS} seeds per point\n\
          completion = response stream bit-identical to the fault-free reference\n"
     );
 
-    let mut scenarios: Vec<String> = Vec::new();
+    let mut scenarios = Vec::new();
     for &interval in INTERVALS {
         println!("strike interval: mean {interval} cycles");
         let mut t = Table::new([
@@ -56,7 +55,7 @@ fn main() {
         for p in Protection::ALL {
             let ckpts: &[u64] = if p.recovers() { CKPTS } else { &[0] };
             for &ckpt in ckpts {
-                let clean = resilience_run(p, None, ckpt.max(1), n_adds);
+                let clean = resilience_run(p, None, ckpt.max(1), N_ADDS);
                 assert!(clean.drained, "fault-free reference failed to drain");
                 let mut completed = 0u64;
                 let mut overhead_sum = 0.0f64;
@@ -65,9 +64,9 @@ fn main() {
                 let mut corr = 0u64;
                 let mut rollbacks = 0u64;
                 let mut lost = 0u64;
-                for s in 0..n_seeds {
+                for s in 0..N_SEEDS {
                     let seu = SeuConfig::all(SEED + s * 7919 + interval, interval);
-                    let run = resilience_run(p, Some(seu), ckpt.max(1), n_adds);
+                    let run = resilience_run(p, Some(seu), ckpt.max(1), N_ADDS);
                     if run.drained && run.responses == clean.responses {
                         completed += 1;
                     }
@@ -79,7 +78,7 @@ fn main() {
                     rollbacks += run.recovery.rollbacks;
                     lost += run.recovery.cycles_lost;
                 }
-                let overhead = overhead_sum / n_seeds as f64;
+                let overhead = overhead_sum / N_SEEDS as f64;
                 let mean_lost = if rollbacks == 0 {
                     0.0
                 } else {
@@ -92,34 +91,27 @@ fn main() {
                     } else {
                         "—".to_string()
                     },
-                    format!("{completed}/{n_seeds}"),
+                    format!("{completed}/{N_SEEDS}"),
                     format!("{:+.2}%", overhead * 100.0),
                     format!("{inj}/{det}/{corr}"),
                     rollbacks.to_string(),
                     format!("{mean_lost:.0}"),
                 ]);
-                scenarios.push(format!(
-                    concat!(
-                        "    {{\"protection\": \"{}\", \"mean_interval\": {}, ",
-                        "\"ckpt_interval\": {}, \"seeds\": {}, \"completed\": {}, ",
-                        "\"mean_work_overhead\": {:.4}, \"seus_injected\": {}, ",
-                        "\"seus_detected\": {}, \"seus_corrected\": {}, ",
-                        "\"rollbacks\": {}, \"cycles_lost\": {}, ",
-                        "\"mean_cycles_lost_per_rollback\": {:.1}}}"
-                    ),
-                    p.label(),
-                    interval,
-                    ckpt,
-                    n_seeds,
-                    completed,
-                    overhead,
-                    inj,
-                    det,
-                    corr,
-                    rollbacks,
-                    lost,
-                    mean_lost,
-                ));
+                scenarios.push(
+                    Obj::default()
+                        .val("protection", p.label())
+                        .val("mean_interval", interval)
+                        .val("ckpt_interval", ckpt)
+                        .val("seeds", N_SEEDS)
+                        .val("completed", completed)
+                        .fixed("mean_work_overhead", overhead, 4)
+                        .val("seus_injected", inj)
+                        .val("seus_detected", det)
+                        .val("seus_corrected", corr)
+                        .val("rollbacks", rollbacks)
+                        .val("cycles_lost", lost)
+                        .fixed("mean_cycles_lost_per_rollback", mean_lost, 1),
+                );
             }
         }
         t.print();
@@ -130,25 +122,18 @@ fn main() {
     // ci/sim_speed_baseline.json); recomputed here so the report is
     // self-contained. Panics on any resilience regression.
     let c = soft_error_smoke();
-    println!("smoke counters: {}", c.to_inline_json());
+    println!("smoke counters: {}", c.to_obj().render(0));
 
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"soft_errors\",\n  \"seed\": {},\n",
-            "  \"n_seeds\": {},\n  \"n_adds\": {},\n",
-            "  \"smoke_counters\": {},\n",
-            "  \"scenarios\": [\n{}\n  ]\n}}\n"
-        ),
-        SEED,
-        n_seeds,
-        n_adds,
-        c.to_inline_json(),
-        scenarios.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_soft_errors.json");
-    std::fs::write(path, &json).expect("write BENCH_soft_errors.json");
+    let doc = Obj::default()
+        .val("bench", "soft_errors")
+        .val("seed", SEED)
+        .val("n_seeds", N_SEEDS)
+        .val("n_adds", N_ADDS)
+        .obj("smoke_counters", c.to_obj())
+        .list("scenarios", scenarios);
+    report::write("BENCH_soft_errors.json", &doc);
     println!(
         "\nEvery recovery-tier completion above means the protected run reproduced\n\
-         the fault-free stream bit for bit. Report: BENCH_soft_errors.json"
+         the fault-free stream bit for bit."
     );
 }

@@ -5,54 +5,53 @@
 //! over shard count and issue batch size for the arithmetic and χ-sort
 //! workloads, verifying on every configuration that the threaded run is
 //! bit-identical to the serial run (the harness panics otherwise — CI
-//! runs this binary as the farm smoke test with `--smoke`).
+//! runs this binary as the farm check).
 //!
 //! Throughput is aggregate *simulated* operations per second at the
 //! 50 MHz prototype clock: N shards are N boards running concurrently,
-//! so the farm's makespan is its slowest shard. Host wall-clock for both
-//! runs is recorded alongside (threading wins it on many-core hosts).
+//! so the farm's makespan is its slowest shard.
 //!
 //! ```text
-//! cargo run --release -p bench --bin exp_throughput [-- --smoke]
+//! cargo run --release -p bench --bin exp_throughput
 //! ```
 
+use bench::report::{self, Obj};
 use bench::throughput::{arith_farm, arith_jobs, run_verified, xi_farm, xi_jobs, FarmRun};
-use bench::Table;
+use bench::{Table, FPGA_MHZ};
 
-/// Fixed seed so runs (and the CI smoke job) are reproducible.
+/// Fixed seed so runs (and the CI check) are reproducible.
 const SEED: u64 = 0x7489_0075;
 const SHARDS: &[usize] = &[1, 2, 4, 8];
 const BATCHES: &[usize] = &[1, 8, 64];
 
-fn sweep(smoke: bool) -> Vec<FarmRun> {
-    // Total operations per configuration; the χ-sort cell count bounds
-    // its batch (a sort job must fit the sorter).
-    let (arith_total, xi_total, xi_cells) = if smoke {
-        (128, 48, 64)
-    } else {
-        (1024, 192, 64)
-    };
+/// Total operations per configuration, per workload.
+const ARITH_TOTAL: usize = 1024;
+const XI_TOTAL: usize = 192;
+/// χ-sort cells: they bound the batch (a sort job must fit the sorter).
+const XI_CELLS: u32 = 64;
+
+fn sweep() -> Vec<FarmRun> {
     let mut runs = Vec::new();
     for &shards in SHARDS {
         for &batch in BATCHES {
-            let jobs = arith_jobs(arith_total, batch, SEED);
+            let jobs = arith_jobs(ARITH_TOTAL, batch, SEED);
             let mut farm = arith_farm(shards, SEED);
             runs.push(run_verified(
                 &mut farm,
                 "arith",
                 batch,
                 &jobs,
-                arith_total as u64,
+                ARITH_TOTAL as u64,
             ));
 
-            let jobs = xi_jobs(xi_total, batch, SEED);
-            let mut farm = xi_farm(shards, xi_cells, SEED);
+            let jobs = xi_jobs(XI_TOTAL, batch, SEED);
+            let mut farm = xi_farm(shards, XI_CELLS, SEED);
             runs.push(run_verified(
                 &mut farm,
                 "xi-sort",
                 batch,
                 &jobs,
-                xi_total as u64,
+                XI_TOTAL as u64,
             ));
         }
     }
@@ -69,16 +68,12 @@ fn baseline_makespan(runs: &[FarmRun], workload: &str, batch: usize) -> u64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!(
-        "E13 — farm throughput, shards {SHARDS:?} × batch {BATCHES:?}, seed {SEED:#x}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
+    println!("E13 — farm throughput, shards {SHARDS:?} × batch {BATCHES:?}, seed {SEED:#x}");
     println!(
         "aggregate ops/sec in simulated time at 50 MHz; every cell verified parallel == serial\n"
     );
 
-    let runs = sweep(smoke);
+    let runs = sweep();
 
     let mut scenarios = Vec::new();
     for workload in ["arith", "xi-sort"] {
@@ -92,8 +87,6 @@ fn main() {
             "cyc/op",
             "Mops/s",
             "speedup",
-            "wall par ms",
-            "wall ser ms",
         ]);
         for r in runs.iter().filter(|r| r.workload == workload) {
             let speedup =
@@ -107,37 +100,27 @@ fn main() {
                 format!("{:.1}", r.cycles_per_op()),
                 format!("{:.3}", r.ops_per_sec() / 1e6),
                 format!("{speedup:.2}x"),
-                format!("{:.1}", r.wall_parallel_ms),
-                format!("{:.1}", r.wall_serial_ms),
             ]);
-            scenarios.push(format!(
-                concat!(
-                    "    {{\"workload\": \"{}\", \"shards\": {}, \"batch\": {}, ",
-                    "\"jobs\": {}, \"ops\": {}, \"makespan_cycles\": {}, ",
-                    "\"total_cycles\": {}, \"cycles_per_op\": {:.2}, ",
-                    "\"ops_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3}, ",
-                    "\"wall_parallel_ms\": {:.2}, \"wall_serial_ms\": {:.2}, ",
-                    "\"identical\": true}}"
-                ),
-                r.workload,
-                r.shards,
-                r.batch,
-                r.jobs,
-                r.ops,
-                r.makespan_cycles,
-                r.total_cycles,
-                r.cycles_per_op(),
-                r.ops_per_sec(),
-                speedup,
-                r.wall_parallel_ms,
-                r.wall_serial_ms,
-            ));
+            scenarios.push(
+                Obj::default()
+                    .val("workload", r.workload)
+                    .val("shards", r.shards)
+                    .val("batch", r.batch)
+                    .val("jobs", r.jobs)
+                    .val("ops", r.ops)
+                    .val("makespan_cycles", r.makespan_cycles)
+                    .val("total_cycles", r.total_cycles)
+                    .fixed("cycles_per_op", r.cycles_per_op(), 2)
+                    .fixed("ops_per_sec", r.ops_per_sec(), 1)
+                    .fixed("speedup_vs_serial", speedup, 3)
+                    .val("identical", true),
+            );
         }
         t.print();
         println!();
     }
 
-    // Acceptance gates (also enforced by the CI smoke job).
+    // Acceptance gates (enforced in CI).
     let find = |w: &str, s: usize, b: usize| {
         runs.iter()
             .find(|r| r.workload == w && r.shards == s && r.batch == b)
@@ -160,12 +143,10 @@ fn main() {
          single-system CPI batch=64 {cpi_64:.1} < batch=1 {cpi_1:.1}"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"farm_throughput\",\n  \"seed\": {SEED},\n  \"smoke\": {smoke},\n  \
-         \"clock_mhz\": 50.0,\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        scenarios.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    std::fs::write(path, &json).expect("write BENCH_throughput.json");
-    println!("wrote {path}");
+    let doc = Obj::default()
+        .val("bench", "farm_throughput")
+        .val("seed", SEED)
+        .fixed("clock_mhz", FPGA_MHZ, 1)
+        .list("scenarios", scenarios);
+    report::write("BENCH_throughput.json", &doc);
 }

@@ -7,6 +7,8 @@
 //! per baseline section carries names, values and bounds; the writer,
 //! the parser and the check below are the only code that reads it.
 
+use crate::report::Obj;
+
 /// How the gate compares a counter with its baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
@@ -73,21 +75,10 @@ impl Counters {
         c
     }
 
-    fn fields(&self) -> impl Iterator<Item = String> + '_ {
-        self.iter().map(|(name, v, _)| format!("\"{name}\": {v}"))
-    }
-
-    /// Serialize as a multi-line JSON object nested at `indent`.
-    #[must_use]
-    pub fn to_json(&self, indent: &str) -> String {
-        let body: Vec<String> = self.fields().map(|f| format!("{indent}  {f}")).collect();
-        format!("{{\n{}\n{indent}}}", body.join(",\n"))
-    }
-
-    /// Serialize as a one-line JSON object.
-    #[must_use]
-    pub fn to_inline_json(&self) -> String {
-        format!("{{{}}}", self.fields().collect::<Vec<_>>().join(", "))
+    /// The counters as a report object, in document order.
+    pub fn to_obj(&self) -> Obj {
+        self.iter()
+            .fold(Obj::default(), |o, (name, v, _)| o.val(name, v))
     }
 
     /// Read every counter of `spec` out of a JSON fragment (hand-rolled:
@@ -159,9 +150,13 @@ mod tests {
     #[test]
     fn both_writers_roundtrip_through_the_parser() {
         let c = Counters::new(SPEC, [7, 100]);
-        assert_eq!(c.to_inline_json(), "{\"pinned\": 7, \"slack\": 100}");
-        assert_eq!(Counters::from_json(SPEC, &c.to_json("  ")), Ok(c.clone()));
-        assert_eq!(Counters::from_json(SPEC, &c.to_inline_json()), Ok(c));
+        assert_eq!(c.to_obj().render(0), "{\"pinned\": 7, \"slack\": 100}");
+        // Inline (a report's header) and one counter per line (a baseline
+        // section) both parse back.
+        for levels in [0, 1] {
+            let text = c.to_obj().render(levels);
+            assert_eq!(Counters::from_json(SPEC, &text), Ok(c.clone()));
+        }
         assert!(Counters::from_json(SPEC, "{\"pinned\": 7}").is_err());
     }
 }

@@ -1,10 +1,11 @@
 //! Shared measurement harness for the reproduction's experiments.
 //!
 //! Every table and figure of the evaluation (see `DESIGN.md` §5 and
-//! `EXPERIMENTS.md`) is regenerated by a binary in `src/bin/`, and the
-//! wall-clock benches in `benches/` time the same workloads under
-//! criterion. This library holds the measurement code both share, so a
-//! bench and its table generator cannot drift apart.
+//! `EXPERIMENTS.md`) is regenerated by a binary in `src/bin/`. This
+//! library holds their measurement code, and [`report`] writes every
+//! checked-in report. Each binary has one mode, and its output is a pure
+//! function of its seed: simulated cycles and counts, never host time.
+//! Host time is measured in one place, the `perfbench/` harness.
 
 pub mod cpi;
 pub mod faults;
@@ -12,6 +13,7 @@ pub mod gate;
 pub mod links;
 pub mod ooo;
 pub mod profile;
+pub mod report;
 pub mod serving;
 pub mod soft_errors;
 pub mod table;

@@ -37,15 +37,15 @@ pub fn arith_batch(link: LinkModel, n: usize) -> LinkRun {
     arith_batch_mode(link, n, ActivityMode::Scheduled)
 }
 
-/// [`arith_batch`] with an explicit scheduling mode (the wall-clock
-/// benchmark compares the two; results are identical by construction).
+/// [`arith_batch`] with an explicit scheduling mode (results are
+/// identical in both modes by construction).
 pub fn arith_batch_mode(link: LinkModel, n: usize, mode: ActivityMode) -> LinkRun {
     arith_batch_mode_traced(link, n, mode, 0)
 }
 
 /// [`arith_batch_mode`] with event tracing enabled at `trace_depth`
-/// (`0` = off). The profiling experiment (E14) uses this to measure the
-/// overhead of a traced run against the identical untraced one.
+/// (`0` = off). The profiling experiment's tests (E14) check that a
+/// traced run matches the identical untraced one.
 pub fn arith_batch_mode_traced(
     link: LinkModel,
     n: usize,

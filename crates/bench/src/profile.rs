@@ -8,14 +8,12 @@
 //! (results *and* `SimStats`): tracing observes the machine, it never
 //! steers it.
 //!
-//! The module also carries the CI regression gate for tracing overhead:
-//! a deterministic work-count baseline for the E8 sim-speed smoke
-//! configuration (`ci/sim_speed_baseline.json`) that the `exp_profile`
-//! binary refuses to exceed by more than 5%. A second work-count section
-//! pins the reliable multi-host smoke, whose stepped cycles show whether
-//! the scheduler still skips to each host's transmit event.
-
-use std::time::Instant;
+//! The module also carries CI's work-count gate: a deterministic
+//! baseline (`ci/sim_speed_baseline.json`) for the E8 sim-speed smoke
+//! configuration that the `exp_profile` binary refuses to exceed by more
+//! than 5%. A second work-count section pins the reliable multi-host
+//! smoke, whose stepped cycles show whether the scheduler still skips to
+//! each host's transmit event.
 
 use fu_host::{Farm, FarmConfig, Job, LinkModel, LinkStats, MultiHostSystem};
 use fu_isa::transport::TransportConfig;
@@ -25,6 +23,7 @@ use rtl_sim::{LatencySnapshot, SimStats};
 
 use crate::gate::{Bound, Counters, Spec};
 use crate::links::arith_batch_mode;
+use crate::report::{self, Obj};
 use crate::serving::{serving_smoke, SERVE_COUNTS};
 use crate::soft_errors::{soft_error_smoke, SOFT_COUNTS};
 use crate::throughput::{arith_jobs, xi_jobs};
@@ -278,6 +277,9 @@ pub fn reliable_counts(sim: &SimStats) -> Counters {
     )
 }
 
+/// The CI baseline document under the repository root.
+pub const BASELINE_FILE: &str = "ci/sim_speed_baseline.json";
+
 /// The CI baseline document: one pinned-counter section per smoke.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmokeBaseline {
@@ -325,15 +327,23 @@ impl SmokeBaseline {
 
     /// Serialize as the baseline JSON document.
     pub fn to_json(&self) -> String {
-        let body: Vec<String> = Self::SECTIONS
-            .iter()
-            .zip(self.sections())
-            .map(|((key, _), c)| format!("  \"{key}\": {}", c.to_json("  ")))
-            .collect();
-        format!(
-            "{{\n  \"bench\": \"sim_speed_smoke\",\n{}\n}}\n",
-            body.join(",\n")
-        )
+        let doc = Self::SECTIONS.iter().zip(self.sections()).fold(
+            Obj::default().val("bench", "sim_speed_smoke"),
+            |doc, ((key, _), c)| doc.obj(key, c.to_obj()),
+        );
+        doc.render(2) + "\n"
+    }
+
+    /// Read and parse the checked-in baseline, [`BASELINE_FILE`].
+    ///
+    /// # Panics
+    /// When it is unreadable or malformed, saying how to rewrite it.
+    #[must_use]
+    pub fn load() -> SmokeBaseline {
+        std::fs::read_to_string(report::path(BASELINE_FILE))
+            .map_err(|e| e.to_string())
+            .and_then(|text| SmokeBaseline::from_json(&text))
+            .unwrap_or_else(|e| panic!("{BASELINE_FILE}: {e}; run exp_profile -- --write-baseline"))
     }
 
     /// Parse the baseline JSON document (sections in document order).
@@ -380,25 +390,6 @@ impl SmokeBaseline {
         }
         Ok(())
     }
-}
-
-/// Measure wall-clock for the sim-speed smoke with tracing off and on.
-/// Returns `(untraced_ms, traced_ms)`. Reported for the record; the CI
-/// gate uses the deterministic [`WORK_COUNTS`] instead, because a loaded
-/// runner can double any wall-clock number without a real regression.
-pub fn overhead_wall_ms(mode: ActivityMode) -> (f64, f64) {
-    let t0 = Instant::now();
-    let a = arith_batch_mode(LinkModel::prototyping(), 64, mode);
-    let untraced = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Same workload on a traced system: System-level, not Farm, to stay
-    // identical to the untraced path above.
-    let t1 = Instant::now();
-    let b = crate::links::arith_batch_mode_traced(LinkModel::prototyping(), 64, mode, TRACE_DEPTH);
-    let traced = t1.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(a.cycles, b.cycles, "tracing changed the smoke cycle count");
-    assert_eq!(a.sim, b.sim, "tracing changed the smoke SimStats");
-    (untraced, traced)
 }
 
 #[cfg(test)]
@@ -462,6 +453,23 @@ mod tests {
             m.get("cycles_stepped"),
             reference.get("cycles_stepped")
         );
+    }
+
+    #[test]
+    fn traced_sim_speed_smoke_matches_its_untraced_twin() {
+        for mode in [ActivityMode::Scheduled, ActivityMode::Exhaustive] {
+            let link = LinkModel::prototyping();
+            let plain = arith_batch_mode(link, 64, mode);
+            let traced = crate::links::arith_batch_mode_traced(link, 64, mode, TRACE_DEPTH);
+            assert_eq!(
+                plain.cycles, traced.cycles,
+                "{mode:?}: tracing changed the cycles"
+            );
+            assert_eq!(
+                plain.sim, traced.sim,
+                "{mode:?}: tracing changed the SimStats"
+            );
+        }
     }
 
     #[test]

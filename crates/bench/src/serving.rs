@@ -306,7 +306,7 @@ mod tests {
     fn serve_counter_gate_roundtrips_and_rejects_drift() {
         let base = Counters::new(SERVE_COUNTS, [500, 100, 40, 900_000]);
         assert_eq!(
-            Counters::from_json(SERVE_COUNTS, &base.to_json("")),
+            Counters::from_json(SERVE_COUNTS, &base.to_obj().render(1)),
             Ok(base.clone())
         );
         assert!(base.check_against(&base).is_ok());

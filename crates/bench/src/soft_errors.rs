@@ -303,7 +303,7 @@ mod tests {
     fn soft_counter_gate_roundtrips_and_rejects_drift() {
         let base = Counters::new(SOFT_COUNTS, [33, 7, 6, 1, 3]);
         assert_eq!(
-            Counters::from_json(SOFT_COUNTS, &base.to_json("")),
+            Counters::from_json(SOFT_COUNTS, &base.to_obj().render(1)),
             Ok(base.clone())
         );
         assert!(base.check_against(&base).is_ok());

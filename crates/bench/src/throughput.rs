@@ -4,15 +4,10 @@
 //! two workloads — the arithmetic batch and χ-sort — and reports
 //! aggregate throughput in *simulated* time: N shards are N boards
 //! running concurrently, so the farm finishes when its slowest shard
-//! does ([`fu_host::Farm::makespan_cycles`]). Host wall-clock for the
-//! serial and threaded runs is reported alongside; on a many-core host
-//! the threaded run also wins wall-clock, on a single-core CI box it
-//! measures the threading overhead instead.
+//! does ([`fu_host::Farm::makespan_cycles`]).
 //!
 //! Every measured configuration is *verified*: the parallel run must be
 //! bit-identical to the serial run, or the harness panics.
-
-use std::time::Instant;
 
 use fu_host::{Farm, FarmConfig, Job, LinkModel};
 use fu_rtm::{CoprocConfig, FunctionalUnit};
@@ -39,10 +34,6 @@ pub struct FarmRun {
     pub makespan_cycles: u64,
     /// Summed shard cycles (the serial-equivalent simulated cost).
     pub total_cycles: u64,
-    /// Host wall-clock of the threaded run, in milliseconds.
-    pub wall_parallel_ms: f64,
-    /// Host wall-clock of the single-threaded reference run.
-    pub wall_serial_ms: f64,
 }
 
 impl FarmRun {
@@ -153,14 +144,10 @@ pub fn run_verified(
     jobs: &[Job],
     ops: u64,
 ) -> FarmRun {
-    let t0 = Instant::now();
     let serial = farm.run_serial(jobs).expect("serial farm run");
-    let wall_serial_ms = t0.elapsed().as_secs_f64() * 1e3;
     let serial_cycles: Vec<u64> = farm.shard_reports().iter().map(|r| r.cycles).collect();
 
-    let t1 = Instant::now();
     let parallel = farm.run_parallel(jobs).expect("parallel farm run");
-    let wall_parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     assert_eq!(
         serial,
@@ -188,8 +175,6 @@ pub fn run_verified(
         ops,
         makespan_cycles: farm.makespan_cycles(),
         total_cycles: farm.total_cycles(),
-        wall_parallel_ms,
-        wall_serial_ms,
     }
 }
 

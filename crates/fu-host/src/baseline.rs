@@ -1,13 +1,11 @@
 //! Conventional-CPU baselines and the clock-rate cost model.
 //!
-//! Experiments compare the simulated coprocessor against software two
-//! ways:
-//!
-//! * **cycle/visit counts** — simulated FPGA cycles versus the software
-//!   reference's element visits, converted to time through [`CpuModel`]
-//!   (the paper's framing: 50 MHz FPGA against a GHz-class CPU);
-//! * **wall clock** — criterion benches time the real Rust baselines in
-//!   this module directly.
+//! Experiments compare the simulated coprocessor against software by
+//! cycle/visit counts: simulated FPGA cycles versus the software
+//! reference's element visits, converted to time through [`CpuModel`]
+//! (the paper's framing: 50 MHz FPGA against a GHz-class CPU). Nothing
+//! here is timed on the host; host time is measured by the `perfbench/`
+//! harness alone.
 
 use xi_sort::reference::{quicksort, SoftwareXiSort};
 
