@@ -39,7 +39,8 @@ impl FaultRun {
     }
 
     /// Payload frames delivered per wire frame carried — the protocol's
-    /// efficiency (1/3 minus ack overhead when nothing goes wrong).
+    /// efficiency (up to 8/10 of a full data segment, less the header,
+    /// CRC and ack frames of shorter ones, when nothing goes wrong).
     pub fn efficiency(&self) -> f64 {
         self.stats.delivered as f64 / (self.wire_to_dev + self.wire_to_host) as f64
     }

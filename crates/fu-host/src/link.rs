@@ -150,6 +150,9 @@ pub struct LinkStats {
     pub delivered: u64,
     /// Segments rejected (bad CRC, duplicate, out of order).
     pub rejected: u64,
+    /// Wire frames the endpoints emitted: data and ack segments,
+    /// resends included.
+    pub wire_frames: u64,
     /// An endpoint exhausted its retries and stopped retransmitting.
     pub gave_up: bool,
 }
@@ -170,6 +173,7 @@ impl LinkStats {
         self.acks_received += t.acks_received;
         self.delivered += t.delivered;
         self.rejected += t.rejected;
+        self.wire_frames += t.wire_frames;
         self.gave_up |= t.gave_up;
     }
 }
@@ -187,6 +191,7 @@ impl std::ops::AddAssign for LinkStats {
         self.acks_received += rhs.acks_received;
         self.delivered += rhs.delivered;
         self.rejected += rhs.rejected;
+        self.wire_frames += rhs.wire_frames;
         self.gave_up |= rhs.gave_up;
     }
 }

@@ -1,16 +1,19 @@
-//! Reliable link transport: go-back-N framing with per-segment sequence
+//! Reliable link transport: go-back-N framing with per-word sequence
 //! numbers, CRC-32 protection and cumulative acknowledgements.
 //!
 //! The paper's framing layer assumes the transceiver delivers every 32-bit
 //! frame intact; this module is the drop-in replacement for lossy links.
-//! Each application frame (one 32-bit word of the normal host↔device wire
-//! protocol) is wrapped into a three-frame *data segment*:
+//! Application frames (32-bit words of the normal host↔device wire
+//! protocol) travel in *data segments* of one header, `len` payload words
+//! and a CRC, in the style of HGum's header/payload/CRC messages:
 //!
 //! ```text
-//! [ 0xD5 << 24 | seq:u16 ]  [ payload:u32 ]  [ crc32(header, payload) ]
+//! [ 0xD5 << 24 | len:u8 << 16 | seq:u16 ]  [ payload:u32 ] × len  [ crc32(header, payloads) ]
 //! ```
 //!
-//! and acknowledged by a two-frame *ack segment* on the reverse link:
+//! `seq` numbers the first payload word; the words that follow take the
+//! next sequence numbers in turn. Segments are acknowledged by a
+//! two-frame *ack segment* on the reverse link:
 //!
 //! ```text
 //! [ 0xAC << 24 | cum_seq:u16 ]  [ crc32(header) ]
@@ -18,11 +21,15 @@
 //!
 //! Both directions run one [`Endpoint`] each; an endpoint transmits its own
 //! data segments *and* the acks for the segments it receives, so the
-//! protocol is fully symmetric between host and device. Receivers deliver
-//! payloads strictly in sequence order and answer every data segment
-//! (in-order or not) with a cumulative ack; transmitters resend the whole
-//! unacked window on an ack timeout (go-back-N) with exponential backoff,
-//! giving up after a configurable retry cap.
+//! protocol is fully symmetric between host and device. A data segment
+//! carries every sendable unacked word, up to half the window, so two
+//! segments can be in flight at once. Receivers deliver payloads strictly
+//! in sequence order and answer every data segment (in-order or not) with
+//! a cumulative ack; transmitters resend the whole unacked window on an
+//! ack timeout (go-back-N) with exponential backoff, giving up after a
+//! configurable retry cap. Each timeout also halves the segment length
+//! (down to one word, so a lossy link still gets short segments through)
+//! and each ack that makes progress doubles it again, up to its maximum.
 //!
 //! Everything here is deterministic: no randomness, and the only notion of
 //! time is the cycle number threaded in by the caller, so a simulation may
@@ -36,7 +43,8 @@ use std::collections::VecDeque;
 pub const DATA_MAGIC: u32 = 0xD5;
 /// Marker byte (bits 31..24) of an ack-segment header frame.
 pub const ACK_MAGIC: u32 = 0xAC;
-/// Frames per data segment: header, payload, CRC.
+/// Frames per one-word data segment: header, payload, CRC. A segment of
+/// `len` words takes `DATA_SEGMENT_FRAMES - 1 + len` frames.
 pub const DATA_SEGMENT_FRAMES: usize = 3;
 /// Frames per ack segment: header, CRC.
 pub const ACK_SEGMENT_FRAMES: usize = 2;
@@ -44,8 +52,9 @@ pub const ACK_SEGMENT_FRAMES: usize = 2;
 /// Tuning knobs for one reliable endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
-    /// Maximum unacked data segments in flight (go-back-N window). Must be
-    /// far below 2^15 so 16-bit sequence comparisons stay unambiguous.
+    /// Maximum unacked payload words in flight (go-back-N window). One
+    /// data segment carries at most half of it (at least one word). Must
+    /// be far below 2^15 so 16-bit sequence comparisons stay unambiguous.
     pub window: usize,
     /// Cycles to wait for an ack before resending the window.
     pub ack_timeout: u64,
@@ -60,7 +69,7 @@ pub struct TransportConfig {
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            window: 8,
+            window: 16,
             ack_timeout: 256,
             max_backoff_exp: 5,
             // Generous: with backoff capped, declaring a peer dead is
@@ -75,22 +84,32 @@ impl Default for TransportConfig {
 impl TransportConfig {
     /// A timeout sized for a link with the given one-way latency and
     /// per-frame injection interval: one round trip plus the serialisation
-    /// time of a full window, with headroom so a healthy link never
+    /// time of a full window (its payload words, and the header, CRC and
+    /// ack of each segment), with headroom so a healthy link never
     /// retransmits spuriously.
     pub fn for_link(latency_cycles: u64, cycles_per_frame: u64) -> Self {
-        let window = TransportConfig::default().window;
-        let serialise = cycles_per_frame * (window as u64) * (DATA_SEGMENT_FRAMES as u64 + 1);
+        let cfg = TransportConfig::default();
+        let segments = cfg.window.div_ceil(cfg.max_segment_words());
+        let per_segment = DATA_SEGMENT_FRAMES - 1 + ACK_SEGMENT_FRAMES;
+        let serialise = cycles_per_frame * (cfg.window + per_segment * segments) as u64;
         TransportConfig {
             ack_timeout: 2 * latency_cycles + serialise + 64,
-            ..TransportConfig::default()
+            ..cfg
         }
+    }
+
+    /// The most payload words one data segment may carry: half the
+    /// window, never fewer than one and never more than the 8-bit length
+    /// field holds.
+    fn max_segment_words(&self) -> usize {
+        (self.window / 2).clamp(1, u8::MAX as usize)
     }
 }
 
 /// Counters exposed alongside `SimStats` for observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Data segments sent for the first time.
+    /// Data segments whose first word was sent for the first time.
     pub segments_sent: u64,
     /// Data segments re-sent after an ack timeout (go-back-N resends).
     pub retransmits: u64,
@@ -98,10 +117,13 @@ pub struct TransportStats {
     pub acks_sent: u64,
     /// Valid ack segments received (including duplicates).
     pub acks_received: u64,
-    /// In-order data segments accepted and delivered.
+    /// In-order payload words accepted and delivered.
     pub delivered: u64,
-    /// Segments discarded: CRC mismatch, bad magic, or out-of-sequence.
+    /// Frames skipped while hunting for a header, and segments discarded
+    /// for a CRC mismatch or for carrying no new in-sequence word.
     pub rejected: u64,
+    /// Wire frames emitted: data and ack segments, resends included.
+    pub wire_frames: u64,
     /// Consecutive ack timeouts exceeded `max_retries`; the endpoint has
     /// stopped retransmitting.
     pub gave_up: bool,
@@ -115,14 +137,19 @@ pub struct Endpoint {
     cfg: TransportConfig,
 
     // --- transmit side -------------------------------------------------
-    /// Unacked payloads, oldest first, tagged with their 64-bit sequence
-    /// number (only the low 16 bits travel on the wire).
-    unacked: VecDeque<(u64, u32)>,
-    /// Sequence number for the next *new* payload.
-    next_seq: u64,
-    /// Index into `unacked` of the next segment to (re)transmit. Entries
+    /// Unacked payloads, oldest first.
+    unacked: VecDeque<u32>,
+    /// Sequence number of `unacked[0]` (only the low 16 bits travel on
+    /// the wire).
+    base: u64,
+    /// First sequence number never transmitted.
+    high_water: u64,
+    /// Index into `unacked` of the next word to (re)transmit. Entries
     /// below the cursor have been sent at least once this round.
     send_cursor: usize,
+    /// Payload words the next data segment may carry: halved by each ack
+    /// timeout, doubled by each ack that makes progress.
+    seg_cap: usize,
     /// Retransmit deadline, armed while any segment is outstanding.
     deadline: Option<u64>,
     backoff_exp: u32,
@@ -157,14 +184,16 @@ impl Endpoint {
         Endpoint {
             cfg,
             unacked: VecDeque::new(),
-            next_seq: 0,
+            base: 0,
+            high_water: 0,
             send_cursor: 0,
+            seg_cap: cfg.max_segment_words(),
             deadline: None,
             backoff_exp: 0,
             retries: 0,
             dead: false,
             expected: 0,
-            rx_buf: Vec::with_capacity(DATA_SEGMENT_FRAMES),
+            rx_buf: Vec::new(),
             pending_ack: None,
             delivered: VecDeque::new(),
             out_buf: VecDeque::new(),
@@ -174,14 +203,14 @@ impl Endpoint {
 
     /// Queue one application frame for reliable delivery to the peer.
     pub fn send(&mut self, payload: u32) {
-        self.unacked.push_back((self.next_seq, payload));
-        self.next_seq += 1;
+        self.unacked.push_back(payload);
     }
 
     /// Advance the retransmit timer to `now`. On expiry the whole unacked
-    /// window is rewound for retransmission (go-back-N) and the timeout
-    /// doubles, up to the backoff cap; `max_retries` consecutive timeouts
-    /// without ack progress mark the endpoint dead.
+    /// window is rewound for retransmission (go-back-N), the segment cap
+    /// halves and the timeout doubles, up to the backoff cap;
+    /// `max_retries` consecutive timeouts without ack progress mark the
+    /// endpoint dead.
     pub fn poll(&mut self, now: u64) {
         if self.unacked.is_empty() {
             self.deadline = None;
@@ -199,6 +228,7 @@ impl Endpoint {
                     self.deadline = None;
                 } else {
                     self.send_cursor = 0;
+                    self.seg_cap = (self.seg_cap / 2).max(1);
                     self.backoff_exp = (self.backoff_exp + 1).min(self.cfg.max_backoff_exp);
                     self.deadline = Some(now.saturating_add(self.backoff_timeout()));
                 }
@@ -212,7 +242,9 @@ impl Endpoint {
         if self.out_buf.is_empty() {
             self.refill(now);
         }
-        self.out_buf.pop_front()
+        let frame = self.out_buf.pop_front();
+        self.stats.wire_frames += frame.is_some() as u64;
+        frame
     }
 
     fn refill(&mut self, now: u64) {
@@ -226,19 +258,23 @@ impl Endpoint {
         if self.dead {
             return;
         }
-        if self.send_cursor < self.unacked.len().min(self.cfg.window) {
-            let (seq, payload) = self.unacked[self.send_cursor];
-            if seq < self.high_water() {
+        let sendable = self.unacked.len().min(self.cfg.window);
+        if self.send_cursor < sendable {
+            let start = self.send_cursor;
+            let len = (sendable - start).min(self.seg_cap);
+            let seq = self.base + start as u64;
+            if seq < self.high_water {
                 self.stats.retransmits += 1;
             } else {
                 self.stats.segments_sent += 1;
             }
-            let header = (DATA_MAGIC << 24) | (seq as u16) as u32;
-            let crc = crc32_frames(&[header, payload]);
+            let header = (DATA_MAGIC << 24) | (len as u32) << 16 | (seq as u16) as u32;
             self.out_buf.push_back(header);
-            self.out_buf.push_back(payload);
+            self.out_buf.extend(self.unacked.range(start..start + len));
+            let crc = crc32_frames(self.out_buf.make_contiguous());
             self.out_buf.push_back(crc);
-            self.send_cursor += 1;
+            self.send_cursor += len;
+            self.high_water = self.high_water.max(seq + len as u64);
             if self.deadline.is_none() {
                 self.deadline = Some(now.saturating_add(self.backoff_timeout()));
             }
@@ -256,51 +292,53 @@ impl Endpoint {
         self.cfg.ack_timeout.saturating_mul(scale)
     }
 
-    /// Highest sequence number ever transmitted, plus one (i.e. the first
-    /// never-sent sequence).
-    fn high_water(&self) -> u64 {
-        // stats.segments_sent counts exactly the first transmissions, and
-        // sequence numbers are allocated densely from zero.
-        self.stats.segments_sent
+    /// Frames in the segment that `header` starts, or `None` when it is
+    /// no header: a wrong magic, or a data length of 0 or above the
+    /// segment maximum. Bounding the length keeps one corrupt length byte
+    /// from swallowing the resends that follow it.
+    fn segment_frames(&self, header: u32) -> Option<usize> {
+        match header >> 24 {
+            ACK_MAGIC => Some(ACK_SEGMENT_FRAMES),
+            DATA_MAGIC => {
+                let len = (header >> 16) as u8 as usize;
+                (1..=self.cfg.max_segment_words())
+                    .contains(&len)
+                    .then_some(DATA_SEGMENT_FRAMES - 1 + len)
+            }
+            _ => None,
+        }
     }
 
     /// Feed one frame received from the peer's link.
     pub fn on_frame(&mut self, now: u64, frame: u32) {
-        if self.rx_buf.is_empty() {
-            match frame >> 24 {
-                m if m == DATA_MAGIC || m == ACK_MAGIC => self.rx_buf.push(frame),
-                _ => self.stats.rejected += 1, // resync: skip until a magic
-            }
-        } else {
-            self.rx_buf.push(frame);
-        }
-        let want = match self.rx_buf.first() {
-            Some(h) if h >> 24 == ACK_MAGIC => ACK_SEGMENT_FRAMES,
-            Some(_) => DATA_SEGMENT_FRAMES,
-            None => return,
+        let header = self.rx_buf.first().copied().unwrap_or(frame);
+        let Some(want) = self.segment_frames(header) else {
+            self.stats.rejected += 1; // resync: skip until a header
+            return;
         };
+        self.rx_buf.push(frame);
         if self.rx_buf.len() < want {
             return;
         }
-        let seg: Vec<u32> = self.rx_buf.drain(..).collect();
-        let (body, crc) = seg.split_at(want - 1);
+        let (body, crc) = self.rx_buf.split_at(want - 1);
         if crc32_frames(body) != crc[0] {
             // Resync one frame at a time: the buffered "header" may be a
             // payload or CRC frame whose top byte only looks like a magic.
             // Dropping the whole buffer would misframe the same way on every
             // go-back-N resend, so drop just that frame and re-feed the rest.
             self.stats.rejected += 1;
+            let seg = std::mem::take(&mut self.rx_buf);
             for &f in &seg[1..] {
                 self.on_frame(now, f);
             }
             return;
         }
-        let header = body[0];
         if header >> 24 == ACK_MAGIC {
             self.on_ack(now, header as u16);
         } else {
-            self.on_data(header as u16, body[1]);
+            self.on_data(header as u16);
         }
+        self.rx_buf.clear();
     }
 
     fn on_ack(&mut self, now: u64, ack16: u16) {
@@ -311,16 +349,15 @@ impl Endpoint {
         // cap exists to detect an unreachable peer, so it counts only
         // consecutive timeouts with *no* valid ack in between.
         self.retries = 0;
-        let Some(&(base, _)) = self.unacked.front() else {
-            return; // duplicate ack for an already-drained window
-        };
-        let delta = ack16.wrapping_sub(base as u16) as usize;
+        let delta = ack16.wrapping_sub(self.base as u16) as usize;
         if delta >= self.unacked.len() {
-            return; // stale duplicate: no progress
+            return; // duplicate for a drained window, or stale: no progress
         }
         let n_acked = delta + 1;
         self.unacked.drain(..n_acked);
+        self.base += n_acked as u64;
         self.send_cursor = self.send_cursor.saturating_sub(n_acked);
+        self.seg_cap = (self.seg_cap * 2).min(self.cfg.max_segment_words());
         self.backoff_exp = 0;
         // A late ack revives a declared-dead endpoint, and the give-up
         // flag follows: it reports the endpoint's current state, and idle
@@ -334,11 +371,17 @@ impl Endpoint {
         };
     }
 
-    fn on_data(&mut self, seq16: u16, payload: u32) {
-        if seq16 == self.expected as u16 {
-            self.delivered.push_back(payload);
-            self.expected += 1;
-            self.stats.delivered += 1;
+    /// Accept the CRC-valid data segment in `rx_buf` that starts at
+    /// `seq16`. A resend overlapping words already delivered delivers only
+    /// its new tail; a segment with no word at `expected` is dropped.
+    fn on_data(&mut self, seq16: u16) {
+        let payload = &self.rx_buf[1..self.rx_buf.len() - 1];
+        let offset = (self.expected as u16).wrapping_sub(seq16) as usize;
+        if offset < payload.len() {
+            let fresh = &payload[offset..];
+            self.delivered.extend(fresh);
+            self.expected += fresh.len() as u64;
+            self.stats.delivered += fresh.len() as u64;
         } else {
             self.stats.rejected += 1; // duplicate or out-of-order: re-ack only
         }
@@ -483,12 +526,32 @@ mod tests {
     }
 
     #[test]
+    fn corruption_shrinks_segments_until_they_get_through() {
+        // Flip a quarter of the frames along a golden-ratio sequence: hits
+        // are 2, 3 or 5 frames apart, so every segment of 5 or more frames
+        // (3 or more words) is hit and only shorter resends get through.
+        // (A strictly periodic pattern could line up with go-back-N's
+        // resend rounds the same way every round.)
+        let (mut a, mut b) = (Endpoint::new(wide()), Endpoint::new(wide()));
+        for v in 0..20u32 {
+            a.send(0xCD00 + v);
+        }
+        shuttle(&mut a, &mut b, 20_000, |i, f| {
+            let hit = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 == 0;
+            Some(if hit { f ^ 0x0001_0000 } else { f })
+        });
+        let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
+        assert_eq!(got, (0..20u32).map(|v| 0xCD00 + v).collect::<Vec<_>>());
+        assert!(a.is_quiescent(), "{:?}", a.stats());
+    }
+
+    #[test]
     fn misaligned_receiver_resyncs_past_a_magic_looking_crc() {
         // A payload whose CRC frame starts with the ack magic. A receiver
         // that joins mid-segment buffers that CRC as an ack header, and the
         // next frame (the resent header) fails its CRC check; resync must
         // then restart from the header, not drop it with the bad frame.
-        let header = DATA_MAGIC << 24;
+        let header = DATA_MAGIC << 24 | 1 << 16;
         let (payload, crc) = (0u32..)
             .map(|p| (p, crc32_frames(&[header, p])))
             .find(|&(_, c)| c >> 24 == ACK_MAGIC)
@@ -503,6 +566,159 @@ mod tests {
         }
         assert_eq!(b.deliver(), Some(payload), "{:?}", b.stats());
         assert_eq!(b.deliver(), None, "resends are duplicates");
+    }
+
+    /// `cfg()` with room for 8-word segments.
+    fn wide() -> TransportConfig {
+        TransportConfig {
+            window: 16,
+            ..cfg()
+        }
+    }
+
+    /// A CRC-valid data segment starting at `seq`, built by hand.
+    fn data_segment(seq: u16, words: &[u32]) -> Vec<u32> {
+        let mut seg = vec![DATA_MAGIC << 24 | (words.len() as u32) << 16 | seq as u32];
+        seg.extend(words);
+        seg.push(crc32_frames(&seg));
+        seg
+    }
+
+    #[test]
+    fn a_message_goes_out_as_one_segment() {
+        let (mut a, mut b) = (Endpoint::new(wide()), Endpoint::new(wide()));
+        let msg = [11, 22, 33, 44, 55, 66];
+        msg.iter().for_each(|&w| a.send(w));
+        let frames: Vec<u32> = std::iter::from_fn(|| a.pull_frame(0)).collect();
+        assert_eq!(frames, data_segment(0, &msg));
+        assert_eq!(frames.len(), 8);
+        assert_eq!(a.stats().segments_sent, 1);
+        assert_eq!(a.stats().wire_frames, 8);
+        frames.iter().for_each(|&f| b.on_frame(0, f));
+        let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
+        assert_eq!(got, msg);
+        assert_eq!(b.stats().delivered, 6);
+        // One cumulative ack covers the whole segment.
+        while let Some(f) = b.pull_frame(0) {
+            a.on_frame(0, f);
+        }
+        assert_eq!(b.stats().acks_sent, 1);
+        assert!(a.is_quiescent(), "{:?}", a.stats());
+    }
+
+    #[test]
+    fn a_resend_after_a_lost_ack_delivers_only_new_words() {
+        let (mut a, mut b) = (Endpoint::new(wide()), Endpoint::new(wide()));
+        a.send(10);
+        a.send(11);
+        while let Some(f) = a.pull_frame(0) {
+            b.on_frame(0, f);
+        }
+        while b.pull_frame(0).is_some() {} // the ack is lost
+        a.send(12);
+        a.send(13);
+        // The timeout rewinds the window: one resend carries all four
+        // words, two of which the receiver already holds.
+        a.poll(16);
+        while let Some(f) = a.pull_frame(16) {
+            b.on_frame(16, f);
+        }
+        assert_eq!(a.stats().retransmits, 1);
+        let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
+        assert_eq!(got, [10, 11, 12, 13]);
+        assert_eq!(b.stats().delivered, 4);
+        while let Some(f) = b.pull_frame(16) {
+            a.on_frame(16, f);
+        }
+        assert!(a.is_quiescent(), "{:?}", a.stats());
+        // A stale resend of the first segment delivers nothing.
+        data_segment(0, &[10, 11])
+            .iter()
+            .for_each(|&f| b.on_frame(17, f));
+        assert_eq!(b.deliver(), None);
+        assert_eq!(b.stats().delivered, 4);
+    }
+
+    #[test]
+    fn a_header_with_a_bad_length_is_never_buffered() {
+        // window 4: a segment carries at most 2 words.
+        let mut b = Endpoint::new(cfg());
+        let empty = DATA_MAGIC << 24;
+        let long = data_segment(0, &[1, 2, 3]);
+        for f in std::iter::once(empty).chain(long.iter().copied()) {
+            b.on_frame(0, f);
+            assert!(b.rx_buf.is_empty(), "buffered {f:#x}");
+        }
+        assert_eq!(b.stats().rejected, 1 + long.len() as u64);
+        assert_eq!(b.deliver(), None);
+        // The next valid segment is taken as usual.
+        data_segment(0, &[1, 2])
+            .iter()
+            .for_each(|&f| b.on_frame(0, f));
+        assert_eq!(b.stats().delivered, 2);
+    }
+
+    #[test]
+    fn segment_cap_halves_per_timeout_and_regrows_per_ack() {
+        let mut a = Endpoint::new(wide());
+        (0..16).for_each(|w| a.send(w));
+        let first_len = |a: &mut Endpoint, now| {
+            let header = a.pull_frame(now).expect("a segment to send");
+            while a.pull_frame(now).is_some() {}
+            (header >> 16) as u8
+        };
+        assert_eq!(first_len(&mut a, 0), 8);
+        // Black hole: every timeout halves the segment, down to one word.
+        for want in [4, 2, 1, 1] {
+            let d = a.next_event_cycle().expect("armed");
+            a.poll(d);
+            assert_eq!(first_len(&mut a, d), want);
+        }
+        let ack = |a: &mut Endpoint, seq: u32| {
+            let header = ACK_MAGIC << 24 | seq;
+            a.on_frame(0, header);
+            a.on_frame(0, crc32_frames(&[header]));
+        };
+        // Each ack that makes progress doubles the cap once, up to half
+        // the window; a duplicate ack does not.
+        for (seq, want) in [(0, 2), (0, 2), (1, 4), (2, 8), (3, 8)] {
+            ack(&mut a, seq);
+            assert_eq!(a.seg_cap, want, "after the ack for {seq}");
+        }
+    }
+
+    #[test]
+    fn a_wide_window_caps_segments_at_the_length_field() {
+        let huge = TransportConfig {
+            window: 1024,
+            ..cfg()
+        };
+        let (mut a, mut b) = (Endpoint::new(huge), Endpoint::new(huge));
+        (0..600u32).for_each(|v| a.send(v));
+        let header = a.pull_frame(0).expect("a segment to send");
+        assert_eq!(header >> 24, DATA_MAGIC);
+        assert_eq!((header >> 16) as u8, u8::MAX);
+        b.on_frame(0, header);
+        shuttle(&mut a, &mut b, 4_000, |_, f| Some(f));
+        let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
+        assert_eq!(got, (0..600u32).collect::<Vec<_>>());
+        assert!(a.is_quiescent(), "{:?}", a.stats());
+    }
+
+    #[test]
+    fn window_of_one_sends_one_word_segments() {
+        let one = TransportConfig { window: 1, ..cfg() };
+        let (mut a, mut b) = (Endpoint::new(one), Endpoint::new(one));
+        for v in 0..10u32 {
+            a.send(0x500 + v);
+        }
+        shuttle(&mut a, &mut b, 4_000, |i, f| (i % 7 != 3).then_some(f));
+        let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
+        assert_eq!(got, (0..10u32).map(|v| 0x500 + v).collect::<Vec<_>>());
+        assert!(a.is_quiescent());
+        let sent = a.stats().segments_sent + a.stats().retransmits;
+        let data_frames = a.stats().wire_frames - ACK_SEGMENT_FRAMES as u64 * a.stats().acks_sent;
+        assert_eq!(data_frames, DATA_SEGMENT_FRAMES as u64 * sent);
     }
 
     #[test]

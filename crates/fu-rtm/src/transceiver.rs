@@ -5,8 +5,8 @@
 //! the output port, and notes the framing layer "is exactly what a
 //! different transceiver would replace". This module is that replacement
 //! for lossy links: it sits between the external frame port and the
-//! rx/tx frame FIFOs, wrapping every outgoing frame in a go-back-N data
-//! segment and unwrapping/acknowledging every incoming one (see
+//! rx/tx frame FIFOs, packing outgoing frames into go-back-N data
+//! segments and unpacking/acknowledging incoming ones (see
 //! [`fu_isa::transport`] for the protocol itself).
 //!
 //! When no transceiver is configured the coprocessor keeps the bare port:

@@ -440,7 +440,6 @@ fn reliable_closed_loop_skips_to_each_transmit_event() {
     // plus one per stage evaluation — and stay bit-identical to the
     // exhaustive reference.
     use bench::profile::reliable_smoke;
-    use fu_isa::transport::{ACK_SEGMENT_FRAMES, DATA_SEGMENT_FRAMES};
     use fu_rtm::ActivityMode;
     let e = reliable_smoke(ActivityMode::Exhaustive);
     let w = reliable_smoke(ActivityMode::Scheduled);
@@ -461,8 +460,7 @@ fn reliable_closed_loop_skips_to_each_transmit_event() {
     }
     let ls: fu_host::LinkStats = w.links.iter().copied().sum();
     assert_eq!(ls.retransmits, 0, "a fault-free link retransmitted");
-    let wire =
-        DATA_SEGMENT_FRAMES as u64 * ls.segments_sent + ACK_SEGMENT_FRAMES as u64 * ls.acks_sent;
+    let wire = ls.wire_frames;
     let evals: u64 = w.sim.stage_evals.iter().map(|&(_, n)| n).sum();
     assert!(
         w.sim.cycles_stepped <= wire + evals,
@@ -490,9 +488,10 @@ fn reliable_send_behind_a_closed_gate_skips_to_its_reopening() {
             reg: 1,
             value: Word::from_u64(7, 32),
         };
-        // One wire frame every 50 cycles from cycle 0: the last one goes
-        // out at `last`, and the gate stays closed until `last + 50`.
-        let wire = (write.frame_len(32) * DATA_SEGMENT_FRAMES) as u64;
+        // The write travels as one data segment, one wire frame every 50
+        // cycles from cycle 0: the last one goes out at `last`, and the
+        // gate stays closed until `last + 50`.
+        let wire = (write.frame_len(32) + DATA_SEGMENT_FRAMES - 1) as u64;
         let last = (wire - 1) * link.cycles_per_frame;
         s.send(0, &write);
         assert!(
