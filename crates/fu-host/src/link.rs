@@ -8,17 +8,18 @@
 //! the communication interface to the host computer, and the clock speed
 //! of the FPGA").
 //!
-//! The module also holds the one host-side link pump both system types
-//! share: `LinkEnd` makes the bare-or-reliable choice for one end of a
-//! link pair, and `HostPort` bundles a host's link pair with its end,
-//! response deframer and link trace.
+//! The module also holds the one link pump both system types share:
+//! `LinkEnd` makes the bare-or-reliable choice for one end of a link
+//! pair, and `HostPort` bundles a host's link pair with both of its ends
+//! (the host's and the device edge's), the response deframer and the
+//! link trace.
 
 use std::collections::VecDeque;
 
 use fu_isa::msg::{DevDeframer, ErrorCode};
 use fu_isa::transport::{Endpoint, TransportConfig};
 use fu_isa::DevMsg;
-use rtl_sim::{splitmix64, LinkDir, TraceBuffer, TraceEventKind};
+use rtl_sim::{splitmix64, LinkDir, SimError, TraceBuffer, TraceEventKind};
 
 /// A seeded, deterministic per-frame fault model for a [`Link`].
 ///
@@ -436,8 +437,9 @@ pub(crate) fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
-/// One end of a link pair, as a host (or a multi-port transceiver edge)
-/// drives it. The bare-or-reliable choice is made here and nowhere else:
+/// One end of a link pair: the host's, or the device edge's in front of
+/// the coprocessor. The bare-or-reliable choice is made here and nowhere
+/// else:
 /// a bare end puts application frames straight on the wire, a reliable
 /// end hands them to a transport [`Endpoint`] that segments, paces,
 /// acknowledges and retransmits them.
@@ -569,31 +571,49 @@ impl LinkEnd {
 }
 
 /// A host's attachment to the coprocessor: the link pair, the host's
-/// [`LinkEnd`], the host-side response deframer and the host-side link
-/// trace. The trace is kept apart from the coprocessor's pipeline trace
-/// so a chatty pipeline cannot evict link events from the ring.
+/// [`LinkEnd`], the device edge's [`LinkEnd`], the host-side response
+/// deframer and the host-side link trace. Both ends share one transport,
+/// so every reliable link ends at the device edge and the coprocessor
+/// only ever sees payload frames. The trace is kept apart from the
+/// coprocessor's pipeline trace so a chatty pipeline cannot evict link
+/// events from the ring.
 #[derive(Clone)]
 pub(crate) struct HostPort {
     pub(crate) to_dev: Link,
     pub(crate) to_host: Link,
     pub(crate) end: LinkEnd,
+    pub(crate) edge: LinkEnd,
     rx: DevDeframer,
     pub(crate) trace: TraceBuffer,
 }
 
 impl HostPort {
+    /// # Errors
+    /// [`SimError::Config`] when `transport` is one an [`Endpoint`]
+    /// cannot run: a zero window or ack timeout, or a window too wide for
+    /// 16-bit sequence numbers to stay unambiguous.
     pub(crate) fn new(
         link: LinkModel,
         word_bits: u32,
         transport: Option<TransportConfig>,
-    ) -> HostPort {
-        HostPort {
+    ) -> Result<HostPort, SimError> {
+        if let Some(t) = transport {
+            if !(1..1 << 14).contains(&t.window) || t.ack_timeout == 0 {
+                return Err(SimError::Config(format!(
+                    "transport window must be in 1..16384 and ack_timeout at least 1, \
+                     got window {} and ack_timeout {}",
+                    t.window, t.ack_timeout
+                )));
+            }
+        }
+        Ok(HostPort {
             to_dev: Link::new(link),
             to_host: Link::new(link),
             end: LinkEnd::new(transport),
+            edge: LinkEnd::new(transport),
             rx: DevDeframer::new(word_bits),
             trace: TraceBuffer::disabled(),
-        }
+        })
     }
 
     /// Advance the host end's timer and put its frames on the
@@ -629,19 +649,23 @@ impl HostPort {
         }
     }
 
-    /// This port's earliest pending event: the host end's (see
+    /// This port's earliest pending event: either end's (see
     /// [`LinkEnd::next_event`]) or a frame arriving on either link.
     #[inline]
     pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
         let host = self.end.next_event(now, &self.to_dev);
         if host.is_some_and(|t| t <= now) {
-            return host; // work this cycle: no wire event can be earlier
+            return host; // work this cycle: nothing can be earlier
+        }
+        let edge = self.edge.next_event(now, &self.to_host);
+        if edge.is_some_and(|t| t <= now) {
+            return edge;
         }
         let wires = earliest(
             self.to_dev.next_event_cycle(now),
             self.to_host.next_event_cycle(now),
         );
-        earliest(host, wires)
+        earliest(earliest(host, edge), wires)
     }
 
     /// The host end is quiet and no frame is travelling either way.
@@ -649,13 +673,14 @@ impl HostPort {
         self.end.is_quiet() && self.to_dev.in_flight() == 0 && self.to_host.in_flight() == 0
     }
 
-    /// Injected faults on both directions plus the host end's transport
+    /// Injected faults on both directions plus both ends' transport
     /// counters.
     pub(crate) fn link_stats(&self) -> LinkStats {
         let mut s = LinkStats::default();
         s.add_faults(&self.to_dev.fault_stats());
         s.add_faults(&self.to_host.fault_stats());
         self.end.add_stats(&mut s);
+        self.edge.add_stats(&mut s);
         s
     }
 }
@@ -829,8 +854,43 @@ mod tests {
     }
 
     #[test]
+    fn bad_transport_configs_are_config_errors() {
+        use crate::{MultiHostSystem, System};
+        use fu_rtm::testing::LatencyFu;
+        use fu_rtm::CoprocConfig;
+        let ok = TransportConfig::default();
+        let bad = [
+            TransportConfig { window: 0, ..ok },
+            TransportConfig {
+                ack_timeout: 0,
+                ..ok
+            },
+            TransportConfig {
+                window: 1 << 14,
+                ..ok
+            },
+        ];
+        let link = LinkModel::pcie_like();
+        let units = || vec![Box::new(LatencyFu::new("add", 1, 1)) as Box<_>];
+        for t in bad {
+            let single = System::new_reliable(CoprocConfig::default(), units(), link, t, None);
+            assert!(
+                matches!(single, Err(SimError::Config(_))),
+                "System accepted {t:?}"
+            );
+            let multi =
+                MultiHostSystem::new_reliable(CoprocConfig::default(), units(), link, 2, t, None);
+            assert!(
+                matches!(multi, Err(SimError::Config(_))),
+                "MultiHostSystem accepted {t:?}"
+            );
+        }
+        assert!(System::new_reliable(CoprocConfig::default(), units(), link, ok, None).is_ok());
+    }
+
+    #[test]
     fn malformed_device_frames_become_in_band_errors() {
-        let mut port = HostPort::new(LinkModel::ideal(), 32, None);
+        let mut port = HostPort::new(LinkModel::ideal(), 32, None).unwrap();
         let bad_code = 0x8f99_0000; // an error header with no such code
         let stream = [0x7700_0000, bad_code, 7]
             .into_iter()

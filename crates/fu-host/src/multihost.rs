@@ -16,16 +16,16 @@
 //! which acts as the management CPU — a documented design decision.
 //!
 //! Each host attaches through the same host port as [`crate::System`]:
-//! its link pair, its bare-or-reliable end of that pair (`LinkEnd` in
-//! [`crate::link`]) and its response deframer. The link pump — transmit,
-//! receive, the idle-skip event set, idleness and statistics — is
-//! therefore written once for both host types. Per host, the multi-port
-//! transceiver adds the device-side `LinkEnd` of the pair and the
-//! reassembly of that host's messages.
+//! its link pair, the host's and the device edge's bare-or-reliable ends
+//! of that pair (`LinkEnd` in [`crate::link`]) and its response
+//! deframer. The link pump — transmit, receive, the idle-skip event set,
+//! idleness and statistics — is therefore written once for both host
+//! types. Per host, the multi-port transceiver adds the reassembly of
+//! that host's messages.
 
 use std::collections::VecDeque;
 
-use crate::link::{earliest, FaultModel, HostPort, LinkEnd, LinkModel, LinkStats};
+use crate::link::{earliest, FaultModel, HostPort, LinkModel, LinkStats};
 use fu_isa::msg::{DevDeframer, ErrorCode, HostDeframer};
 use fu_isa::transport::TransportConfig;
 use fu_isa::{DevMsg, HostMsg, Tag};
@@ -34,12 +34,10 @@ use rtl_sim::area::log2_ceil;
 use rtl_sim::{SimError, SimStats};
 
 /// One attached host: its [`HostPort`] plus the device-side state the
-/// multi-port transceiver keeps for it.
+/// multi-port transceiver keeps for it. The port's device edge sits at
+/// the multi-port transceiver, so the shared coprocessor stays bare.
 struct Host {
     port: HostPort,
-    /// The device-side end of this host's link pair. It sits at the
-    /// multi-port transceiver edge — the shared coprocessor stays bare.
-    edge: LinkEnd,
     /// Device-edge reassembly of this host's messages.
     deframer: HostDeframer,
     /// Complete messages awaiting injection into the coprocessor.
@@ -85,10 +83,10 @@ impl MultiHostSystem {
         cfg.rx_frames_per_cycle = link.port_frames_per_cycle;
         cfg.tx_frames_per_cycle = link.port_frames_per_cycle;
         let word_bits = cfg.word_bits;
+        let port = HostPort::new(link, word_bits, None)?;
         let hosts = (0..n_hosts)
             .map(|_| Host {
-                port: HostPort::new(link, word_bits, None),
-                edge: LinkEnd::new(None),
+                port: port.clone(),
                 deframer: HostDeframer::new(word_bits),
                 inject: VecDeque::new(),
                 responses: VecDeque::new(),
@@ -114,7 +112,9 @@ impl MultiHostSystem {
     /// shared coprocessor keeps its bare frame port.
     ///
     /// # Errors
-    /// Same conditions as [`MultiHostSystem::new`].
+    /// Same conditions as [`MultiHostSystem::new`], and
+    /// [`SimError::Config`] for a transport configuration an endpoint
+    /// cannot run.
     pub fn new_reliable(
         cfg: CoprocConfig,
         units: Vec<Box<dyn FunctionalUnit>>,
@@ -124,7 +124,9 @@ impl MultiHostSystem {
         faults: Option<FaultModel>,
     ) -> Result<MultiHostSystem, SimError> {
         let mut sys = MultiHostSystem::new(cfg, units, link, n_hosts)?;
+        let port = HostPort::new(link, sys.word_bits, Some(transport))?;
         for (i, h) in sys.hosts.iter_mut().enumerate() {
+            h.port = port.clone();
             if let Some(m) = faults {
                 let stream = |k: u64| {
                     m.with_seed(m.seed ^ (2 * i as u64 + k).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -132,8 +134,6 @@ impl MultiHostSystem {
                 h.port.to_dev.install_faults(stream(1));
                 h.port.to_host.install_faults(stream(2));
             }
-            h.port.end = LinkEnd::new(Some(transport));
-            h.edge = LinkEnd::new(Some(transport));
         }
         Ok(sys)
     }
@@ -222,19 +222,20 @@ impl MultiHostSystem {
         for h in &mut self.hosts {
             let (deframer, inject) = (&mut h.deframer, &mut h.inject);
             let mut bad = Vec::new();
-            h.edge.poll(now);
+            let edge = &mut h.port.edge;
+            edge.poll(now);
             let on_frame = |f: u32| match deframer.push(f) {
                 Ok(Some(msg)) => inject.push_back(msg),
                 Ok(None) => {}
                 Err(e) => bad.push(e.header),
             };
-            h.edge.receive(now, &mut h.port.to_dev, on_frame);
+            edge.receive(now, &mut h.port.to_dev, on_frame);
             for info in bad {
                 let err = DevMsg::Error {
                     code: ErrorCode::BadFrame,
                     info,
                 };
-                h.edge.send(err.frames(self.word_bits));
+                edge.send(err.frames(self.word_bits));
             }
         }
         // Message-granular round-robin injection into the coprocessor.
@@ -276,11 +277,11 @@ impl MultiHostSystem {
                 // Device-side per-host serialisation is modelled as
                 // instantaneous; the per-host link applies its own
                 // latency/bandwidth below.
-                self.hosts[host].edge.send(msg.frames(self.word_bits));
+                self.hosts[host].port.edge.send(msg.frames(self.word_bits));
             }
         }
         for h in &mut self.hosts {
-            h.edge.transmit(now, &mut h.port.to_host);
+            h.port.edge.transmit(now, &mut h.port.to_host);
             let responses = &mut h.responses;
             h.port.receive(now, |msg| responses.push_back(msg));
         }
@@ -309,9 +310,9 @@ impl MultiHostSystem {
     }
 
     /// Jump over cycles in which nothing can happen (see
-    /// [`crate::System`] — same idea, with each host's port and device
-    /// edge as event sources). Returns the number of cycles skipped (0
-    /// means: step normally).
+    /// [`crate::System`] — same idea, with each host's port as an event
+    /// source). Returns the number of cycles skipped (0 means: step
+    /// normally).
     fn idle_skip(&mut self, budget: u64) -> u64 {
         let now = self.cycle;
         let (hosts, injecting) = (&self.hosts, &self.injecting);
@@ -329,11 +330,7 @@ impl MultiHostSystem {
                 if port.is_some_and(|t| t <= now) {
                     return port;
                 }
-                let edge = h.edge.next_event(now, &h.port.to_host);
-                if edge.is_some_and(|t| t <= now) {
-                    return edge;
-                }
-                next = earliest(next, earliest(port, edge));
+                next = earliest(next, port);
             }
             next
         });
@@ -349,16 +346,13 @@ impl MultiHostSystem {
             && self
                 .hosts
                 .iter()
-                .all(|h| h.port.is_quiet() && h.edge.is_quiet() && h.inject.is_empty())
+                .all(|h| h.port.is_quiet() && h.port.edge.is_quiet() && h.inject.is_empty())
     }
 
     /// Aggregate reliability statistics for one port: injected faults on
     /// both link directions plus transport counters from both endpoints.
     pub fn link_stats(&self, host: usize) -> LinkStats {
-        let h = &self.hosts[host];
-        let mut s = h.port.link_stats();
-        h.edge.add_stats(&mut s);
-        s
+        self.hosts[host].port.link_stats()
     }
 }
 

@@ -4,10 +4,12 @@
 //! cycle: host-bound frames drain from the device, device-bound frames
 //! enter the coprocessor's receive FIFO (with link latency and bandwidth
 //! applied in both directions), and the coprocessor itself is clocked.
+//! A reliable link ends at the device edge of the host port, in front of
+//! the coprocessor's frame port, so the coprocessor only sees payload.
 
 use std::collections::VecDeque;
 
-use crate::link::{FaultModel, HostPort, LinkModel, LinkStats};
+use crate::link::{FaultModel, HostPort, LinkEnd, LinkModel, LinkStats};
 use fu_isa::msg::ErrorCode;
 use fu_isa::transport::{Endpoint, TransportConfig};
 use fu_isa::{DevMsg, HostMsg};
@@ -59,7 +61,7 @@ struct RecoveryState {
 /// Host + link + coprocessor.
 pub struct System {
     coproc: Coprocessor,
-    /// The link pair and the host's bare-or-reliable end of it.
+    /// The link pair and its two bare-or-reliable ends.
     port: HostPort,
     /// Responses fully received by the host.
     responses: VecDeque<DevMsg>,
@@ -111,9 +113,12 @@ impl System {
     }
 
     /// The one assembler behind both constructors. The link model's port
-    /// width is applied to the coprocessor configuration, and the device
-    /// frame port gets the same transport as the host end, so the two
-    /// always agree.
+    /// width is applied to the coprocessor configuration; the port's two
+    /// ends share one transport, so they always agree.
+    ///
+    /// # Errors
+    /// [`SimError::Config`] for an invalid coprocessor or transport
+    /// configuration.
     fn assemble(
         mut cfg: CoprocConfig,
         units: Vec<Box<dyn FunctionalUnit>>,
@@ -123,9 +128,8 @@ impl System {
     ) -> Result<System, SimError> {
         cfg.rx_frames_per_cycle = link.port_frames_per_cycle;
         cfg.tx_frames_per_cycle = link.port_frames_per_cycle;
-        cfg.transport = transport;
         let word_bits = cfg.word_bits;
-        let mut port = HostPort::new(link, word_bits, transport);
+        let mut port = HostPort::new(link, word_bits, transport)?;
         if let Some(m) = faults {
             port.to_dev.install_faults(m);
             port.to_host
@@ -233,28 +237,56 @@ impl System {
         let now = self.cycle;
         // Host side: the host end paces its frames onto the link.
         self.port.transmit(now);
-        // Deliver device-bound frames into the receive FIFO (respecting
-        // the port width via rx_space and real flow control on overflow).
+        // Device edge, inbound: up to a port width of wire frames per
+        // cycle. A bare edge pushes each into the receive FIFO (with real
+        // flow control on overflow); a reliable one takes every frame,
+        // then hands validated payloads to the FIFO while it has space.
         let port = &mut self.port;
-        for _ in 0..port.to_dev.model().port_frames_per_cycle {
+        let width = port.to_dev.model().port_frames_per_cycle;
+        for _ in 0..width {
             let Some(f) = port.to_dev.recv(now) else {
                 break;
             };
-            if !self.coproc.push_frame(f) {
-                port.to_dev.unrecv(now, f);
-                break;
+            match &mut port.edge {
+                LinkEnd::Bare(_) => {
+                    if !self.coproc.push_frame(f) {
+                        port.to_dev.unrecv(now, f);
+                        break;
+                    }
+                }
+                LinkEnd::Reliable(ep) => ep.on_frame(now, f),
             }
             let dir = LinkDir::ToDevice;
             port.trace.record(now, TraceEventKind::LinkRx { dir });
         }
+        if let LinkEnd::Reliable(ep) = &mut port.edge {
+            ep.poll(now);
+            while self.coproc.rx_ready() {
+                let Some(p) = ep.deliver() else {
+                    break;
+                };
+                self.coproc.push_frame(p);
+            }
+        }
         // Clock the FPGA.
         self.coproc.step();
-        // Drain transmit frames onto the host-bound link.
-        for _ in 0..port.to_host.model().port_frames_per_cycle {
+        // Device edge, outbound: a reliable edge queues everything the
+        // serialiser produced; wire frames leave after the clock edge,
+        // stamped with the cycle that edge starts.
+        if let LinkEnd::Reliable(ep) = &mut port.edge {
+            while let Some(f) = self.coproc.pop_frame() {
+                ep.send(f);
+            }
+        }
+        for _ in 0..width {
             if !port.to_host.can_send(now) {
                 break;
             }
-            let Some(f) = self.coproc.pop_frame() else {
+            let frame = match &mut port.edge {
+                LinkEnd::Bare(_) => self.coproc.pop_frame(),
+                LinkEnd::Reliable(ep) => ep.pull_frame(now + 1),
+            };
+            let Some(f) = frame else {
                 break;
             };
             port.to_host.send(now, f);
@@ -287,8 +319,11 @@ impl System {
         // Retransmissions happen inside the endpoints; surface each
         // step's delta as one trace event so fault-injection tests can
         // reconcile trace totals against `link_stats`.
-        let retx = port.end.endpoint().map_or(0, |ep| ep.stats().retransmits)
-            + self.coproc.transport_stats().map_or(0, |t| t.retransmits);
+        let retx: u64 = [&port.end, &port.edge]
+            .into_iter()
+            .filter_map(LinkEnd::endpoint)
+            .map(|ep| ep.stats().retransmits)
+            .sum();
         if retx > self.last_retransmits {
             let segments = (retx - self.last_retransmits) as u32;
             port.trace
@@ -465,7 +500,7 @@ impl System {
 
     /// Jump over cycles in which nothing can happen. Returns the number
     /// of cycles skipped (0 means: step normally). The host's event set
-    /// is its port's (see `HostPort::next_event`).
+    /// is its port's, device edge included (see `HostPort::next_event`).
     fn idle_skip(&mut self, budget: u64) -> u64 {
         let now = self.cycle;
         let port = &self.port;
@@ -486,35 +521,37 @@ impl System {
     }
 
     /// True when no work remains anywhere (host queue, links, FPGA). With
-    /// the reliable transport this additionally requires both endpoints to
-    /// be quiescent — all traffic delivered *and acknowledged* — or to
-    /// have exhausted their retries (a dead endpoint will never drain, so
+    /// the reliable transport this additionally requires the device edge
+    /// to have nothing to deliver or send, and both endpoints to be
+    /// quiescent — all traffic delivered *and acknowledged* — unless one
+    /// has exhausted its retries (a dead endpoint will never drain, so
     /// waiting on it would hang every caller).
     pub fn is_idle(&self) -> bool {
+        let gave_up = self.transport_gave_up();
+        let edge = self.port.edge.endpoint();
         self.port.is_quiet()
+            && edge.is_none_or(|ep| !ep.has_deliverable() && !ep.has_tx_work())
             && (self.coproc.is_idle()
                 // A sender that gave up mid-message leaves a partial
                 // message in the device's deframe buffer forever; with the
                 // link declared dead that is as settled as it gets.
-                || (self.transport_gave_up() && self.coproc.stalled_mid_message()))
-            && (self.coproc.transport_quiescent() || self.transport_gave_up())
+                || (gave_up && self.coproc.stalled_mid_message()))
+            && (gave_up || edge.is_none_or(Endpoint::is_quiescent))
     }
 
     /// Did either endpoint exhaust its retransmit budget?
     pub fn transport_gave_up(&self) -> bool {
-        self.port.end.endpoint().is_some_and(Endpoint::is_dead)
-            || self.coproc.transport_stats().is_some_and(|s| s.gave_up)
+        [&self.port.end, &self.port.edge]
+            .into_iter()
+            .filter_map(LinkEnd::endpoint)
+            .any(Endpoint::is_dead)
     }
 
     /// Aggregate reliability statistics: injected faults on both link
     /// directions plus transport counters from both endpoints. All zeros
     /// on a bare, fault-free system.
     pub fn link_stats(&self) -> LinkStats {
-        let mut s = self.port.link_stats();
-        if let Some(t) = self.coproc.transport_stats() {
-            s.add_transport(&t);
-        }
-        s
+        self.port.link_stats()
     }
 
     /// Total frames moved in each direction: `(to device, to host)`.

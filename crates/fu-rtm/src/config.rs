@@ -7,7 +7,6 @@
 
 use crate::redundant::Redundancy;
 use crate::seu::SeuConfig;
-use fu_isa::transport::TransportConfig;
 use rtl_sim::SimError;
 
 /// Configuration of one coprocessor instance.
@@ -45,10 +44,6 @@ pub struct CoprocConfig {
     /// and the unit is quarantined in the FU table so later dispatches fail
     /// fast. `None` disables the watchdog (the default).
     pub max_busy_cycles: Option<u64>,
-    /// Reliable-transport configuration for the device-side transceiver.
-    /// `None` (the default) keeps the bare frame port: every frame is
-    /// assumed delivered intact, as the paper's framing layer does.
-    pub transport: Option<TransportConfig>,
     /// Seeded single-event-upset injection into device state (register/
     /// flag file cells, result latches, scoreboard bits). `None` (the
     /// default) models radiation-free hardware.
@@ -77,7 +72,6 @@ impl Default for CoprocConfig {
             tx_fifo_depth: 16,
             trace_depth: 0,
             max_busy_cycles: None,
-            transport: None,
             seu: None,
             parity: false,
             redundancy: Redundancy::None,
@@ -118,11 +112,6 @@ impl CoprocConfig {
         }
         if self.max_busy_cycles == Some(0) {
             return err("max_busy_cycles must be at least 1 when enabled".into());
-        }
-        if let Some(t) = &self.transport {
-            if t.window == 0 || t.ack_timeout == 0 {
-                return err("transport window and ack_timeout must be at least 1".into());
-            }
         }
         if let Some(s) = &self.seu {
             if s.mean_interval_cycles == 0 {
@@ -169,12 +158,6 @@ impl CoprocConfig {
     /// Builder-style dispatch-watchdog enable.
     pub fn with_watchdog(mut self, max_busy_cycles: u64) -> Self {
         self.max_busy_cycles = Some(max_busy_cycles);
-        self
-    }
-
-    /// Builder-style reliable-transport enable for the device frame port.
-    pub fn with_transport(mut self, transport: TransportConfig) -> Self {
-        self.transport = Some(transport);
         self
     }
 

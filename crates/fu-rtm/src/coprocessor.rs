@@ -33,9 +33,7 @@ use crate::redundant::{protect_units, Redundancy};
 use crate::regfile::RegFile;
 use crate::serializer::MessageSerializer;
 use crate::seu::{SeuModel, SeuTarget, Strike};
-use crate::transceiver::DeviceTransceiver;
 use fu_isa::msg::ErrorCode;
-use fu_isa::transport::TransportStats;
 use fu_isa::{DevMsg, Flags, Word};
 use rtl_sim::area::log2_ceil;
 use rtl_sim::{
@@ -242,8 +240,6 @@ pub struct Coprocessor {
     lat_issue_dispatch: LatencyHistogram,
     lat_dispatch_retire: LatencyHistogram,
     lat_issue_retire: LatencyHistogram,
-    // reliable transport (None = bare frame port, the default)
-    transceiver: Option<DeviceTransceiver>,
     // dispatch watchdog (active when cfg.max_busy_cycles is Some)
     /// Last cycle each unit made observable progress (accepted a dispatch
     /// or had a completion granted by the arbiter).
@@ -334,7 +330,6 @@ impl Coprocessor {
             lat_issue_dispatch: LatencyHistogram::default(),
             lat_dispatch_retire: LatencyHistogram::default(),
             lat_issue_retire: LatencyHistogram::default(),
-            transceiver: cfg.transport.map(DeviceTransceiver::new),
             fu_last_progress: vec![0; fus.len()],
             fu_outstanding: vec![Vec::new(); fus.len()],
             fu_quarantined: vec![false; fus.len()],
@@ -373,15 +368,10 @@ impl Coprocessor {
     /// Returns `false` (frame not accepted) when the FIFO is full — the
     /// link must retry, as real flow control would.
     ///
-    /// With a reliable transceiver fitted the frame is a *wire* frame
-    /// (data segment or ack) and is always accepted: loss recovery is the
-    /// transport's job, and validated payloads trickle into the receive
-    /// FIFO as space frees up.
+    /// Frames are application payload: a reliable transport ends at the
+    /// host's device edge, in front of this port, and pushes only the
+    /// payloads it has validated.
     pub fn push_frame(&mut self, frame: u32) -> bool {
-        if let Some(t) = self.transceiver.as_mut() {
-            t.on_wire_frame(self.cycle, frame);
-            return true;
-        }
         if self.rx_fifo.can_push() {
             self.rx_fifo.push(frame);
             true
@@ -391,12 +381,7 @@ impl Coprocessor {
     }
 
     /// Remove one frame from the transmit FIFO (transmitter → link).
-    /// With a reliable transceiver fitted this emits wire frames (data
-    /// segments and acks) instead of bare payload frames.
     pub fn pop_frame(&mut self) -> Option<u32> {
-        if let Some(t) = self.transceiver.as_mut() {
-            return t.pull_wire_frame(self.cycle);
-        }
         self.tx_fifo.pop()
     }
 
@@ -413,19 +398,6 @@ impl Coprocessor {
         let gated = self.activity == ActivityMode::Scheduled;
         let reason = self.step_reason.take().unwrap_or(StepReason::Direct);
         self.step_reasons.record(reason);
-
-        // ---- reliable transceiver: timer + rx delivery ----
-        if let Some(t) = self.transceiver.as_mut() {
-            // Advance the retransmit timer, then move validated in-order
-            // payloads into the receive FIFO while it has space (staged;
-            // the message buffer sees them after the clock edge, exactly
-            // like frames pushed by a bare link).
-            t.poll(self.cycle);
-            while self.rx_fifo.can_push() && t.has_deliverable() {
-                let f = t.deliver().expect("has_deliverable implies a frame");
-                self.rx_fifo.push(f);
-            }
-        }
 
         // ---- per-instruction latency: a decoded head's issue time is the
         // cycle it first becomes visible to the dispatcher ----
@@ -677,12 +649,6 @@ impl Coprocessor {
                 }
             }
         }
-        // ---- reliable transceiver: collect serialised output ----
-        if let Some(t) = self.transceiver.as_mut() {
-            while let Some(f) = self.tx_fifo.pop() {
-                t.send_payload(f);
-            }
-        }
         self.cycle += 1;
     }
 
@@ -899,11 +865,11 @@ impl Coprocessor {
     /// or execution activity, which quietness excludes).
     ///
     /// On a quiet verdict the machine's deadlines — each active unit's
-    /// next change, each active unit's watchdog deadline, the
-    /// transceiver's retransmit deadline — are registered, and the
-    /// earliest becomes the verdict. The caller combines it with its own
-    /// external events and then either steps (something is due now) or
-    /// calls [`Coprocessor::skip_quiet`];
+    /// next change and each active unit's watchdog deadline — are
+    /// registered, and the earliest becomes the verdict. The caller
+    /// combines it with its own external events (link arrivals, gates,
+    /// retransmit deadlines) and then either steps (something is due
+    /// now) or calls [`Coprocessor::skip_quiet`];
     /// [`Coprocessor::skip_to_next_event`] does both.
     pub fn quiet_verdict(&mut self) -> QuietVerdict {
         self.armed = None;
@@ -916,8 +882,8 @@ impl Coprocessor {
             return QuietVerdict::Busy(StepReason::Stage);
         }
         let mut deadlines = Deadlines::default();
-        // With no unit holding work and no head waiting, only the
-        // transport can wake the machine: skip the per-unit scan.
+        // With no unit holding work and no head waiting, nothing inside
+        // the machine can wake it: skip the per-unit scan.
         if self.n_active_fus > 0 || self.decoded_slot.has_data() {
             // A unit holding a completion gives the write arbiter work.
             for (i, fu) in self.fus.iter().enumerate() {
@@ -946,9 +912,6 @@ impl Coprocessor {
                     deadlines.add(self.fu_last_progress[i].saturating_add(max));
                 }
             }
-        }
-        if let Some(t) = self.transport_next_event() {
-            deadlines.add(t);
         }
         self.wakes.wakes_scheduled += deadlines.registered;
         match deadlines.earliest {
@@ -1139,13 +1102,8 @@ impl Coprocessor {
     }
 
     /// True when no work is anywhere in the machine (including unread
-    /// transmit frames).
-    ///
-    /// A fitted transceiver that is merely waiting on its retransmit
-    /// timer *is* idle — nothing changes until the deadline, which
-    /// [`Coprocessor::transport_next_event`] exposes so hosts can bound
-    /// their fast-forwards. Pending deliveries, unsent wire frames and
-    /// queued watchdog errors are work and hold the machine awake.
+    /// transmit frames). Queued watchdog errors are work and hold the
+    /// machine awake.
     pub fn is_idle(&self) -> bool {
         !self.msgbuf.mid_message() && self.pipeline_drained()
     }
@@ -1167,8 +1125,7 @@ impl Coprocessor {
     }
 
     /// Every stage and inter-stage register except the decoded slot is
-    /// empty, no watchdog error waits and the transceiver has nothing to
-    /// deliver or send.
+    /// empty and no watchdog error waits.
     fn stages_empty(&self) -> bool {
         self.rx_fifo.is_idle()
             && self.msg_slot.is_idle()
@@ -1180,10 +1137,6 @@ impl Coprocessor {
             && self.execution.is_idle()
             && self.arbiter.is_idle()
             && self.watchdog_errors.is_empty()
-            && self
-                .transceiver
-                .as_ref()
-                .is_none_or(|t| !t.has_deliverable() && !t.has_tx_work())
     }
 
     /// The dispatcher's decision for the decoded head, if one is
@@ -1214,24 +1167,6 @@ impl Coprocessor {
             "active-unit bookkeeping diverged from unit state"
         );
         self.n_active_fus == 0
-    }
-
-    /// Transport statistics, when a reliable transceiver is fitted.
-    pub fn transport_stats(&self) -> Option<TransportStats> {
-        self.transceiver.as_ref().map(|t| t.stats())
-    }
-
-    /// True when the fitted transceiver (if any) has delivered and had
-    /// acknowledged all traffic. Distinct from [`Coprocessor::is_idle`]:
-    /// an endpoint waiting for a peer's ack is idle but not quiescent.
-    pub fn transport_quiescent(&self) -> bool {
-        self.transceiver.as_ref().is_none_or(|t| t.is_quiescent())
-    }
-
-    /// The transceiver's retransmit deadline, for event-driven hosts:
-    /// fast-forwarding past it would delay a retransmission.
-    pub fn transport_next_event(&self) -> Option<u64> {
-        self.transceiver.as_ref().and_then(|t| t.next_event_cycle())
     }
 
     /// Step until idle, with a cycle budget.
@@ -1503,9 +1438,6 @@ impl Coprocessor {
         self.lat_issue_dispatch = LatencyHistogram::default();
         self.lat_dispatch_retire = LatencyHistogram::default();
         self.lat_issue_retire = LatencyHistogram::default();
-        if let Some(t) = self.transceiver.as_mut() {
-            t.reset();
-        }
         self.futable.clear_quarantine();
         self.armed = None;
         self.wakes = WheelStats::default();
@@ -1565,7 +1497,6 @@ impl Coprocessor {
             lat_issue_dispatch: self.lat_issue_dispatch.clone(),
             lat_dispatch_retire: self.lat_dispatch_retire.clone(),
             lat_issue_retire: self.lat_issue_retire.clone(),
-            transceiver: self.transceiver.clone(),
             fu_last_progress: self.fu_last_progress.clone(),
             fu_outstanding: self.fu_outstanding.clone(),
             fu_quarantined: self.fu_quarantined.clone(),
@@ -1580,7 +1511,7 @@ impl Coprocessor {
 
     /// Capture a restorable checkpoint of the full device state —
     /// architectural registers, every pipeline latch, in-flight unit
-    /// work, the transceiver and the scheduler bookkeeping. `None` when
+    /// work and the scheduler bookkeeping. `None` when
     /// an attached unit cannot be cloned (see
     /// [`FunctionalUnit::clone_unit`]).
     pub fn snapshot(&self) -> Option<CoprocSnapshot> {
@@ -1634,7 +1565,6 @@ mod tests {
     use super::*;
     use crate::testing::{LatencyFu, StuckFu};
     use fu_isa::msg::DevDeframer;
-    use fu_isa::transport::{Endpoint, TransportConfig};
     use fu_isa::{HostMsg, InstrWord, MgmtOp, UserInstr};
 
     fn machine(units: Vec<Box<dyn FunctionalUnit>>) -> Coprocessor {
@@ -2325,61 +2255,6 @@ mod tests {
         assert_eq!(stepped.cycle(), sched.cycle());
         assert_eq!(stepped.stats(), sched.stats());
         assert_eq!(stepped.stats().fu_timeouts, 1, "watchdog actually fired");
-    }
-
-    #[test]
-    fn transceiver_port_carries_messages_over_wire_segments() {
-        let tcfg = TransportConfig::default();
-        let cfg = CoprocConfig {
-            rx_frames_per_cycle: 4,
-            tx_frames_per_cycle: 4,
-            transport: Some(tcfg),
-            ..CoprocConfig::default()
-        };
-        let mut m = Coprocessor::new(cfg, vec![]).unwrap();
-        let mut host = Endpoint::new(tcfg);
-        let msgs = [
-            HostMsg::WriteReg {
-                reg: 3,
-                value: Word::from_u64(42, 32),
-            },
-            HostMsg::ReadReg { reg: 3, tag: 7 },
-        ];
-        for msg in &msgs {
-            for f in msg.to_frames(32) {
-                host.send(f);
-            }
-        }
-        let mut deframer = DevDeframer::new(32);
-        let mut out = Vec::new();
-        for now in 0..5_000u64 {
-            host.poll(now);
-            while let Some(f) = host.pull_frame(now) {
-                assert!(m.push_frame(f), "wire frames are always accepted");
-            }
-            m.step();
-            while let Some(f) = m.pop_frame() {
-                host.on_frame(now, f);
-            }
-            while let Some(p) = host.deliver() {
-                if let Some(msg) = deframer.push(p).unwrap() {
-                    out.push(msg);
-                }
-            }
-            if !out.is_empty() && m.is_idle() && m.transport_quiescent() && host.is_quiescent() {
-                break;
-            }
-        }
-        assert_eq!(
-            out,
-            vec![DevMsg::Data {
-                tag: 7,
-                value: Word::from_u64(42, 32)
-            }]
-        );
-        let stats = m.transport_stats().expect("transceiver fitted");
-        assert!(stats.delivered > 0 && stats.acks_sent > 0);
-        assert!(!stats.gave_up);
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod regfile;
 pub mod serializer;
 pub mod seu;
 pub mod testing;
-pub mod transceiver;
 
 pub use config::CoprocConfig;
 pub use coprocessor::{ActivityMode, CoprocSnapshot, CoprocStats, Coprocessor, QuietVerdict};

@@ -315,3 +315,64 @@ proptest! {
         }
     }
 }
+
+/// The E12 fault-free batch — 32 dependent adds bracketed by register
+/// writes, a read-back and a sync — on a reliable `System` over the
+/// prototyping link. Returns the response stream and the drained system.
+fn e12_batch(mode: ActivityMode) -> (Vec<DevMsg>, System) {
+    let link = LinkModel::prototyping();
+    let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
+    let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 1))];
+    let mut sys =
+        System::new_reliable(CoprocConfig::default(), units, link, tcfg, None).expect("config");
+    sys.set_activity_mode(mode);
+    sys.send(&HostMsg::WriteReg {
+        reg: 1,
+        value: Word::from_u64(3, 32),
+    });
+    sys.send(&HostMsg::WriteReg {
+        reg: 2,
+        value: Word::from_u64(0, 32),
+    });
+    for _ in 0..32 {
+        sys.send(&dependent_add());
+    }
+    sys.send(&HostMsg::ReadReg { reg: 2, tag: 1 });
+    sys.send(&HostMsg::Sync { tag: 2 });
+    sys.run_until(50_000_000, |s| s.is_idle())
+        .expect("reliable system must drain");
+    let out: Vec<DevMsg> = std::iter::from_fn(|| sys.recv()).collect();
+    (out, sys)
+}
+
+/// The device edge's queued output is a host event, not coprocessor
+/// work: while the host-bound gate is closed the scheduled kernel skips
+/// to its reopening (or to a retransmit deadline), so it steps little
+/// more than one cycle per wire frame plus one per stage evaluation —
+/// and stays bit-identical to the exhaustive reference.
+#[test]
+fn reliable_system_skips_while_its_device_edge_waits_on_the_gate() {
+    let (e_out, e) = e12_batch(ActivityMode::Exhaustive);
+    let (s_out, s) = e12_batch(ActivityMode::Scheduled);
+    assert_eq!(e_out, s_out, "responses diverged");
+    assert!(s_out.contains(&DevMsg::Data {
+        tag: 1,
+        value: Word::from_u64(96, 32),
+    }));
+    assert_eq!(e.cycle(), s.cycle(), "cycle counts diverged");
+    assert_eq!(e.link_stats(), s.link_stats(), "link stats diverged");
+    let sim = s.sim_stats();
+    assert_eq!(
+        sim.step_reasons.total(),
+        sim.cycles_stepped,
+        "{:?}",
+        sim.step_reasons
+    );
+    let wire = s.link_stats().wire_frames;
+    let evals: u64 = sim.stage_evals.iter().map(|&(_, n)| n).sum();
+    assert!(
+        sim.cycles_stepped <= wire + evals,
+        "stepped {} cycles for {wire} wire frames and {evals} stage evals",
+        sim.cycles_stepped
+    );
+}
