@@ -588,6 +588,9 @@ pub(crate) struct HostPort {
 }
 
 impl HostPort {
+    /// A port over `link` whose two ends share `transport` (`None`:
+    /// bare).
+    ///
     /// # Errors
     /// [`SimError::Config`] when `transport` is one an [`Endpoint`]
     /// cannot run: a zero window or ack timeout, or a window too wide for
