@@ -76,18 +76,12 @@ pub fn arith_batch_mode_traced(
 
 /// Workload 2: χ-sort `n` elements end to end (load, sort, read back).
 pub fn xi_batch(link: LinkModel, n: usize) -> LinkRun {
-    xi_batch_mode(link, n, ActivityMode::Scheduled)
-}
-
-/// [`xi_batch`] with an explicit scheduling mode.
-pub fn xi_batch_mode(link: LinkModel, n: usize, mode: ActivityMode) -> LinkRun {
-    let mut sys = System::new(
+    let sys = System::new(
         CoprocConfig::default(),
         vec![Box::new(XiSortAdapter::new(XiConfig::new(n as u32), 32))],
         link,
     )
     .expect("valid config");
-    sys.set_activity_mode(mode);
     let mut d = Driver::new(sys, 4_000_000_000);
     let values = workload(3, n, 1 << 20);
     d.xi_load(&values, 1).expect("load");

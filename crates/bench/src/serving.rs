@@ -161,6 +161,7 @@ pub fn serving_run(
                 expected.insert(seq, a.expect);
             }
             Admission::Overloaded { .. } => {}
+            other @ Admission::UnknownTenant { .. } => panic!("E17 submit: {other:?}"),
         }
         // Poll as a real front-end would; correctness does not depend on
         // the cadence (the serving test battery proves it).

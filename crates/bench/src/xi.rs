@@ -21,18 +21,23 @@ pub struct PerOpRow {
     pub sw_step_visits: u64,
 }
 
-/// Measure the per-operation costs on an `n`-cell core.
-pub fn per_op(n: u32, registered_tree: bool) -> PerOpRow {
-    let values = baseline::workload(9, n as usize, 1 << 24);
-    let cfg = XiConfig::new(n).with_registered_tree(registered_tree);
+/// A core configured by `cfg` that holds `values`, its bounds initialised.
+pub fn loaded_core(cfg: XiConfig, values: &[u32]) -> XiSortCore {
     let mut core = XiSortCore::new(cfg);
     core.dispatch(XiOp::Reset, 0);
-    for &v in &values {
+    for &v in values {
         core.dispatch(XiOp::Push, v);
     }
     core.dispatch(XiOp::InitBounds, 0);
     core.run_to_completion(1_000_000);
+    core
+}
 
+/// Measure the per-operation costs on an `n`-cell core.
+pub fn per_op(n: u32, registered_tree: bool) -> PerOpRow {
+    let values = baseline::workload(9, n as usize, 1 << 24);
+    let cfg = XiConfig::new(n).with_registered_tree(registered_tree);
+    let mut core = loaded_core(cfg, &values);
     core.dispatch(XiOp::CountImprecise, 0);
     core.run_to_completion(1_000_000);
     let count_cycles = core.op_cycles();

@@ -116,6 +116,11 @@ pub enum Admission {
         /// The configured bound that was hit.
         queue_depth: usize,
     },
+    /// No tenant has this id; nothing was enqueued or counted.
+    UnknownTenant {
+        /// The id the caller passed.
+        tenant: TenantId,
+    },
 }
 
 /// One finished job, delivered through [`Service::poll`].
@@ -281,17 +286,18 @@ impl Service {
     ///
     /// # Errors
     /// [`FarmError`] on orchestration failures inside a round. Shedding
-    /// is *not* an error: it returns [`Admission::Overloaded`].
+    /// is *not* an error: it returns [`Admission::Overloaded`], and an
+    /// unknown tenant id returns [`Admission::UnknownTenant`] before any
+    /// round runs.
     pub fn submit(
         &mut self,
         tenant: TenantId,
         tick: u64,
         job: Job,
     ) -> Result<Admission, FarmError> {
-        assert!(
-            (tenant as usize) < self.lanes.len(),
-            "unknown tenant {tenant}"
-        );
+        if tenant as usize >= self.lanes.len() {
+            return Ok(Admission::UnknownTenant { tenant });
+        }
         let tick = tick.max(self.last_tick);
         self.last_tick = tick;
         self.advance_to(tick)?;
@@ -328,16 +334,15 @@ impl Service {
 
     /// Drop everything `tenant` still has queued (a mid-session
     /// disconnect). Cancelled jobs are accounted, never silently lost.
-    pub fn disconnect(&mut self, tenant: TenantId) {
-        assert!(
-            (tenant as usize) < self.lanes.len(),
-            "unknown tenant {tenant}"
-        );
-        let lane = &mut self.lanes[tenant as usize];
+    /// Returns how many jobs were cancelled, or `None` when no tenant has
+    /// the id `tenant`, in which case nothing changes.
+    pub fn disconnect(&mut self, tenant: TenantId) -> Option<u64> {
+        let lane = self.lanes.get_mut(tenant as usize)?;
         let dropped = lane.queue.len() as u64;
         lane.queue.clear();
         lane.deficit = 0;
         self.stats.tenant_mut(tenant).cancelled += dropped;
+        Some(dropped)
     }
 
     /// Run every scheduling round that would start strictly before
@@ -816,7 +821,7 @@ mod tests {
         }
         let (job, _) = client_job(9, 9, 99);
         svc.submit(1, 3, job).unwrap();
-        svc.disconnect(0);
+        assert_eq!(svc.disconnect(0), Some(4));
         let done = svc.drain().unwrap();
         assert_eq!(done.len(), 1, "only the surviving tenant's job ran");
         assert_eq!(done[0].tenant, 1);

@@ -59,6 +59,7 @@ fn main() {
             match svc.submit(0, t0, job).expect("submit") {
                 Admission::Admitted { .. } => {}
                 Admission::Overloaded { .. } => shed += 1,
+                other @ Admission::UnknownTenant { .. } => panic!("{other:?}"),
             }
         }
         for k in 0u32..5 {

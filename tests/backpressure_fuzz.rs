@@ -201,6 +201,7 @@ fn serve_fuzz(seed: u64) -> (Vec<Completion>, rtl_sim::ServeStats, u64) {
     let mut tick = 0u64;
     let mut admitted = 0u64;
     let mut shed = 0u64;
+    let mut unknown = 0u64;
     let mut expected: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
     let mut done: Vec<Completion> = Vec::new();
     for i in 0..250u32 {
@@ -210,7 +211,9 @@ fn serve_fuzz(seed: u64) -> (Vec<Completion>, rtl_sim::ServeStats, u64) {
         } else {
             fz.below(120)
         };
-        let tenant = (fz.below(u64::from(tenants))) as u32;
+        // Ids `tenants` and `tenants + 1` name no tenant: both calls must
+        // answer them in band instead of panicking.
+        let tenant = (fz.below(u64::from(tenants) + 2)) as u32;
         let (job, want) = client_job((i * 3) % 1000, (fz.below(512)) as u32, (i % 200) as u16);
         match svc.submit(tenant, tick, job).expect("submit") {
             Admission::Admitted { seq } => {
@@ -218,10 +221,14 @@ fn serve_fuzz(seed: u64) -> (Vec<Completion>, rtl_sim::ServeStats, u64) {
                 expected.insert(seq, want);
             }
             Admission::Overloaded { .. } => shed += 1,
+            Admission::UnknownTenant { tenant: t } => {
+                assert!(t == tenant && t >= tenants, "tenant {tenant} answered {t}");
+                unknown += 1;
+            }
         }
         // A client occasionally hangs up mid-session…
         if fz.below(60) == 0 {
-            svc.disconnect(tenant);
+            assert_eq!(svc.disconnect(tenant).is_none(), tenant >= tenants);
         }
         // …and the front-end polls on its own erratic schedule.
         if fz.below(3) == 0 {
@@ -235,7 +242,12 @@ fn serve_fuzz(seed: u64) -> (Vec<Completion>, rtl_sim::ServeStats, u64) {
     assert!(svc.is_idle(), "service failed to settle (seed {seed})");
     assert_eq!(svc.pending_completions(), 0);
     let t = svc.stats().totals();
-    assert_eq!(t.submitted, 250);
+    assert!(unknown > 0, "no unknown tenant id drawn (seed {seed})");
+    assert_eq!(t.submitted + unknown, 250);
+    assert!(
+        svc.stats().tenants.iter().all(|&(id, _)| id < tenants),
+        "counters created for an unknown tenant id (seed {seed})"
+    );
     assert_eq!((t.admitted, t.shed), (admitted, shed));
     assert!(t.shed > 0, "queue-full shedding never fired (seed {seed})");
     assert!(

@@ -210,7 +210,7 @@ fn long_dependent_chain() {
     // Over a frame-serial link the 3-frame instruction delivery hides
     // most of the dependency latency; at least one stall must still be
     // observable (the deeper CPI measurements drive the coprocessor's
-    // frame port directly — see bench exp_cpi).
+    // frame port directly — see E3 in bench exp_paper).
     assert!(
         stats.dispatch.stall_lock >= 1,
         "a dependent chain must stall on locks at least once"

@@ -69,6 +69,7 @@ fn feed(
         {
             Admission::Admitted { .. } => {}
             Admission::Overloaded { .. } => shed.push(i),
+            other @ Admission::UnknownTenant { .. } => panic!("arrival {i}: {other:?}"),
         }
         if poll_every > 0 && i % poll_every == 0 {
             done.extend(svc.poll());
@@ -245,6 +246,7 @@ proptest! {
                     prop_assert_eq!(tenant, a.tenant);
                     shed += 1;
                 }
+                other @ Admission::UnknownTenant { .. } => panic!("arrival {i}: {other:?}"),
             }
             if i == disconnect_at {
                 svc.disconnect(a.tenant); // a client vanishes mid-session
