@@ -1,30 +1,31 @@
 //! E14 — pipeline observability: per-stage utilization, instruction
-//! latency percentiles, and a Perfetto trace, with the work-count
-//! regression gate.
+//! latency percentiles, and a Perfetto trace, with the scheduler smokes'
+//! work counts.
 //!
 //! Profiles the arithmetic and χ-sort workloads at batch sizes 1 and 64
 //! on a single traced shard. Every traced run is paired with an untraced
 //! twin that must match bit for bit (results and `SimStats`) — the
 //! non-perturbation rule of `DESIGN.md` §6, enforced at measurement time.
 //!
-//! The binary is also CI's work-count gate: it re-runs the E8
-//! sim-speed smoke (arith batch over the prototyping link, scheduled
-//! kernel, tracing off) and compares its deterministic work counters
-//! against `ci/sim_speed_baseline.json`, failing on a >5% regression.
-//! The same baseline pins the reliable multi-host smoke's stepped cycles.
-//! Both smokes' stepped cycles are also printed split by step reason: the
-//! first event source that kept each one from being skipped.
+//! The binary also runs two scheduler smokes — the E8 sim-speed
+//! configuration (arith batch over the prototyping link, scheduled
+//! kernel, tracing off) and the reliable multi-host closed loop — and
+//! writes their deterministic work counters and their stepped cycles
+//! split by step reason (the first event source that kept each one from
+//! being skipped) into the report, where the report diff pins them.
 //!
 //! ```text
 //! cargo run --release -p bench --bin exp_profile
-//! cargo run --release -p bench --bin exp_profile -- --write-baseline
 //! ```
 
-use bench::profile::{profile_workload, ProfileRun, SmokeBaseline, BASELINE_FILE};
+use bench::profile::{
+    profile_workload, reliable_smoke, sim_speed_smoke, step_reasons, work_counts, ProfileRun,
+};
 use bench::report::{self, Obj};
 use bench::{Table, FPGA_MHZ};
+use fu_rtm::ActivityMode;
 
-/// Fixed seed so runs (and the CI gate) are reproducible.
+/// Fixed seed so runs (and the pinned report) are reproducible.
 const SEED: u64 = 0x0E14_5EED;
 const BATCHES: &[usize] = &[1, 64];
 
@@ -62,49 +63,16 @@ fn scenario(r: &ProfileRun) -> Obj {
 }
 
 fn main() {
-    let write_baseline = std::env::args().any(|a| a == "--write-baseline");
-
     println!("E14 — pipeline profile, batches {BATCHES:?}, seed {SEED:#x}");
     println!("every traced run verified bit-identical to its untraced twin\n");
 
-    // ---- the deterministic work-count gate ---------------------------
-    let (current, smoke_stats) = SmokeBaseline::measure();
-    if write_baseline {
-        report::write_text(BASELINE_FILE, &current.to_json());
-        return;
+    // ---- the scheduler smokes ----------------------------------------
+    let sim_speed = sim_speed_smoke(ActivityMode::Scheduled);
+    let reliable = reliable_smoke(ActivityMode::Scheduled).sim;
+    for (name, sim) in [("sim-speed", &sim_speed), ("reliable", &reliable)] {
+        println!("{name} smoke: {}", work_counts(sim).render(0));
+        println!("  stepped by reason: {}", step_reasons(sim).render(0));
     }
-    let baseline = SmokeBaseline::load();
-    current
-        .check_against(&baseline)
-        .expect("a smoke regressed against ci/sim_speed_baseline.json");
-    println!(
-        "gate: sim-speed smoke within its baseline bounds: {} vs baseline {}",
-        current.scheduled.to_obj().render(0),
-        baseline.scheduled.to_obj().render(0)
-    );
-    println!(
-        "gate: reliable multi-host smoke within its baseline bounds: {} vs baseline {}\n",
-        current.reliable.to_obj().render(0),
-        baseline.reliable.to_obj().render(0)
-    );
-
-    // ---- why each stepped cycle was stepped ----------------------------
-    let mut reasons = Table::new([
-        "smoke", "stepped", "stage", "unit", "deadline", "host", "direct",
-    ]);
-    for (name, sim) in &smoke_stats {
-        let r = sim.step_reasons;
-        reasons.row([
-            name.to_string(),
-            sim.cycles_stepped.to_string(),
-            r.stage.to_string(),
-            r.unit.to_string(),
-            r.deadline.to_string(),
-            r.host.to_string(),
-            r.direct.to_string(),
-        ]);
-    }
-    reasons.print();
     println!();
 
     // ---- the profile sweep -------------------------------------------
@@ -170,7 +138,14 @@ fn main() {
         .val("bench", "pipeline_profile")
         .val("seed", SEED)
         .fixed("clock_mhz", FPGA_MHZ, 1)
-        .obj("work_counts", current.scheduled.to_obj())
+        .obj("work_counts", work_counts(&sim_speed))
+        .obj("reliable_work_counts", work_counts(&reliable))
+        .obj(
+            "step_reasons",
+            Obj::default()
+                .obj("sim_speed", step_reasons(&sim_speed))
+                .obj("reliable", step_reasons(&reliable)),
+        )
         .list("scenarios", runs.iter().map(scenario));
     report::write("BENCH_pipeline_profile.json", &doc);
 

@@ -11,22 +11,19 @@
 //! p50/p99 latency per weight tier (gold/silver/bronze), and the shed
 //! fraction.
 //!
-//! The binary is also CI's serving gate: it runs the deterministic
-//! serving smoke and compares its counters against
-//! `ci/sim_speed_baseline.json` (completed/shed pinned exactly,
-//! rounds/clock within 5%), and fails when that file is unreadable.
+//! The binary also runs the deterministic serving smoke, which panics
+//! when it loses, fails or mis-verifies a job or never sheds, and writes
+//! its completion, shed, round and virtual-clock counts into the report.
 //!
 //! ```text
 //! cargo run --release -p bench --bin exp_serving
 //! ```
-//! (The baseline itself is rewritten by `exp_profile -- --write-baseline`.)
 
-use bench::profile::SmokeBaseline;
 use bench::report::{self, Obj};
 use bench::serving::{serving_run, serving_smoke, ServingRun};
 use bench::{Table, FPGA_MHZ};
 
-/// Fixed seed so runs (and the CI gate) are reproducible.
+/// Fixed seed so runs (and the pinned report) are reproducible.
 const SEED: u64 = 0x0E17_5EED;
 /// Clients in the sweep (the acceptance workload).
 const CLIENTS: usize = 10_000;
@@ -73,17 +70,8 @@ fn scenario(r: &ServingRun) -> Obj {
 }
 
 fn main() {
-    // ---- the deterministic serving gate ------------------------------
     let counts = serving_smoke();
-    println!("serving smoke: {}", counts.to_obj().render(0));
-    let baseline = SmokeBaseline::load();
-    counts
-        .check_against(&baseline.serving)
-        .expect("serving smoke regressed against ci/sim_speed_baseline.json");
-    println!(
-        "gate: serving smoke within its baseline bounds (baseline {})\n",
-        baseline.serving.to_obj().render(0)
-    );
+    println!("serving smoke: {}\n", counts.render(0));
 
     // ---- the sweep ---------------------------------------------------
     println!("E17 — serving sweep, {CLIENTS} clients x 2 jobs, seed {SEED:#x}");
@@ -161,7 +149,7 @@ fn main() {
         .fixed("clock_mhz", FPGA_MHZ, 0)
         .val("clients", CLIENTS)
         .val("queue_depth", QUEUE_DEPTH)
-        .obj("smoke_counters", counts.to_obj())
+        .obj("smoke_counters", counts)
         .list("scenarios", runs.iter().map(scenario));
     report::write("BENCH_serving.json", &doc);
 }

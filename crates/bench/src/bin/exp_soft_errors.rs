@@ -118,18 +118,17 @@ fn main() {
         println!();
     }
 
-    // The deterministic CI counters (also gated by exp_profile through
-    // ci/sim_speed_baseline.json); recomputed here so the report is
-    // self-contained. Panics on any resilience regression.
+    // The deterministic smoke counters, pinned with the rest of the
+    // report. Panics on any resilience regression.
     let c = soft_error_smoke();
-    println!("smoke counters: {}", c.to_obj().render(0));
+    println!("smoke counters: {}", c.render(0));
 
     let doc = Obj::default()
         .val("bench", "soft_errors")
         .val("seed", SEED)
         .val("n_seeds", N_SEEDS)
         .val("n_adds", N_ADDS)
-        .obj("smoke_counters", c.to_obj())
+        .obj("smoke_counters", c)
         .list("scenarios", scenarios);
     report::write("BENCH_soft_errors.json", &doc);
     println!(

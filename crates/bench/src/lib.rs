@@ -12,7 +12,6 @@
 
 pub mod cpi;
 pub mod faults;
-pub mod gate;
 pub mod links;
 pub mod ooo;
 pub mod profile;

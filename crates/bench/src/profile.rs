@@ -8,12 +8,11 @@
 //! (results *and* `SimStats`): tracing observes the machine, it never
 //! steers it.
 //!
-//! The module also carries CI's work-count gate: a deterministic
-//! baseline (`ci/sim_speed_baseline.json`) for the E8 sim-speed smoke
-//! configuration that the `exp_profile` binary refuses to exceed by more
-//! than 5%. A second work-count section pins the reliable multi-host
-//! smoke, whose stepped cycles show whether the scheduler still skips to
-//! each host's transmit event.
+//! The module also holds the two scheduler smokes whose work counts
+//! `exp_profile` writes into `BENCH_pipeline_profile.json`: the E8
+//! sim-speed configuration and a reliable multi-host run, whose stepped
+//! cycles show whether the scheduler still skips to each host's transmit
+//! event.
 
 use fu_host::{Farm, FarmConfig, Job, LinkModel, LinkStats, MultiHostSystem};
 use fu_isa::transport::TransportConfig;
@@ -21,11 +20,8 @@ use fu_isa::{DevMsg, HostMsg, Word};
 use fu_rtm::{ActivityMode, CoprocConfig};
 use rtl_sim::{LatencySnapshot, SimStats};
 
-use crate::gate::{Bound, Counters, Spec};
 use crate::links::arith_batch_mode;
-use crate::report::{self, Obj};
-use crate::serving::{serving_smoke, SERVE_COUNTS};
-use crate::soft_errors::{soft_error_smoke, SOFT_COUNTS};
+use crate::report::Obj;
 use crate::throughput::{arith_jobs, xi_jobs};
 
 /// Trace ring depth used for profiled runs — deep enough that an E14
@@ -132,40 +128,39 @@ pub fn profile_workload(
     }
 }
 
-/// The E8-style sim-speed smoke configuration whose work counts the CI
-/// baseline pins: the arithmetic batch over the slow prototyping link.
+/// The E8-style sim-speed smoke configuration whose work counts the
+/// profile report pins: the arithmetic batch over the slow prototyping
+/// link.
 pub fn sim_speed_smoke(mode: ActivityMode) -> SimStats {
     arith_batch_mode(LinkModel::prototyping(), 64, mode).sim
 }
 
-/// The sim-speed smoke's work counters (no wall clock, so the gate
-/// cannot flake on a loaded runner). Simulated cycles are pinned: the
-/// workload is deterministic, so a cycle-count change is a behaviour
-/// change, not a slowdown. Stepped cycles, stage evaluations and the
-/// scheduler's deadline counts may grow by 5% — a scheduler that
-/// silently starts waking too often is a perf regression even when the
-/// results stay bit-identical.
-pub const WORK_COUNTS: Spec = &[
-    ("cycles_simulated", Bound::Exact),
-    ("cycles_stepped", Bound::Within5Pct),
-    ("stage_evals_total", Bound::Within5Pct),
-    ("wheel_wakes_scheduled", Bound::Within5Pct),
-    ("wheel_wakes_fired", Bound::Within5Pct),
-];
+/// A smoke's work counters as a report object. They hold no wall clock,
+/// so the pinned report cannot flake on a loaded runner. A scheduler that
+/// silently starts stepping or waking too often changes them even when
+/// the results stay bit-identical.
+pub fn work_counts(sim: &SimStats) -> Obj {
+    Obj::default()
+        .val("cycles_simulated", sim.cycles_simulated)
+        .val("cycles_stepped", sim.cycles_stepped)
+        .val(
+            "stage_evals_total",
+            sim.stage_evals.iter().map(|&(_, n)| n).sum::<u64>(),
+        )
+        .val("wheel_wakes_scheduled", sim.wheel.wakes_scheduled)
+        .val("wheel_wakes_fired", sim.wheel.wakes_fired)
+}
 
-/// Distil the [`WORK_COUNTS`] from a stats snapshot.
-#[must_use]
-pub fn work_counts(sim: &SimStats) -> Counters {
-    Counters::new(
-        WORK_COUNTS,
-        [
-            sim.cycles_simulated,
-            sim.cycles_stepped,
-            sim.stage_evals.iter().map(|&(_, n)| n).sum(),
-            sim.wheel.wakes_scheduled,
-            sim.wheel.wakes_fired,
-        ],
-    )
+/// A smoke's stepped cycles split by step reason (the first event source
+/// that kept each one from being skipped), as a report object.
+pub fn step_reasons(sim: &SimStats) -> Obj {
+    let r = sim.step_reasons;
+    Obj::default()
+        .val("stage", r.stage)
+        .val("unit", r.unit)
+        .val("deadline", r.deadline)
+        .val("host", r.host)
+        .val("direct", r.direct)
 }
 
 /// Hosts in the reliable multi-host smoke.
@@ -254,204 +249,24 @@ pub fn reliable_smoke(mode: ActivityMode) -> ReliableRun {
     }
 }
 
-/// The reliable multi-host smoke's work counters. Simulated cycles are
-/// pinned; stepped cycles and stage evaluations may grow by 5%. A host
-/// port that reports work while its bandwidth gate is closed multiplies
-/// the stepped cycles, so it fails this gate.
-pub const RELIABLE_COUNTS: Spec = &[
-    ("cycles_simulated", Bound::Exact),
-    ("cycles_stepped", Bound::Within5Pct),
-    ("stage_evals_total", Bound::Within5Pct),
-];
-
-/// Distil the [`RELIABLE_COUNTS`] from a stats snapshot.
-#[must_use]
-pub fn reliable_counts(sim: &SimStats) -> Counters {
-    Counters::new(
-        RELIABLE_COUNTS,
-        [
-            sim.cycles_simulated,
-            sim.cycles_stepped,
-            sim.stage_evals.iter().map(|&(_, n)| n).sum(),
-        ],
-    )
-}
-
-/// The CI baseline document under the repository root.
-pub const BASELINE_FILE: &str = "ci/sim_speed_baseline.json";
-
-/// The CI baseline document: one pinned-counter section per smoke.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SmokeBaseline {
-    /// [`WORK_COUNTS`] from the scheduled-mode sim-speed smoke.
-    pub scheduled: Counters,
-    /// Deterministic counters from the E16 soft-error smoke (a protected
-    /// run that must stay bit-identical to its fault-free reference,
-    /// plus a farm-failover run).
-    pub soft: Counters,
-    /// Deterministic counters from the E17 serving smoke (a saturated
-    /// multi-tenant run whose admission and completion behaviour is
-    /// pinned exactly, with 5% headroom on scheduler efficiency).
-    pub serving: Counters,
-    /// [`RELIABLE_COUNTS`] from the scheduled reliable multi-host smoke.
-    pub reliable: Counters,
-}
-
-impl SmokeBaseline {
-    /// Section keys and specs, in document order.
-    const SECTIONS: [(&'static str, Spec); 4] = [
-        ("scheduled", WORK_COUNTS),
-        ("soft_errors", SOFT_COUNTS),
-        ("serving", SERVE_COUNTS),
-        ("reliable", RELIABLE_COUNTS),
-    ];
-
-    /// Measure the current smoke counters. Also returns, by name, the
-    /// full scheduler statistics of the sim-speed and reliable smokes the
-    /// `scheduled` and `reliable` sections were distilled from.
-    pub fn measure() -> (SmokeBaseline, [(&'static str, SimStats); 2]) {
-        let sim_speed = sim_speed_smoke(ActivityMode::Scheduled);
-        let reliable = reliable_smoke(ActivityMode::Scheduled).sim;
-        let baseline = SmokeBaseline {
-            scheduled: work_counts(&sim_speed),
-            soft: soft_error_smoke(),
-            serving: serving_smoke(),
-            reliable: reliable_counts(&reliable),
-        };
-        (baseline, [("sim-speed", sim_speed), ("reliable", reliable)])
-    }
-
-    fn sections(&self) -> [&Counters; 4] {
-        [&self.scheduled, &self.soft, &self.serving, &self.reliable]
-    }
-
-    /// Serialize as the baseline JSON document.
-    pub fn to_json(&self) -> String {
-        let doc = Self::SECTIONS.iter().zip(self.sections()).fold(
-            Obj::default().val("bench", "sim_speed_smoke"),
-            |doc, ((key, _), c)| doc.obj(key, c.to_obj()),
-        );
-        doc.render(2) + "\n"
-    }
-
-    /// Read and parse the checked-in baseline, [`BASELINE_FILE`].
-    ///
-    /// # Panics
-    /// When it is unreadable or malformed, saying how to rewrite it.
-    #[must_use]
-    pub fn load() -> SmokeBaseline {
-        std::fs::read_to_string(report::path(BASELINE_FILE))
-            .map_err(|e| e.to_string())
-            .and_then(|text| SmokeBaseline::from_json(&text))
-            .unwrap_or_else(|e| panic!("{BASELINE_FILE}: {e}; run exp_profile -- --write-baseline"))
-    }
-
-    /// Parse the baseline JSON document (sections in document order).
-    ///
-    /// # Errors
-    /// Returns a description of the missing/malformed section or field.
-    pub fn from_json(text: &str) -> Result<SmokeBaseline, String> {
-        let mut starts = Vec::new();
-        for (key, _) in Self::SECTIONS {
-            let at = text
-                .find(&format!("\"{key}\":"))
-                .ok_or_else(|| format!("baseline is missing the {key} section"))?;
-            if starts.last().is_some_and(|&prev| at < prev) {
-                return Err(
-                    "baseline sections out of order (scheduled, soft_errors, serving, \
-                     reliable)"
-                        .into(),
-                );
-            }
-            starts.push(at);
-        }
-        starts.push(text.len());
-        let section =
-            |i: usize| Counters::from_json(Self::SECTIONS[i].1, &text[starts[i]..starts[i + 1]]);
-        Ok(SmokeBaseline {
-            scheduled: section(0)?,
-            soft: section(1)?,
-            serving: section(2)?,
-            reliable: section(3)?,
-        })
-    }
-
-    /// Gate every section against the baseline.
-    ///
-    /// # Errors
-    /// Returns a description of the first violated bound.
-    pub fn check_against(&self, baseline: &SmokeBaseline) -> Result<(), String> {
-        for (((key, _), c), base) in Self::SECTIONS
-            .iter()
-            .zip(self.sections())
-            .zip(baseline.sections())
-        {
-            c.check_against(base).map_err(|e| format!("{key}: {e}"))?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn counts(cycles_stepped: u64, stage_evals_total: u64) -> Counters {
-        Counters::new(
-            WORK_COUNTS,
-            [1000, cycles_stepped, stage_evals_total, 40, 30],
-        )
-    }
-
-    #[test]
-    fn smoke_baseline_roundtrips_through_json() {
-        let b = SmokeBaseline {
-            scheduled: counts(1234, 8765),
-            soft: Counters::new(SOFT_COUNTS, [33, 7, 6, 1, 3]),
-            serving: Counters::new(SERVE_COUNTS, [500, 100, 40, 900_000]),
-            reliable: Counters::new(RELIABLE_COUNTS, [60_000, 4_000, 2_500]),
-        };
-        assert_eq!(SmokeBaseline::from_json(&b.to_json()), Ok(b));
-    }
-
-    #[test]
-    fn checked_in_baseline_roundtrips_byte_for_byte() {
-        let text = include_str!("../../../ci/sim_speed_baseline.json");
-        let parsed = SmokeBaseline::from_json(text).expect("parse the checked-in baseline");
-        assert_eq!(parsed.to_json(), text);
-    }
-
-    #[test]
-    fn gate_accepts_identical_and_rejects_regressions() {
-        let base = counts(100, 400);
-        assert!(base.check_against(&base).is_ok());
-        // 5% over is allowed, more is not.
-        let ok = base.with("stage_evals_total", 420);
-        assert!(ok.check_against(&base).is_ok());
-        let bad = base.with("stage_evals_total", 421);
-        assert!(bad.check_against(&base).is_err());
-        let drift = base.with("cycles_simulated", 1001);
-        assert!(drift.check_against(&base).is_err());
-        // A scheduler that wakes too often is a regression too.
-        let chatty = base.with("wheel_wakes_fired", 32);
-        assert!(chatty.check_against(&base).is_err());
-    }
-
     #[test]
     fn measured_smoke_counters_show_the_wheel_working() {
-        let m = SmokeBaseline::measure().0.scheduled;
-        let reference = work_counts(&sim_speed_smoke(ActivityMode::Exhaustive));
-        assert_eq!(m.get("cycles_simulated"), reference.get("cycles_simulated"));
+        let m = sim_speed_smoke(ActivityMode::Scheduled);
+        let reference = sim_speed_smoke(ActivityMode::Exhaustive);
+        assert_eq!(m.cycles_simulated, reference.cycles_simulated);
         assert_eq!(
-            reference.get("wheel_wakes_scheduled"),
-            0,
+            reference.wheel.wakes_scheduled, 0,
             "the reference kernel never skips"
         );
         assert!(
-            m.get("cycles_stepped") < reference.get("cycles_stepped"),
+            m.cycles_stepped < reference.cycles_stepped,
             "skipping must reduce stepping: {} vs {}",
-            m.get("cycles_stepped"),
-            reference.get("cycles_stepped")
+            m.cycles_stepped,
+            reference.cycles_stepped
         );
     }
 

@@ -10,10 +10,9 @@
 //! shed fraction; every delivered completion is verified against the
 //! workload generator's ground-truth expected value.
 //!
-//! The CI smoke (`serving_smoke`) pins the fully deterministic counters
-//! of one saturated configuration in `ci/sim_speed_baseline.json`: the
-//! completion and shed counts are behaviour (gated exactly), the round
-//! and virtual-clock counts are scheduler efficiency (gated at ≤5%).
+//! The CI smoke (`serving_smoke`) distils one saturated configuration
+//! into deterministic completion, shed, round and virtual-clock counts,
+//! which head `BENCH_serving.json`.
 
 use std::collections::HashMap;
 
@@ -26,7 +25,7 @@ use fu_isa::DevMsg;
 use fu_rtm::CoprocConfig;
 use rtl_sim::TenantCounters;
 
-use crate::gate::{Bound, Counters, Spec};
+use crate::report::Obj;
 use crate::FPGA_MHZ;
 
 /// Tenant weight tiers: the first tenant is "gold" (weight 4), the next
@@ -239,18 +238,6 @@ fn tier_slos(svc: &Service, tenants: u32) -> Vec<TierSlo> {
     out
 }
 
-/// Counters from the serving smoke the CI baseline pins. Everything
-/// downstream of the seed is a pure function of it, so any drift in the
-/// completed/shed counts is an admission or scheduling behaviour change;
-/// the rounds and the virtual cycles to drain the workload are scheduler
-/// efficiency and get the usual 5% headroom.
-pub const SERVE_COUNTS: Spec = &[
-    ("jobs_completed", Bound::Exact),
-    ("jobs_shed", Bound::Exact),
-    ("rounds", Bound::Within5Pct),
-    ("clock_cycles", Bound::Within5Pct),
-];
-
 /// Fixed seed for the CI serving smoke.
 pub const SMOKE_SEED: u64 = 0x0E17_5EED;
 /// Clients in the smoke (kept small; the full sweep runs 10k).
@@ -261,14 +248,17 @@ pub const SMOKE_GAP: u64 = 2_000;
 /// Queue bound for the smoke.
 pub const SMOKE_DEPTH: usize = 8;
 
-/// Run the CI serving smoke and distil its [`SERVE_COUNTS`].
+/// Run the CI serving smoke and distil its deterministic counters.
+/// Everything downstream of the seed is a pure function of it, so a
+/// change in the completed or shed counts is an admission or scheduling
+/// behaviour change, and one in the rounds or the virtual cycles to drain
+/// the workload is a scheduler efficiency change.
 ///
 /// # Panics
 /// When the smoke loses a job, duplicates a completion, returns a wrong
 /// payload, or fails to exercise shedding — each fails the build
 /// outright rather than drifting a counter.
-#[must_use]
-pub fn serving_smoke() -> Counters {
+pub fn serving_smoke() -> Obj {
     let run = serving_run(
         2,
         4,
@@ -285,10 +275,12 @@ pub fn serving_smoke() -> Counters {
         (SMOKE_CLIENTS * 2) as u64,
         "E17 smoke offered-load mismatch"
     );
-    Counters::new(
-        SERVE_COUNTS,
-        [run.completed, run.shed, run.rounds, run.clock_cycles],
-    )
+    assert!(run.completed > 0, "E17 smoke must complete jobs");
+    Obj::default()
+        .val("jobs_completed", run.completed)
+        .val("jobs_shed", run.shed)
+        .val("rounds", run.rounds)
+        .val("clock_cycles", run.clock_cycles)
 }
 
 #[cfg(test)]
@@ -297,30 +289,7 @@ mod tests {
 
     #[test]
     fn smoke_counters_are_deterministic() {
-        let a = serving_smoke();
-        let b = serving_smoke();
-        assert_eq!(a, b);
-        assert!(a.get("jobs_completed") > 0 && a.get("jobs_shed") > 0);
-    }
-
-    #[test]
-    fn serve_counter_gate_roundtrips_and_rejects_drift() {
-        let base = Counters::new(SERVE_COUNTS, [500, 100, 40, 900_000]);
-        assert_eq!(
-            Counters::from_json(SERVE_COUNTS, &base.to_obj().render(1)),
-            Ok(base.clone())
-        );
-        assert!(base.check_against(&base).is_ok());
-        // Behaviour counters are pinned exactly.
-        let drifted = base.with("jobs_completed", 501);
-        assert!(drifted.check_against(&base).is_err());
-        let admission = base.with("jobs_shed", 99);
-        assert!(admission.check_against(&base).is_err());
-        // Efficiency counters get the 5% headroom, no more.
-        let ok = base.with("rounds", 42);
-        assert!(ok.check_against(&base).is_ok());
-        let slow = base.with("clock_cycles", 946_000);
-        assert!(slow.check_against(&base).is_err());
+        assert_eq!(serving_smoke().render(0), serving_smoke().render(0));
     }
 
     #[test]

@@ -227,6 +227,8 @@ pub enum FarmError {
     },
     /// `shards == 0`.
     NoShards,
+    /// A [`crate::Service`] was given no tenants.
+    NoTenants,
 }
 
 impl std::fmt::Display for FarmError {
@@ -235,6 +237,7 @@ impl std::fmt::Display for FarmError {
             FarmError::Build(e) => write!(f, "shard build failed: {e:?}"),
             FarmError::WorkerPanicked { shard } => write!(f, "worker for shard {shard} panicked"),
             FarmError::NoShards => write!(f, "a farm needs at least one shard"),
+            FarmError::NoTenants => write!(f, "a service needs at least one tenant"),
         }
     }
 }

@@ -160,7 +160,12 @@ impl MultiHostSystem {
 
     /// Brand a host-local tag with the host index (drivers use this for
     /// every tagged request).
+    ///
+    /// # Panics
+    /// When `host` is not an attached host or `local` overflows the
+    /// per-host tag space.
     pub fn brand_tag(&self, host: usize, local: Tag) -> Tag {
+        assert!(host < self.hosts.len(), "no host {host}");
         let shift = 16 - self.host_bits;
         assert!(
             local < (1 << shift),
@@ -177,6 +182,9 @@ impl MultiHostSystem {
     /// Queue a message from `host`. Tagged messages must already carry a
     /// branded tag (see [`MultiHostSystem::brand_tag`]); this method
     /// checks the brand to catch routing bugs early.
+    ///
+    /// # Panics
+    /// When a tag's host field is not exactly `host`.
     pub fn send(&mut self, host: usize, msg: &HostMsg) {
         let tag = match msg {
             HostMsg::ReadReg { tag, .. }
@@ -185,8 +193,10 @@ impl MultiHostSystem {
             _ => None,
         };
         if let Some(t) = tag {
+            // The unreduced field: routing reduces it modulo the host
+            // count, which would let a field past the last host alias one.
             assert_eq!(
-                self.tag_host(t),
+                usize::from(t >> (16 - self.host_bits)),
                 host,
                 "tag {t:#x} is not branded for host {host}"
             );

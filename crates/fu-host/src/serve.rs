@@ -210,9 +210,8 @@ impl Service {
     /// A service multiplexing `tenants` onto `farm`.
     ///
     /// # Errors
-    /// [`FarmError::NoShards`] when the farm has no shards; a service
-    /// needs at least one tenant, enforced by panic (a configuration
-    /// bug, not a runtime condition).
+    /// [`FarmError::NoShards`] when the farm has no shards, and
+    /// [`FarmError::NoTenants`] when `tenants` is empty.
     pub fn new(
         cfg: ServeConfig,
         tenants: Vec<TenantSpec>,
@@ -221,7 +220,9 @@ impl Service {
         if farm.config().shards == 0 {
             return Err(FarmError::NoShards);
         }
-        assert!(!tenants.is_empty(), "a service needs at least one tenant");
+        if tenants.is_empty() {
+            return Err(FarmError::NoTenants);
+        }
         let lanes = tenants
             .into_iter()
             .map(|spec| Lane {
@@ -713,6 +714,17 @@ mod tests {
             .map(|(i, &w)| TenantSpec::new(format!("t{i}"), w))
             .collect();
         Service::new(cfg, specs, farm).unwrap()
+    }
+
+    #[test]
+    fn an_empty_tenant_list_is_an_error() {
+        let farm = Farm::standard(
+            FarmConfig::default(),
+            CoprocConfig::default(),
+            LinkModel::pcie_like(),
+        );
+        let r = Service::new(ServeConfig::default(), Vec::new(), farm);
+        assert!(matches!(r, Err(FarmError::NoTenants)));
     }
 
     #[test]

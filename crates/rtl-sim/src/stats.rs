@@ -3,7 +3,6 @@
 //! support activity-gated stepping and quiet-span skipping.
 
 use std::fmt;
-use std::time::Duration;
 
 /// Counters maintained by [`crate::HandshakeSlot`] and [`crate::Fifo`].
 ///
@@ -537,17 +536,6 @@ impl SimStats {
         }
     }
 
-    /// Simulated cycles per host-wall-clock second over `elapsed`.
-    #[must_use]
-    pub fn cycles_per_second(&self, elapsed: Duration) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.cycles_simulated as f64 / secs
-        }
-    }
-
     /// Per-stage utilization: busy cycles over simulated cycles, in
     /// pipeline order. Empty when no busy counters were collected.
     #[must_use]
@@ -695,7 +683,6 @@ mod tests {
             ..SimStats::default()
         };
         assert_eq!(s.skip_fraction(), 0.75);
-        assert_eq!(s.cycles_per_second(Duration::from_secs(2)), 500.0);
         let text = s.to_string();
         assert!(text.contains("75.0% fast-forwarded"), "{text}");
         assert!(text.contains("decode=40"), "{text}");
@@ -889,7 +876,6 @@ mod tests {
     fn sim_stats_zero_safe() {
         let s = SimStats::default();
         assert_eq!(s.skip_fraction(), 0.0);
-        assert_eq!(s.cycles_per_second(Duration::ZERO), 0.0);
     }
 
     #[test]

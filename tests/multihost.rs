@@ -168,6 +168,23 @@ fn mis_branded_tag_is_rejected_early() {
 }
 
 #[test]
+fn host_field_past_the_last_host_is_rejected() {
+    // Three hosts take two tag bits, so field 3 exists but names no host;
+    // reduced modulo the host count it would alias host 0.
+    let mut s = sys(3);
+    let stray = (3 << (16 - s.host_bits())) | 5;
+    let panics =
+        |f: &mut dyn FnMut()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+    assert!(panics(&mut || {
+        s.brand_tag(3, 5);
+    }));
+    assert!(
+        panics(&mut || s.send(0, &HostMsg::Sync { tag: stray })),
+        "a tag for host 3 must not be accepted from host 0"
+    );
+}
+
+#[test]
 fn single_host_degenerates_to_plain_system() {
     let mut s = sys(1);
     s.send(
