@@ -86,7 +86,8 @@ fn jobs_for(workload: &'static str, total: usize, batch: usize, seed: u64) -> Ve
 ///
 /// # Panics
 /// Panics when the traced run's results or `SimStats` differ from the
-/// untraced twin — tracing must never perturb the simulation.
+/// untraced twin — tracing must never perturb the simulation — or when
+/// the trace ring evicted an event, so the trace would be incomplete.
 pub fn profile_workload(
     workload: &'static str,
     total: usize,
@@ -113,6 +114,10 @@ pub fn profile_workload(
     );
 
     let report = &traced.shard_reports()[0];
+    assert_eq!(
+        report.trace_dropped, 0,
+        "the {workload} trace overflowed its {TRACE_DEPTH}-event ring"
+    );
     ProfileRun {
         workload,
         batch,
@@ -121,7 +126,7 @@ pub fn profile_workload(
         utilization: traced_sim.utilization(),
         latency: traced_sim.latency_snapshot(),
         trace_events: report.trace.len(),
-        trace_dropped: 0,
+        trace_dropped: report.trace_dropped,
         perfetto: traced
             .shard_perfetto(0)
             .expect("tracing was enabled on shard 0"),

@@ -211,6 +211,9 @@ pub struct ShardReport {
     /// The shard's retained trace events (pipeline + link, cycle order),
     /// empty unless [`FarmConfig::trace_depth`] was set.
     pub trace: Vec<rtl_sim::TraceEvent>,
+    /// Events the shard's pipeline and link trace rings evicted to make
+    /// room; 0 means `trace` is the shard's full event stream.
+    pub trace_dropped: u64,
 }
 
 /// Orchestration-level failures. Per-job failures travel inside
@@ -338,6 +341,7 @@ impl Farm {
             } else {
                 Vec::new()
             },
+            trace_dropped: sys.coproc().trace().dropped() + sys.link_trace().dropped(),
         }
     }
 

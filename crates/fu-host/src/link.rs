@@ -386,10 +386,37 @@ impl Link {
             .push_back((now + self.model.latency_cycles, frame));
     }
 
+    /// Inject `frames` back to back from `now` on, each at the cycle the
+    /// bandwidth gate opens for it (`now` for the first), and record each
+    /// in `trace` at that cycle. The link carries them exactly as if they
+    /// had been sent one per reopening.
+    ///
+    /// # Panics
+    /// Panics when the gate is closed at `now`.
+    pub(crate) fn send_paced(
+        &mut self,
+        now: u64,
+        frames: impl IntoIterator<Item = u32>,
+        trace: &mut TraceBuffer,
+        dir: LinkDir,
+    ) {
+        let mut at = now;
+        for f in frames {
+            self.send(at, f);
+            trace.record(at, TraceEventKind::LinkTx { dir });
+            at = self.next_injection;
+        }
+    }
+
     /// Take the next frame whose delivery time has arrived.
     pub fn recv(&mut self, now: u64) -> Option<u32> {
+        self.recv_stamped(now).map(|(_, f)| f)
+    }
+
+    /// [`Link::recv`], with the cycle the frame became deliverable.
+    fn recv_stamped(&mut self, now: u64) -> Option<(u64, u32)> {
         if self.in_flight.front().is_some_and(|(t, _)| *t <= now) {
-            self.in_flight.pop_front().map(|(_, f)| f)
+            self.in_flight.pop_front()
         } else {
             None
         }
@@ -476,39 +503,51 @@ impl LinkEnd {
         }
     }
 
-    /// Put frames on `link` while its bandwidth gate is open. Returns the
-    /// number of wire frames sent.
+    /// Put frames on `link` and record each in `trace`. A bare end sends
+    /// a frame per open bandwidth gate at `now`. A reliable end, when the
+    /// gate is open, stages its next segment and puts every frame of it
+    /// on the link at once, each at the cycle its gate opens, so the next
+    /// call is due at the gate after the segment's last frame.
     #[inline]
-    pub(crate) fn transmit(&mut self, now: u64, link: &mut Link) -> usize {
-        let mut sent = 0;
-        while link.can_send(now) {
-            let frame = match self {
-                LinkEnd::Bare(q) => q.pop_front(),
-                LinkEnd::Reliable(ep) => ep.pull_frame(now),
-            };
-            let Some(f) = frame else {
-                break;
-            };
-            link.send(now, f);
-            sent += 1;
+    pub(crate) fn transmit(
+        &mut self,
+        now: u64,
+        link: &mut Link,
+        trace: &mut TraceBuffer,
+        dir: LinkDir,
+    ) {
+        match self {
+            LinkEnd::Bare(q) => {
+                while link.can_send(now) {
+                    let Some(f) = q.pop_front() else {
+                        break;
+                    };
+                    link.send(now, f);
+                    trace.record(now, TraceEventKind::LinkTx { dir });
+                }
+            }
+            LinkEnd::Reliable(ep) if link.can_send(now) => {
+                link.send_paced(now, ep.pull_segment(now), trace, dir);
+            }
+            LinkEnd::Reliable(_) => {}
         }
-        sent
     }
 
-    /// Take every frame `link` delivers at `now` and hand the application
-    /// payload to `on_payload` in order: each wire frame on a bare end,
-    /// whatever the endpoint releases in order on a reliable one. Returns
-    /// the number of wire frames taken.
+    /// Take every frame `link` delivers at `now`, record each in `trace`
+    /// at the cycle it arrived, and hand the application payload to
+    /// `on_payload` in order: each wire frame on a bare end, whatever the
+    /// endpoint releases in order on a reliable one.
     #[inline]
     pub(crate) fn receive(
         &mut self,
         now: u64,
         link: &mut Link,
+        trace: &mut TraceBuffer,
+        dir: LinkDir,
         mut on_payload: impl FnMut(u32),
-    ) -> usize {
-        let mut taken = 0;
-        while let Some(f) = link.recv(now) {
-            taken += 1;
+    ) {
+        while let Some((at, f)) = link.recv_stamped(now) {
+            trace.record(at, TraceEventKind::LinkRx { dir });
             match self {
                 LinkEnd::Bare(_) => on_payload(f),
                 LinkEnd::Reliable(ep) => ep.on_frame(now, f),
@@ -519,18 +558,18 @@ impl LinkEnd {
                 on_payload(p);
             }
         }
-        taken
     }
 
     /// This end's earliest pending event, given the link it transmits on.
     /// A bare end with frames queued waits for the bandwidth gate to
     /// reopen. A reliable end is due `now` only with payloads to deliver;
-    /// with frames to send it waits for the earlier of the gate and its
-    /// retransmit deadline, and otherwise for the deadline alone. That is
-    /// exact: [`LinkEnd::transmit`] pulls no frame while the gate is
-    /// closed, and the deadline is the only cycle at which `poll` acts.
-    /// Plain branches rather than an iterator chain: this runs on every
-    /// scheduling decision.
+    /// with a segment to stage it waits for the earlier of the gate and
+    /// its retransmit deadline, and otherwise for the deadline alone. That
+    /// is exact: [`LinkEnd::transmit`] stages nothing while the gate is
+    /// closed (and it stays closed until the last frame of the previous
+    /// segment has gone out), and the deadline is the only cycle at which
+    /// `poll` acts. Plain branches rather than an iterator chain: this
+    /// runs on every scheduling decision.
     #[inline]
     pub(crate) fn next_event(&self, now: u64, tx: &Link) -> Option<u64> {
         match self {
@@ -541,6 +580,24 @@ impl LinkEnd {
                 earliest(Some(tx.next_send_cycle().max(now)), ep.next_event_cycle())
             }
             LinkEnd::Reliable(ep) => ep.next_event_cycle(),
+        }
+    }
+
+    /// When this end, taking every arrived frame in one
+    /// [`LinkEnd::receive`], must next take the frames on `rx`. A bare end
+    /// passes each frame on, so every arrival is an event. A reliable end
+    /// waits for the frame [`Endpoint::first_effect`] names, or for the
+    /// last frame in flight when none acts, so the link empties on time.
+    #[inline]
+    pub(crate) fn next_arrival(&self, now: u64, rx: &Link) -> Option<u64> {
+        match self {
+            LinkEnd::Bare(_) => rx.next_event_cycle(now),
+            LinkEnd::Reliable(ep) => {
+                let last = rx.in_flight.len().checked_sub(1)?;
+                let frames = rx.in_flight.iter().map(|&(_, f)| f);
+                let i = ep.first_effect(frames).unwrap_or(last);
+                Some(rx.in_flight[i].0.max(now))
+            }
         }
     }
 
@@ -624,10 +681,9 @@ impl HostPort {
     #[inline]
     pub(crate) fn transmit(&mut self, now: u64) {
         self.end.poll(now);
-        for _ in 0..self.end.transmit(now, &mut self.to_dev) {
-            let dir = LinkDir::ToDevice;
-            self.trace.record(now, TraceEventKind::LinkTx { dir });
-        }
+        let dir = LinkDir::ToDevice;
+        self.end
+            .transmit(now, &mut self.to_dev, &mut self.trace, dir);
     }
 
     /// Take what the host-bound link delivers at `now` and hand every
@@ -645,17 +701,21 @@ impl HostPort {
                 info: e.header,
             }),
         };
-        let taken = self.end.receive(now, &mut self.to_host, on_frame);
-        for _ in 0..taken {
-            let dir = LinkDir::ToHost;
-            self.trace.record(now, TraceEventKind::LinkRx { dir });
-        }
+        let (trace, dir) = (&mut self.trace, LinkDir::ToHost);
+        self.end
+            .receive(now, &mut self.to_host, trace, dir, on_frame);
     }
 
     /// This port's earliest pending event: either end's (see
-    /// [`LinkEnd::next_event`]) or a frame arriving on either link.
+    /// [`LinkEnd::next_event`]) or an arrival either receiver must take.
+    /// The host end takes every arrived frame in one call, so it wakes
+    /// per [`LinkEnd::next_arrival`]: a reliable one at the frame that
+    /// completes a segment. So does the device edge when
+    /// `edge_takes_all`; an edge that takes at most a port width of frames
+    /// per cycle wakes at every arriving frame, as deferred frames would
+    /// queue behind each other there.
     #[inline]
-    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
+    pub(crate) fn next_event(&self, now: u64, edge_takes_all: bool) -> Option<u64> {
         let host = self.end.next_event(now, &self.to_dev);
         if host.is_some_and(|t| t <= now) {
             return host; // work this cycle: nothing can be earlier
@@ -664,11 +724,13 @@ impl HostPort {
         if edge.is_some_and(|t| t <= now) {
             return edge;
         }
-        let wires = earliest(
-            self.to_dev.next_event_cycle(now),
-            self.to_host.next_event_cycle(now),
-        );
-        earliest(earliest(host, edge), wires)
+        let to_dev = if edge_takes_all {
+            self.edge.next_arrival(now, &self.to_dev)
+        } else {
+            self.to_dev.next_event_cycle(now)
+        };
+        let arrivals = earliest(to_dev, self.end.next_arrival(now, &self.to_host));
+        earliest(earliest(host, edge), arrivals)
     }
 
     /// The host end is quiet and no frame is travelling either way.

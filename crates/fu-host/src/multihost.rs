@@ -25,13 +25,13 @@
 
 use std::collections::VecDeque;
 
-use crate::link::{earliest, FaultModel, HostPort, LinkModel, LinkStats};
+use crate::link::{FaultModel, HostPort, LinkModel, LinkStats};
 use fu_isa::msg::{DevDeframer, ErrorCode, HostDeframer};
 use fu_isa::transport::TransportConfig;
 use fu_isa::{DevMsg, HostMsg, Tag};
 use fu_rtm::{ActivityMode, CoprocConfig, Coprocessor, FunctionalUnit};
 use rtl_sim::area::log2_ceil;
-use rtl_sim::{SimError, SimStats};
+use rtl_sim::{LinkDir, SimError, SimStats};
 
 /// One attached host: its [`HostPort`] plus the device-side state the
 /// multi-port transceiver keeps for it. The port's device edge sits at
@@ -44,6 +44,11 @@ struct Host {
     inject: VecDeque<HostMsg>,
     /// Fully received responses.
     responses: VecDeque<DevMsg>,
+    /// The port's next event as of its last touch (a pump or a send);
+    /// nothing else changes the port, so it stays exact until then.
+    wake: Option<u64>,
+    /// Pump this host's port in the current step.
+    pump: bool,
 }
 
 /// `m` host CPUs sharing one coprocessor.
@@ -90,6 +95,8 @@ impl MultiHostSystem {
                 deframer: HostDeframer::new(word_bits),
                 inject: VecDeque::new(),
                 responses: VecDeque::new(),
+                wake: None,
+                pump: false,
             })
             .collect();
         Ok(MultiHostSystem {
@@ -201,12 +208,19 @@ impl MultiHostSystem {
                 "tag {t:#x} is not branded for host {host}"
             );
         }
-        self.hosts[host].port.end.send(msg.frames(self.word_bits));
+        let h = &mut self.hosts[host];
+        h.port.end.send(msg.frames(self.word_bits));
+        h.wake = h.port.next_event(self.cycle, true);
     }
 
     /// Select the coprocessor's scheduling mode (see [`ActivityMode`]).
+    /// `Exhaustive` pumps every port every cycle and keeps no wakes, so
+    /// they are recomputed here.
     pub fn set_activity_mode(&mut self, mode: ActivityMode) {
         self.coproc.set_activity_mode(mode);
+        for h in &mut self.hosts {
+            h.wake = h.port.next_event(self.cycle, true);
+        }
     }
 
     /// Scheduler statistics for the shared coprocessor.
@@ -219,33 +233,43 @@ impl MultiHostSystem {
         self.hosts[host].responses.pop_front()
     }
 
-    /// Advance one FPGA clock cycle.
+    /// Advance one FPGA clock cycle. Under `Scheduled` only the ports
+    /// whose cached wake is due, and those the router hands a response
+    /// this cycle, are pumped: every other port would do nothing, since
+    /// its wake is its earliest event. `Exhaustive` pumps every port, so
+    /// it stays the per-cycle reference the cache is checked against.
     pub fn step(&mut self) {
         let now = self.cycle;
-        // Host side: each host end paces its frames onto its link.
+        let all = self.coproc.activity_mode() == ActivityMode::Exhaustive;
         for h in &mut self.hosts {
+            h.pump = all || h.wake.is_some_and(|t| t <= now);
+        }
+        // Host side: each host end paces its frames onto its link.
+        for h in self.hosts.iter_mut().filter(|h| h.pump) {
             h.port.transmit(now);
         }
         // Device edge: reassemble per-host messages. A malformed frame is
         // answered to its host with an in-band `BadFrame` error carrying
         // the header, as the device's message buffer answers one.
-        for h in &mut self.hosts {
+        for h in self.hosts.iter_mut().filter(|h| h.pump) {
             let (deframer, inject) = (&mut h.deframer, &mut h.inject);
             let mut bad = Vec::new();
-            let edge = &mut h.port.edge;
-            edge.poll(now);
+            let port = &mut h.port;
+            port.edge.poll(now);
             let on_frame = |f: u32| match deframer.push(f) {
                 Ok(Some(msg)) => inject.push_back(msg),
                 Ok(None) => {}
                 Err(e) => bad.push(e.header),
             };
-            edge.receive(now, &mut h.port.to_dev, on_frame);
+            let dir = LinkDir::ToDevice;
+            port.edge
+                .receive(now, &mut port.to_dev, &mut port.trace, dir, on_frame);
             for info in bad {
                 let err = DevMsg::Error {
                     code: ErrorCode::BadFrame,
                     info,
                 };
-                edge.send(err.frames(self.word_bits));
+                port.edge.send(err.frames(self.word_bits));
             }
         }
         // Message-granular round-robin injection into the coprocessor.
@@ -287,13 +311,21 @@ impl MultiHostSystem {
                 // Device-side per-host serialisation is modelled as
                 // instantaneous; the per-host link applies its own
                 // latency/bandwidth below.
-                self.hosts[host].port.edge.send(msg.frames(self.word_bits));
+                let h = &mut self.hosts[host];
+                h.port.edge.send(msg.frames(self.word_bits));
+                h.pump = true;
             }
         }
-        for h in &mut self.hosts {
-            h.port.edge.transmit(now, &mut h.port.to_host);
+        for h in self.hosts.iter_mut().filter(|h| h.pump) {
+            let port = &mut h.port;
+            let dir = LinkDir::ToHost;
+            port.edge
+                .transmit(now, &mut port.to_host, &mut port.trace, dir);
             let responses = &mut h.responses;
-            h.port.receive(now, |msg| responses.push_back(msg));
+            port.receive(now, |msg| responses.push_back(msg));
+            if !all {
+                h.wake = port.next_event(now + 1, true);
+            }
         }
         self.cycle += 1;
     }
@@ -321,8 +353,8 @@ impl MultiHostSystem {
 
     /// Jump over cycles in which nothing can happen (see
     /// [`crate::System`] — same idea, with each host's port as an event
-    /// source). Returns the number of cycles skipped (0 means: step
-    /// normally).
+    /// source, read from its cached wake). Returns the number of cycles
+    /// skipped (0 means: step normally).
     fn idle_skip(&mut self, budget: u64) -> u64 {
         let now = self.cycle;
         let (hosts, injecting) = (&self.hosts, &self.injecting);
@@ -332,17 +364,7 @@ impl MultiHostSystem {
             if !injecting.is_empty() || hosts.iter().any(|h| !h.inject.is_empty()) {
                 return Some(now);
             }
-            let mut next = None;
-            // Return at the first end with work this cycle: nothing can be
-            // earlier, and this runs before every stepped cycle.
-            for h in hosts {
-                let port = h.port.next_event(now);
-                if port.is_some_and(|t| t <= now) {
-                    return port;
-                }
-                next = earliest(next, port);
-            }
-            next
+            hosts.iter().filter_map(|h| h.wake).min()
         });
         self.cycle += skip;
         skip

@@ -270,28 +270,34 @@ impl System {
         }
         // Clock the FPGA.
         self.coproc.step();
-        // Device edge, outbound: a reliable edge queues everything the
-        // serialiser produced; wire frames leave after the clock edge,
-        // stamped with the cycle that edge starts.
-        if let LinkEnd::Reliable(ep) = &mut port.edge {
-            while let Some(f) = self.coproc.pop_frame() {
-                ep.send(f);
+        // Device edge, outbound: a bare edge moves up to a port width of
+        // serialiser frames per cycle. A reliable edge queues everything
+        // the serialiser produced and, when the host-bound gate is open,
+        // puts its next segment on the link; the segment is staged after
+        // the clock edge, stamped with the cycle that edge starts.
+        match &mut port.edge {
+            LinkEnd::Bare(_) => {
+                for _ in 0..width {
+                    if !port.to_host.can_send(now) {
+                        break;
+                    }
+                    let Some(f) = self.coproc.pop_frame() else {
+                        break;
+                    };
+                    port.to_host.send(now, f);
+                    let dir = LinkDir::ToHost;
+                    port.trace.record(now, TraceEventKind::LinkTx { dir });
+                }
             }
-        }
-        for _ in 0..width {
-            if !port.to_host.can_send(now) {
-                break;
+            LinkEnd::Reliable(ep) => {
+                while let Some(f) = self.coproc.pop_frame() {
+                    ep.send(f);
+                }
+                if port.to_host.can_send(now) {
+                    let (segment, dir) = (ep.pull_segment(now + 1), LinkDir::ToHost);
+                    port.to_host.send_paced(now, segment, &mut port.trace, dir);
+                }
             }
-            let frame = match &mut port.edge {
-                LinkEnd::Bare(_) => self.coproc.pop_frame(),
-                LinkEnd::Reliable(ep) => ep.pull_frame(now + 1),
-            };
-            let Some(f) = frame else {
-                break;
-            };
-            port.to_host.send(now, f);
-            let dir = LinkDir::ToHost;
-            port.trace.record(now, TraceEventKind::LinkTx { dir });
         }
         // Host receives, and each response goes toward the consumer under
         // the recovery policy: with rollback enabled an in-band soft error
@@ -500,13 +506,15 @@ impl System {
 
     /// Jump over cycles in which nothing can happen. Returns the number
     /// of cycles skipped (0 means: step normally). The host's event set
-    /// is its port's, device edge included (see `HostPort::next_event`).
+    /// is its port's, device edge included (see `HostPort::next_event`);
+    /// the edge takes at most a port width of frames per cycle, so every
+    /// frame arriving at it is an event.
     fn idle_skip(&mut self, budget: u64) -> u64 {
         let now = self.cycle;
         let port = &self.port;
         let skip = self
             .coproc
-            .skip_to_next_event(budget, || port.next_event(now));
+            .skip_to_next_event(budget, || port.next_event(now, false));
         self.cycle += skip;
         skip
     }

@@ -34,7 +34,8 @@
 //! Everything here is deterministic: no randomness, and the only notion of
 //! time is the cycle number threaded in by the caller, so a simulation may
 //! fast-forward across an idle span as long as it never skips past
-//! [`Endpoint::next_event_cycle`].
+//! [`Endpoint::next_event_cycle`], the bandwidth gate after a segment it
+//! sent, or the arrival of the frame [`Endpoint::first_effect`] names.
 
 use crate::crc::crc32_frames;
 use std::collections::VecDeque;
@@ -132,6 +133,13 @@ pub struct TransportStats {
 /// One direction-pair of the reliable protocol: transmits data segments for
 /// the local application, receives data segments from the peer, and
 /// multiplexes acks for the peer's data onto its own outgoing frame stream.
+///
+/// It works a segment at a time on both sides: [`Endpoint::pull_segment`]
+/// hands over a whole segment or ack for the caller to pace onto the
+/// link, and [`Endpoint::first_effect`] names the frame in flight that
+/// completes one, the only arrival that changes anything outside the
+/// endpoint, so a simulator may wake a receiver there and not at every
+/// frame.
 #[derive(Debug, Clone)]
 pub struct Endpoint {
     cfg: TransportConfig,
@@ -167,7 +175,8 @@ pub struct Endpoint {
     /// Validated in-order payloads awaiting the application.
     delivered: VecDeque<u32>,
 
-    /// Wire frames staged for transmission (whole segments at a time).
+    /// The segment being staged by [`Endpoint::pull_segment`]; empty
+    /// between calls, kept only to reuse its buffer.
     out_buf: VecDeque<u32>,
 
     stats: TransportStats,
@@ -236,15 +245,16 @@ impl Endpoint {
         }
     }
 
-    /// Next wire frame to put on the outgoing link, if any. Acks take
-    /// priority over data so the peer's window reopens as fast as possible.
-    pub fn pull_frame(&mut self, now: u64) -> Option<u32> {
-        if self.out_buf.is_empty() {
-            self.refill(now);
-        }
-        let frame = self.out_buf.pop_front();
-        self.stats.wire_frames += frame.is_some() as u64;
-        frame
+    /// Stage the next segment at `now` and hand over all of its wire
+    /// frames: an owed ack before any data, so the peer's window reopens
+    /// as fast as possible, else the next data segment of the window
+    /// (which arms the retransmit deadline from `now`). Empty when there
+    /// is nothing to send. The caller paces the frames onto the link, so
+    /// the next call belongs at the bandwidth gate after the last one.
+    pub fn pull_segment(&mut self, now: u64) -> std::collections::vec_deque::Drain<'_, u32> {
+        self.refill(now);
+        self.stats.wire_frames += self.out_buf.len() as u64;
+        self.out_buf.drain(..)
     }
 
     fn refill(&mut self, now: u64) {
@@ -307,6 +317,27 @@ impl Endpoint {
             }
             _ => None,
         }
+    }
+
+    /// Index of the first of `frames` (the peer's frames on the wire, in
+    /// arrival order) that [`Endpoint::on_frame`] would do more with than
+    /// buffer: the frame that fills a segment, valid or not, or one
+    /// skipped while hunting for a header. The frames before it only fill
+    /// the segment buffer, which nothing outside sees, so a receiver may
+    /// take them all when that frame arrives. `None` when no frame acts.
+    pub fn first_effect(&self, frames: impl IntoIterator<Item = u32>) -> Option<usize> {
+        let mut header = self.rx_buf.first().copied();
+        let mut len = self.rx_buf.len();
+        for (i, frame) in frames.into_iter().enumerate() {
+            let Some(want) = self.segment_frames(*header.get_or_insert(frame)) else {
+                return Some(i); // skipped while hunting for a header
+            };
+            len += 1;
+            if len == want {
+                return Some(i);
+            }
+        }
+        None
     }
 
     /// Feed one frame received from the peer's link.
@@ -395,11 +426,10 @@ impl Endpoint {
         self.delivered.pop_front()
     }
 
-    /// True when a call to [`Endpoint::pull_frame`] would emit a frame right
-    /// now (staged frames, an owed ack, or sendable window).
+    /// True when a call to [`Endpoint::pull_segment`] would stage a
+    /// segment right now (an owed ack, or sendable window).
     pub fn has_tx_work(&self) -> bool {
-        !self.out_buf.is_empty()
-            || self.pending_ack.is_some()
+        self.pending_ack.is_some()
             || (!self.dead && self.send_cursor < self.unacked.len().min(self.cfg.window))
     }
 
@@ -415,14 +445,11 @@ impl Endpoint {
         self.deadline
     }
 
-    /// All data delivered and acknowledged, nothing staged, nothing owed.
+    /// All data delivered and acknowledged, nothing owed.
     /// (A partially received segment does not block quiescence: its sender
     /// still holds the unacked payload and will retransmit or give up.)
     pub fn is_quiescent(&self) -> bool {
-        self.unacked.is_empty()
-            && self.out_buf.is_empty()
-            && self.pending_ack.is_none()
-            && self.delivered.is_empty()
+        self.unacked.is_empty() && self.pending_ack.is_none() && self.delivered.is_empty()
     }
 
     /// The retry cap was exceeded; the endpoint no longer retransmits.
@@ -452,6 +479,33 @@ mod tests {
         }
     }
 
+    /// Paces an endpoint's segments onto a wire one frame per cycle, as a
+    /// link with a one-cycle bandwidth gate does: the next segment is
+    /// staged in the cycle after the last frame of the one before.
+    #[derive(Default)]
+    struct Pacer(VecDeque<u32>);
+
+    impl Pacer {
+        fn next(&mut self, ep: &mut Endpoint, now: u64) -> Option<u32> {
+            if self.0.is_empty() {
+                self.0.extend(ep.pull_segment(now));
+            }
+            self.0.pop_front()
+        }
+    }
+
+    /// Every frame `ep` has to send at `now`, segment after segment.
+    fn pull_all(ep: &mut Endpoint, now: u64) -> Vec<u32> {
+        let mut frames = Vec::new();
+        loop {
+            let before = frames.len();
+            frames.extend(ep.pull_segment(now));
+            if frames.len() == before {
+                return frames;
+            }
+        }
+    }
+
     /// Shuttle frames between two endpoints over perfect zero-latency
     /// wires, with an optional per-frame mutator for fault injection.
     fn shuttle(
@@ -460,17 +514,18 @@ mod tests {
         cycles: u64,
         mut fault: impl FnMut(u64, u32) -> Option<u32>,
     ) {
+        let (mut to_b, mut to_a) = (Pacer::default(), Pacer::default());
         let mut idx = 0u64;
         for now in 0..cycles {
             a.poll(now);
             b.poll(now);
-            if let Some(f) = a.pull_frame(now) {
+            if let Some(f) = to_b.next(a, now) {
                 if let Some(f) = fault(idx, f) {
                     b.on_frame(now, f);
                 }
                 idx += 1;
             }
-            if let Some(f) = b.pull_frame(now) {
+            if let Some(f) = to_a.next(b, now) {
                 // faults only on the a→b direction in these tests
                 a.on_frame(now, f);
             }
@@ -589,7 +644,7 @@ mod tests {
         let (mut a, mut b) = (Endpoint::new(wide()), Endpoint::new(wide()));
         let msg = [11, 22, 33, 44, 55, 66];
         msg.iter().for_each(|&w| a.send(w));
-        let frames: Vec<u32> = std::iter::from_fn(|| a.pull_frame(0)).collect();
+        let frames = pull_all(&mut a, 0);
         assert_eq!(frames, data_segment(0, &msg));
         assert_eq!(frames.len(), 8);
         assert_eq!(a.stats().segments_sent, 1);
@@ -599,9 +654,7 @@ mod tests {
         assert_eq!(got, msg);
         assert_eq!(b.stats().delivered, 6);
         // One cumulative ack covers the whole segment.
-        while let Some(f) = b.pull_frame(0) {
-            a.on_frame(0, f);
-        }
+        pull_all(&mut b, 0).iter().for_each(|&f| a.on_frame(0, f));
         assert_eq!(b.stats().acks_sent, 1);
         assert!(a.is_quiescent(), "{:?}", a.stats());
     }
@@ -611,25 +664,19 @@ mod tests {
         let (mut a, mut b) = (Endpoint::new(wide()), Endpoint::new(wide()));
         a.send(10);
         a.send(11);
-        while let Some(f) = a.pull_frame(0) {
-            b.on_frame(0, f);
-        }
-        while b.pull_frame(0).is_some() {} // the ack is lost
+        pull_all(&mut a, 0).iter().for_each(|&f| b.on_frame(0, f));
+        pull_all(&mut b, 0); // the ack is lost
         a.send(12);
         a.send(13);
         // The timeout rewinds the window: one resend carries all four
         // words, two of which the receiver already holds.
         a.poll(16);
-        while let Some(f) = a.pull_frame(16) {
-            b.on_frame(16, f);
-        }
+        pull_all(&mut a, 16).iter().for_each(|&f| b.on_frame(16, f));
         assert_eq!(a.stats().retransmits, 1);
         let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
         assert_eq!(got, [10, 11, 12, 13]);
         assert_eq!(b.stats().delivered, 4);
-        while let Some(f) = b.pull_frame(16) {
-            a.on_frame(16, f);
-        }
+        pull_all(&mut b, 16).iter().for_each(|&f| a.on_frame(16, f));
         assert!(a.is_quiescent(), "{:?}", a.stats());
         // A stale resend of the first segment delivers nothing.
         data_segment(0, &[10, 11])
@@ -637,6 +684,23 @@ mod tests {
             .for_each(|&f| b.on_frame(17, f));
         assert_eq!(b.deliver(), None);
         assert_eq!(b.stats().delivered, 4);
+    }
+
+    #[test]
+    fn first_effect_is_the_frame_that_fills_a_segment() {
+        let mut b = Endpoint::new(wide());
+        let seg = data_segment(0, &[1, 2]);
+        assert_eq!(b.first_effect(seg.iter().copied()), Some(3));
+        assert_eq!(b.first_effect(seg[..3].iter().copied()), None);
+        assert_eq!(b.first_effect([]), None);
+        // A frame skipped while hunting for a header acts at once.
+        assert_eq!(b.first_effect([7].into_iter().chain(seg.clone())), Some(0));
+        // The walk starts from the partial segment already buffered.
+        seg[..2].iter().for_each(|&f| b.on_frame(0, f));
+        assert_eq!(b.first_effect(seg[2..].iter().copied()), Some(1));
+        assert_eq!(b.stats().rejected, 0);
+        seg[2..].iter().for_each(|&f| b.on_frame(0, f));
+        assert_eq!(b.stats().delivered, 2);
     }
 
     #[test]
@@ -663,8 +727,7 @@ mod tests {
         let mut a = Endpoint::new(wide());
         (0..16).for_each(|w| a.send(w));
         let first_len = |a: &mut Endpoint, now| {
-            let header = a.pull_frame(now).expect("a segment to send");
-            while a.pull_frame(now).is_some() {}
+            let header = pull_all(a, now)[0];
             (header >> 16) as u8
         };
         assert_eq!(first_len(&mut a, 0), 8);
@@ -695,10 +758,11 @@ mod tests {
         };
         let (mut a, mut b) = (Endpoint::new(huge), Endpoint::new(huge));
         (0..600u32).for_each(|v| a.send(v));
-        let header = a.pull_frame(0).expect("a segment to send");
-        assert_eq!(header >> 24, DATA_MAGIC);
-        assert_eq!((header >> 16) as u8, u8::MAX);
-        b.on_frame(0, header);
+        let first: Vec<u32> = a.pull_segment(0).collect();
+        assert_eq!(first[0] >> 24, DATA_MAGIC);
+        assert_eq!((first[0] >> 16) as u8, u8::MAX);
+        assert_eq!(first.len(), DATA_SEGMENT_FRAMES - 1 + u8::MAX as usize);
+        first.iter().for_each(|&f| b.on_frame(0, f));
         shuttle(&mut a, &mut b, 4_000, |_, f| Some(f));
         let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
         assert_eq!(got, (0..600u32).collect::<Vec<_>>());
@@ -751,7 +815,7 @@ mod tests {
         // Black-hole wire: pull frames, never deliver, never ack.
         for now in 0..1_000_000u64 {
             a.poll(now);
-            let _ = a.pull_frame(now);
+            pull_all(&mut a, now);
             if a.is_dead() {
                 break;
             }
@@ -776,7 +840,7 @@ mod tests {
         };
         let mut a = Endpoint::new(cfg);
         a.send(7);
-        let _ = (a.pull_frame(0), a.pull_frame(0), a.pull_frame(0));
+        assert_eq!(pull_all(&mut a, 0).len(), DATA_SEGMENT_FRAMES);
         let mut doublings = 0u32;
         let mut last_deadline = a.next_event_cycle().expect("armed");
         while doublings < 70 {
@@ -787,7 +851,7 @@ mod tests {
             );
             last_deadline = d;
             a.poll(d); // expire the timer: rewind window, double backoff
-            while a.pull_frame(d).is_some() {}
+            pull_all(&mut a, d);
             doublings += 1;
         }
         // 16 << 59 fits in u64; 16 << 60 does not. Past saturation the
@@ -810,19 +874,13 @@ mod tests {
         let mut a = Endpoint::new(cfg());
         assert_eq!(a.next_event_cycle(), None);
         a.send(1);
-        let _ = a.pull_frame(100); // header
+        assert_eq!(pull_all(&mut a, 100).len(), DATA_SEGMENT_FRAMES);
         assert_eq!(a.next_event_cycle(), Some(100 + 16));
         // Fast-forward straight to the deadline, then poll: the window
         // rewinds and the segment is retransmitted.
         a.poll(116);
-        let _ = (a.pull_frame(116), a.pull_frame(116), a.pull_frame(116));
-        // drain the original segment's remaining frames plus the resend
-        let mut frames = 0;
-        while a.pull_frame(117).is_some() {
-            frames += 1;
-        }
-        let _ = frames;
-        assert!(a.stats().retransmits >= 1);
+        assert_eq!(pull_all(&mut a, 116).len(), DATA_SEGMENT_FRAMES);
+        assert_eq!(a.stats().retransmits, 1);
     }
 
     #[test]
@@ -834,6 +892,7 @@ mod tests {
         let total = 70_000u32;
         let mut sent = 0u32;
         let mut got = 0u32;
+        let (mut to_b, mut to_a) = (Pacer::default(), Pacer::default());
         let mut now = 0u64;
         while got < total {
             while sent < total && sent < got + 64 {
@@ -842,10 +901,10 @@ mod tests {
             }
             a.poll(now);
             b.poll(now);
-            if let Some(f) = a.pull_frame(now) {
+            if let Some(f) = to_b.next(&mut a, now) {
                 b.on_frame(now, f);
             }
-            if let Some(f) = b.pull_frame(now) {
+            if let Some(f) = to_a.next(&mut b, now) {
                 a.on_frame(now, f);
             }
             while let Some(p) = b.deliver() {
@@ -859,10 +918,10 @@ mod tests {
         for _ in 0..16 {
             a.poll(now);
             b.poll(now);
-            if let Some(f) = a.pull_frame(now) {
+            if let Some(f) = to_b.next(&mut a, now) {
                 b.on_frame(now, f);
             }
-            if let Some(f) = b.pull_frame(now) {
+            if let Some(f) = to_a.next(&mut b, now) {
                 a.on_frame(now, f);
             }
             now += 1;

@@ -451,11 +451,11 @@ fn reliable_ports_resync_past_magic_looking_operands() {
 #[test]
 fn reliable_closed_loop_skips_to_each_transmit_event() {
     // Four closed-loop hosts on fault-free reliable prototyping-link
-    // ports (the CI smoke). Almost every cycle waits on a bandwidth gate
-    // (50 cycles per frame) or on a frame in flight, so the scheduled
-    // kernel must step little more than one cycle per wire frame sent
-    // plus one per stage evaluation — and stay bit-identical to the
-    // exhaustive reference.
+    // ports (the CI smoke). A reliable end puts a whole segment on the
+    // wire at once and a receiver wakes only at the frame that completes
+    // one, so the scheduled kernel steps for its hosts at most once per
+    // segment or ack sent — and stays bit-identical to the exhaustive
+    // reference.
     use bench::profile::reliable_smoke;
     use fu_rtm::ActivityMode;
     let e = reliable_smoke(ActivityMode::Exhaustive);
@@ -477,12 +477,11 @@ fn reliable_closed_loop_skips_to_each_transmit_event() {
     }
     let ls: fu_host::LinkStats = w.links.iter().copied().sum();
     assert_eq!(ls.retransmits, 0, "a fault-free link retransmitted");
-    let wire = ls.wire_frames;
-    let evals: u64 = w.sim.stage_evals.iter().map(|&(_, n)| n).sum();
+    let segments = ls.segments_sent + ls.acks_sent;
     assert!(
-        w.sim.cycles_stepped <= wire + evals,
-        "stepped {} cycles for {wire} wire frames and {evals} stage evals",
-        w.sim.cycles_stepped
+        w.sim.step_reasons.host <= segments,
+        "stepped {} cycles for host events over {segments} segments and acks",
+        w.sim.step_reasons.host
     );
 }
 
@@ -537,4 +536,161 @@ fn reliable_send_behind_a_closed_gate_skips_to_its_reopening() {
     let (stepped_all, e_reply, e_cycle, e_links) = run(ActivityMode::Exhaustive);
     assert_eq!(stepped_all, link.cycles_per_frame - 1);
     assert_eq!((reply, cycle, links), (e_reply, e_cycle, e_links));
+}
+
+#[test]
+fn a_reliable_host_wakes_once_per_segment() {
+    // One host on a reliable prototyping-link port sends k writes and a
+    // sync. Their payload fits one segment (half the 16-word window), so
+    // the host end stages it once and each receiver wakes at the frame
+    // that completes a segment: the host-event steps must not grow with
+    // k, though every write adds two wire frames.
+    use fu_isa::transport::TransportConfig;
+    let link = LinkModel::prototyping();
+    let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
+    let host_steps = |k: u64| {
+        let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 1))];
+        let mut s =
+            MultiHostSystem::new_reliable(CoprocConfig::default(), units, link, 1, tcfg, None)
+                .unwrap();
+        for i in 0..k {
+            let value = Word::from_u64(i, 32);
+            s.send(0, &HostMsg::WriteReg { reg: 1, value });
+        }
+        let tag = s.brand_tag(0, 1);
+        s.send(0, &HostMsg::Sync { tag });
+        assert_eq!(
+            s.recv_blocking(0, 1_000_000).unwrap(),
+            DevMsg::SyncAck { tag }
+        );
+        let st = s.link_stats(0);
+        assert_eq!((st.segments_sent, st.retransmits), (2, 0), "k = {k}");
+        s.sim_stats().step_reasons.host
+    };
+    let steps: Vec<u64> = (1..=3).map(host_steps).collect();
+    assert!(steps.iter().all(|&n| n == steps[0]), "{steps:?}");
+}
+
+/// What a mode change must leave untouched: every host's replies, the
+/// cycle the system parked at, per-host link statistics and stage
+/// busy-ness.
+type Observed = (
+    Vec<Vec<DevMsg>>,
+    u64,
+    Vec<fu_host::LinkStats>,
+    Vec<(&'static str, u64)>,
+);
+
+/// One multi-host run of `ops` under `mode`. Each op is (host, kind,
+/// value, wait): kind 0 writes the host's register, 1 reads it back,
+/// 2 syncs and 3 runs an add on it; a read or sync with `wait` set
+/// blocks until every reply its host is owed has arrived, so the hosts
+/// mix closed- and open-loop traffic.
+fn run_traffic(
+    mode: fu_rtm::ActivityMode,
+    n_hosts: usize,
+    link: LinkModel,
+    reliable: Option<u32>,
+    seed: u64,
+    ops: &[(usize, u8, u32, bool)],
+) -> Observed {
+    use fu_host::FaultModel;
+    use fu_isa::transport::TransportConfig;
+    const BUDGET: u64 = 5_000_000;
+    let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 3))];
+    let cfg = CoprocConfig::default();
+    let mut s = match reliable {
+        Some(permille) => {
+            let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
+            let faults = FaultModel::uniform(seed, permille);
+            MultiHostSystem::new_reliable(cfg, units, link, n_hosts, tcfg, Some(faults))
+        }
+        None => MultiHostSystem::new(cfg, units, link, n_hosts),
+    }
+    .unwrap();
+    s.set_activity_mode(mode);
+    let mut replies = vec![Vec::new(); n_hosts];
+    let mut owed = vec![0usize; n_hosts];
+    for (i, &(pick, kind, value, wait)) in ops.iter().enumerate() {
+        let host = pick % n_hosts;
+        let reg = host as u8 + 1;
+        let tag = s.brand_tag(host, i as u16);
+        let msg = match kind {
+            0 => HostMsg::WriteReg {
+                reg,
+                value: Word::from_u64(value.into(), 32),
+            },
+            1 => HostMsg::ReadReg { reg, tag },
+            2 => HostMsg::Sync { tag },
+            _ => HostMsg::Instr(fu_isa::InstrWord::user(fu_isa::UserInstr {
+                func: 1,
+                variety: 0,
+                dst_flag: 1,
+                dst_reg: reg,
+                aux_reg: 0,
+                src1: reg,
+                src2: reg,
+                src3: 0,
+            })),
+        };
+        s.send(host, &msg);
+        if matches!(kind, 1 | 2) {
+            owed[host] += 1;
+            while wait && owed[host] > 0 {
+                replies[host].push(s.recv_blocking(host, BUDGET).unwrap());
+                owed[host] -= 1;
+            }
+        }
+    }
+    for (host, n) in owed.into_iter().enumerate() {
+        for _ in 0..n {
+            replies[host].push(s.recv_blocking(host, BUDGET).unwrap());
+        }
+    }
+    util::settle_multihost(&mut s, BUDGET);
+    for (host, r) in replies.iter_mut().enumerate() {
+        r.extend(std::iter::from_fn(|| s.recv(host)));
+    }
+    let sim = s.sim_stats();
+    assert_eq!(sim.step_reasons.total(), sim.cycles_stepped, "{mode:?}");
+    let links = (0..n_hosts).map(|h| s.link_stats(h)).collect();
+    (replies, s.cycle(), links, sim.stage_busy)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+    /// The scheduled kernel pumps only the ports whose cached wake is
+    /// due, or that the router just handed a response; the exhaustive
+    /// reference pumps every port every cycle. Over any host count,
+    /// link, port kind, fault rate and traffic mix the two must agree on
+    /// every reply, the final cycle, every port's link statistics and
+    /// stage busy-ness.
+    #[test]
+    fn wake_cache_matches_per_cycle_pumping(
+        seed in proptest::prelude::any::<u64>(),
+        n_hosts in 1usize..=5,
+        link_idx in 0usize..3,
+        reliable in proptest::prelude::any::<bool>(),
+        permille in 0u32..=150,
+        ops in proptest::collection::vec(
+            (0usize..5, 0u8..4, proptest::prelude::any::<u32>(), proptest::prelude::any::<bool>()),
+            1..16,
+        ),
+    ) {
+        use fu_rtm::ActivityMode;
+        let link = [
+            LinkModel::prototyping(),
+            LinkModel::pcie_like(),
+            LinkModel::tightly_coupled(),
+        ][link_idx];
+        let reliable = reliable.then_some(permille);
+        let run = |mode| run_traffic(mode, n_hosts, link, reliable, seed, &ops);
+        let (e, w) = (run(ActivityMode::Exhaustive), run(ActivityMode::Scheduled));
+        let what = format!("{} hosts, {}, {reliable:?}, seed {seed:#x}", n_hosts, link.name);
+        proptest::prop_assert_eq!(&e.0, &w.0, "replies diverged: {}", what);
+        proptest::prop_assert_eq!(e.1, w.1, "final cycle diverged: {}", what);
+        proptest::prop_assert_eq!(&e.2, &w.2, "link statistics diverged: {}", what);
+        proptest::prop_assert_eq!(&e.3, &w.3, "stage busy-ness diverged: {}", what);
+    }
 }

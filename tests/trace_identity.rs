@@ -100,3 +100,31 @@ fn traced_system_matches_untraced_system_in_all_modes() {
         assert_eq!(a, b, "trace on/off diverged in {mode:?}");
     }
 }
+
+/// A shard's report counts every event its trace rings evicted: the
+/// retained and the dropped events of a shallow ring add up to the full
+/// stream a deep ring keeps, and the deep ring drops none.
+#[test]
+fn shard_reports_count_evicted_trace_events() {
+    let report = |depth: usize| {
+        let mut farm = Farm::standard(
+            FarmConfig {
+                shards: 1,
+                seed: 7,
+                trace_depth: depth,
+                ..FarmConfig::default()
+            },
+            CoprocConfig::default(),
+            LinkModel::pcie_like(),
+        );
+        farm.run_serial(&arith_jobs(16, 4, 7)).expect("farm run");
+        farm.shard_reports()[0].clone()
+    };
+    let (deep, shallow) = (report(1 << 16), report(16));
+    assert_eq!(deep.trace_dropped, 0);
+    assert!(shallow.trace_dropped > 0, "{} events", deep.trace.len());
+    assert_eq!(
+        shallow.trace.len() as u64 + shallow.trace_dropped,
+        deep.trace.len() as u64
+    );
+}
