@@ -17,6 +17,15 @@
 //! the framework's word size. Load overflow raises the error flag
 //! ("if this flag is set, the contents of the destination registers are
 //! undefined by specification").
+//!
+//! While an operation runs the unit is locked and nothing outside the
+//! core can see its cells, so its result and its length are both fixed
+//! at dispatch. The adapter therefore runs the whole microprogram in the
+//! dispatch cycle and then counts down the operation's cycles before the
+//! result appears at its interface, exactly when a per-cycle run would
+//! have produced it; [`FunctionalUnit::wake_hint`] reports the whole
+//! remaining countdown. [`XiSortAdapter::core`] (its cells and counters)
+//! thus shows the post-operation state from the dispatch cycle on.
 
 use crate::controller::{XiConfig, XiOp, XiSortCore};
 use fu_isa::{funit_codes, Flags, Word};
@@ -28,8 +37,10 @@ use rtl_sim::{AreaEstimate, Clocked, CriticalPath};
 enum AdapterState {
     /// Ready for a dispatch.
     Idle,
-    /// Core running the operation.
-    Busy,
+    /// Operation running: its result appears after this many more
+    /// commits (`None`: the program overran its cycle bound and never
+    /// completes).
+    Busy(Option<u64>),
     /// Result buffered, waiting for the write arbiter.
     Output,
 }
@@ -56,7 +67,9 @@ impl XiSortAdapter {
         }
     }
 
-    /// The wrapped core (diagnostics, experiment measurements).
+    /// The wrapped core (diagnostics, experiment measurements). Its
+    /// cells and counters show the post-operation state from the cycle
+    /// an operation is dispatched, not only once its result appears.
     pub fn core(&self) -> &XiSortCore {
         &self.core
     }
@@ -87,17 +100,7 @@ impl XiSortAdapter {
 
 impl Clocked for XiSortAdapter {
     fn commit(&mut self) {
-        if self.state == AdapterState::Busy {
-            if self.core.is_running() {
-                self.core.step();
-            }
-            if !self.core.is_running() {
-                // The controller returned to Idle (Reset/Push complete in
-                // the dispatch cycle itself); buffer the result for the
-                // write arbiter.
-                self.finish();
-            }
-        }
+        self.advance_busy(1);
     }
 
     fn reset(&mut self) {
@@ -144,8 +147,14 @@ impl FunctionalUnit for XiSortAdapter {
         // Transcode the operand down to the core's 32-bit records.
         let operand = pkt.ops[0].resize(32).as_u64() as u32;
         self.core.dispatch(op, operand);
+        // Run the microprogram to its Halt now; the countdown replays its
+        // length (Reset and Push take one cycle and run no program). A
+        // program past the core's bound never halts: it stays busy with
+        // no finite wake, so a watchdog quarantines it in band.
+        self.core.step_n(self.core.cycle_bound());
+        let left = (!self.core.is_running()).then(|| self.core.op_cycles().max(1));
         self.pending = Some(pkt);
-        self.state = AdapterState::Busy;
+        self.state = AdapterState::Busy(left);
     }
 
     fn peek_output(&self) -> Option<&FuOutput> {
@@ -163,30 +172,17 @@ impl FunctionalUnit for XiSortAdapter {
     }
 
     fn wake_hint(&self) -> Option<u64> {
-        // While the core is parked in a registered-tree wait stretch the
-        // adapter's interface cannot change for that many cycles; at an
-        // instruction boundary the very next commit may complete the
-        // program (Halt → finish), so the bound degrades to one cycle.
-        if self.state != AdapterState::Busy {
-            return None;
+        match self.state {
+            AdapterState::Busy(left) => Some(left.unwrap_or(u64::MAX)),
+            _ => None,
         }
-        Some(u64::from(self.core.wait_cycles().max(1)))
     }
 
     fn advance_busy(&mut self, cycles: u64) {
-        // A hint larger than one cycle is always a wait stretch, which
-        // the controller collapses in bulk with identical counters; any
-        // remainder (the instruction-boundary case) steps normally.
-        let bulk = if self.state == AdapterState::Busy && self.core.is_running() {
-            cycles.min(u64::from(self.core.wait_cycles()))
-        } else {
-            0
-        };
-        if bulk > 0 {
-            self.core.step_n(bulk);
-        }
-        for _ in bulk..cycles {
-            self.commit();
+        match self.state {
+            AdapterState::Busy(Some(left)) if cycles >= left => self.finish(),
+            AdapterState::Busy(Some(left)) => self.state = AdapterState::Busy(Some(left - cycles)),
+            _ => {}
         }
     }
 
@@ -326,39 +322,98 @@ mod tests {
         assert!(fu.variety_writes_data(XiOp::ReadAt.variety()));
     }
 
+    /// Per-cycle reference: dispatch `op` to a bare core and clock it
+    /// with [`XiSortCore::step`] once per commit. Returns the commit on
+    /// which the result becomes available and the output the adapter
+    /// must present then.
+    fn per_cycle(core: &mut XiSortCore, op: XiOp, operand: u32) -> (u64, FuOutput) {
+        core.dispatch(op, operand);
+        let mut commits = 1;
+        core.step();
+        while core.is_running() {
+            core.step();
+            commits += 1;
+        }
+        let result = core.take_result();
+        let mut flags = Flags::from_parts(false, result == Some(0), false, false);
+        flags.set(Flags::ERROR, core.overflow());
+        let p = pkt(op, operand);
+        let data = result
+            .filter(|_| op.returns_data())
+            .map(|v| (p.dst_reg, Word::from_u64(v as u64, 32)));
+        let out = FuOutput {
+            data,
+            data2: None,
+            flags: Some((p.dst_flag, flags)),
+            ticket: p.ticket,
+            seq: p.seq,
+        };
+        (commits, out)
+    }
+
     #[test]
     fn wake_hint_and_advance_busy_match_commits() {
-        // A registered tree parks the controller in multi-cycle wait
-        // states; hint-driven bulk advancing must complete on the same
-        // cycle with the same result and operation cycle count.
-        let mk = || {
-            let mut fu = XiSortAdapter::new(XiConfig::new(16).with_registered_tree(true), 32);
-            run_op(&mut fu, XiOp::Reset, 0);
-            for v in [5u32, 9, 1, 7] {
-                run_op(&mut fu, XiOp::Push, v);
+        // Every operation runs whole at dispatch; its hint, a bulk
+        // advance and plain commits must all complete on the cycle the
+        // per-cycle core reaches Halt, with the same output and the same
+        // operation cycle count. Covers the one-cycle operations (Reset,
+        // Push, InitBounds on an empty array, an overflowing Push), every
+        // program, and both tree configurations.
+        for registered in [false, true] {
+            let cfg = XiConfig::new(4).with_registered_tree(registered);
+            let mut reference = XiSortCore::new(cfg);
+            let (mut hinted, mut clocked) =
+                (XiSortAdapter::new(cfg, 32), XiSortAdapter::new(cfg, 32));
+            let script = [
+                (XiOp::Reset, 0),
+                (XiOp::InitBounds, 0),
+                (XiOp::Push, 7),
+                (XiOp::Push, 3),
+                (XiOp::Push, 7),
+                (XiOp::InitBounds, 0),
+                (XiOp::CountImprecise, 0),
+                (XiOp::SelectStep, 1),
+                (XiOp::SortStep, 0),
+                (XiOp::SelectK, 2),
+                (XiOp::Sort, 0),
+                (XiOp::ReadAt, 0),
+                (XiOp::ReadAt, 2),
+                (XiOp::CountImprecise, 0),
+                (XiOp::Push, 1),
+                (XiOp::Push, 9),
+                (XiOp::InitBounds, 0),
+                (XiOp::Sort, 0),
+                (XiOp::Reset, 0),
+            ];
+            for (op, operand) in script {
+                let label = format!("{op:?}({operand}), registered {registered}");
+                let (commits, want) = per_cycle(&mut reference, op, operand);
+                hinted.dispatch(pkt(op, operand));
+                assert_eq!(hinted.wake_hint(), Some(commits), "{label}: hint");
+                hinted.advance_busy(commits - 1);
+                assert!(hinted.peek_output().is_none(), "{label}: early output");
+                hinted.advance_busy(1);
+                clocked.dispatch(pkt(op, operand));
+                for _ in 1..commits {
+                    clocked.commit();
+                    assert!(clocked.peek_output().is_none(), "{label}: early output");
+                }
+                clocked.commit();
+                assert_eq!(hinted.ack_output(), want, "{label}: hinted output");
+                assert_eq!(clocked.ack_output(), want, "{label}: clocked output");
+                for fu in [&hinted, &clocked] {
+                    assert_eq!(fu.core().op_cycles(), reference.op_cycles(), "{label}");
+                    assert_eq!(fu.core().cells(), reference.cells(), "{label}: cells");
+                }
             }
-            run_op(&mut fu, XiOp::InitBounds, 0);
-            fu.dispatch(pkt(XiOp::Sort, 0));
-            fu
-        };
-        let (mut skipped, mut stepped) = (mk(), mk());
-        let mut saw_long = false;
-        let mut guard = 0;
-        while skipped.peek_output().is_none() {
-            let h = skipped.wake_hint().expect("busy adapter hints");
-            saw_long |= h > 1;
-            skipped.advance_busy(h);
-            for _ in 0..h {
-                assert!(stepped.peek_output().is_none(), "no early completion");
-                stepped.commit();
-            }
-            guard += 1;
-            assert!(guard < 10_000, "sort never completed");
+            // An unknown variety completes in the dispatch cycle itself.
+            let mut p = pkt(XiOp::Reset, 0);
+            p.variety = 0x7f;
+            hinted.dispatch(p);
+            assert_eq!(hinted.wake_hint(), None);
+            let out = hinted.ack_output();
+            assert!(out.flags.unwrap().1.error() && out.data.is_none());
         }
-        assert!(stepped.peek_output().is_some(), "same completion cycle");
-        assert!(saw_long, "registered tree produced multi-cycle hints");
-        assert_eq!(skipped.ack_output(), stepped.ack_output());
-        assert_eq!(skipped.core().op_cycles(), stepped.core().op_cycles());
     }
 
     #[test]

@@ -206,16 +206,15 @@ impl XiSortCore {
         self.last_op_cycles
     }
 
-    /// Remaining registered-tree wait cycles when the controller is
-    /// parked in a `Run` wait state; `0` when it will execute a
-    /// microinstruction on its next step (or is idle). During a wait
-    /// stretch nothing outside the controller can observe a change, so
-    /// this bounds how far an event-scheduled wrapper may skip.
-    pub fn wait_cycles(&self) -> u32 {
-        match self.state {
-            CoreState::Run { wait, .. } => wait,
-            CoreState::Idle => 0,
-        }
+    /// An upper bound on the cycles the last dispatched program runs
+    /// before its `Halt`. Every refinement round makes at least its pivot
+    /// precise and no round makes a cell imprecise, so a looping program
+    /// passes through its body at most `n_cells + 1` times; a pass runs
+    /// each microinstruction at most once, each waiting out at most the
+    /// tree latency.
+    pub(crate) fn cycle_bound(&self) -> u64 {
+        let per_instr = 1 + u64::from(self.tree.op_latency());
+        (u64::from(self.cfg.n_cells) + 1) * self.program.len() as u64 * per_instr
     }
 
     /// `(microinstructions, tree operations)` executed since creation.
@@ -715,6 +714,67 @@ mod tests {
             "inert tail was materialised: live = {}",
             core.arena().live()
         );
+    }
+
+    #[test]
+    fn every_op_halts_within_the_cycle_bound() {
+        // The adapter runs each program at dispatch, capped at
+        // `cycle_bound`; a program past the cap would hang its unit until
+        // a watchdog quarantines it. Clock every operation per cycle from
+        // empty, single, partial and full loads, with and without
+        // InitBounds (and with a push after it), at edge operands.
+        let ops = [
+            XiOp::Reset,
+            XiOp::Push,
+            XiOp::InitBounds,
+            XiOp::SortStep,
+            XiOp::Sort,
+            XiOp::SelectStep,
+            XiOp::SelectK,
+            XiOp::ReadAt,
+            XiOp::CountImprecise,
+        ];
+        for n in [1u32, 4, 64] {
+            for registered in [false, true] {
+                let cfg = XiConfig::new(n).with_registered_tree(registered);
+                let mut states = Vec::new();
+                for loaded in [0, 1, n / 2, n] {
+                    // Groups of duplicates, or all keys distinct.
+                    for keys in [5, u32::MAX] {
+                        let mut core = XiSortCore::new(cfg);
+                        for i in 0..loaded {
+                            core.dispatch(XiOp::Push, i.wrapping_mul(2_654_435_761) % keys);
+                        }
+                        states.push(core.clone());
+                        core.dispatch(XiOp::InitBounds, 0);
+                        core.run_to_completion(u64::MAX);
+                        states.push(core.clone());
+                        core.dispatch(XiOp::Push, 2);
+                        states.push(core);
+                    }
+                }
+                for (s, base) in states.iter().enumerate() {
+                    for op in ops {
+                        for operand in [0, 1, n - 1, n, n + 1, u32::MAX] {
+                            let mut core = base.clone();
+                            core.dispatch(op, operand);
+                            let bound = core.cycle_bound();
+                            let mut cycles = 0;
+                            while core.is_running() {
+                                assert!(
+                                    cycles < bound,
+                                    "{op:?}({operand}) from state {s} at n {n}, registered \
+                                     {registered}: still running after {bound} cycles"
+                                );
+                                core.step();
+                                cycles += 1;
+                            }
+                            assert_eq!(core.op_cycles(), cycles.max(1));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Full-system χ-sort tests: host driver → link → RTM → χ-sort adapter →
 //! SIMD cell array, against the software reference and `sort_unstable`.
 
+mod util;
+
 use fu_host::baseline::workload;
-use fu_host::{Driver, LinkModel, System};
-use fu_rtm::CoprocConfig;
+use fu_host::{Driver, Job, JobOutput, LinkModel, System};
+use fu_isa::msg::ErrorCode;
+use fu_isa::{funit_codes, DevMsg, HostMsg, InstrWord, UserInstr, Word};
+use fu_rtm::{ActivityMode, CoprocConfig, FunctionalUnit};
+use fu_units::ClockDomainFu;
 use xi_sort::reference::SoftwareXiSort;
 use xi_sort::{XiConfig, XiOp, XiSortAdapter};
 
@@ -185,4 +190,191 @@ fn overflow_reports_error_flag() {
         flags.error(),
         "fifth push into 4 cells must set the error flag"
     );
+}
+
+/// Messages that issue one χ-sort operation of `variety` on `operand`
+/// (staged in r1, result to r2, flags to f0) and read r2 under `tag`,
+/// then, as a second batch, read f0 under `tag + 1`. A read waits at the
+/// dispatcher for the operation's lock; a message queued behind it would
+/// keep the pipeline busy and leave nothing for the scheduler to skip.
+fn xi_request(variety: u8, operand: u32, tag: u16) -> [Vec<HostMsg>; 2] {
+    [
+        vec![
+            HostMsg::WriteReg {
+                reg: 1,
+                value: Word::from_u64(u64::from(operand), 32),
+            },
+            HostMsg::Instr(InstrWord::user(UserInstr {
+                func: funit_codes::XI_SORT,
+                variety,
+                dst_flag: 0,
+                dst_reg: 2,
+                aux_reg: 0,
+                src1: 1,
+                src2: 0,
+                src3: 0,
+            })),
+            HostMsg::ReadReg { reg: 2, tag },
+        ],
+        vec![HostMsg::ReadFlags {
+            reg: 0,
+            tag: tag + 1,
+        }],
+    ]
+}
+
+/// A script that reaches every χ-sort operation: loads, the step and full
+/// programs for sorting and selection, readouts, counts, an unknown
+/// variety, and a reset followed by a second, partial load. Batches of
+/// messages, each to be settled before the next is sent.
+fn every_op_script(n: u32) -> Vec<Vec<HostMsg>> {
+    let values = workload(u64::from(n), n as usize, 1_000);
+    let mut ops = vec![(XiOp::Reset.variety(), 0)];
+    ops.extend(values.iter().map(|&v| (XiOp::Push.variety(), v)));
+    ops.extend([
+        (XiOp::InitBounds.variety(), 0),
+        (XiOp::CountImprecise.variety(), 0),
+        (XiOp::SelectStep.variety(), n / 2),
+        (XiOp::SortStep.variety(), 0),
+        (XiOp::SelectK.variety(), n / 3),
+        (XiOp::Sort.variety(), 0),
+        (XiOp::ReadAt.variety(), 0),
+        (XiOp::ReadAt.variety(), n - 1),
+        (XiOp::CountImprecise.variety(), 0),
+        (0x7f, 0),
+        (XiOp::Reset.variety(), 0),
+    ]);
+    ops.extend(
+        values[..n as usize / 2]
+            .iter()
+            .map(|&v| (XiOp::Push.variety(), v)),
+    );
+    ops.extend([
+        (XiOp::InitBounds.variety(), 0),
+        (XiOp::SelectK.variety(), 0),
+        (XiOp::Sort.variety(), 0),
+    ]);
+    ops.into_iter()
+        .zip((0u16..).step_by(2))
+        .flat_map(|((variety, operand), tag)| xi_request(variety, operand, tag))
+        .collect()
+}
+
+/// What a mode change must leave untouched: the response stream, the
+/// final cycle, stage busy-ness and the latency histograms.
+#[derive(Debug, PartialEq)]
+struct XiRun {
+    replies: Vec<DevMsg>,
+    cycle: u64,
+    stage_busy: Vec<(&'static str, u64)>,
+    latencies: [rtl_sim::LatencyHistogram; 3],
+}
+
+fn run_script(
+    cfg: XiConfig,
+    divider: u32,
+    max_busy_cycles: Option<u64>,
+    mode: ActivityMode,
+) -> XiRun {
+    let adapter = XiSortAdapter::new(cfg, 32);
+    let unit: Box<dyn FunctionalUnit> = if divider > 1 {
+        Box::new(ClockDomainFu::new(adapter, divider))
+    } else {
+        Box::new(adapter)
+    };
+    let coproc = CoprocConfig {
+        max_busy_cycles,
+        ..CoprocConfig::default()
+    };
+    let mut sys = System::new(coproc, vec![unit], LinkModel::pcie_like()).unwrap();
+    sys.set_activity_mode(mode);
+    // Each batch settles before the next is sent, so the pipeline's
+    // stages drain while the unit runs and the scheduled kernel skips on
+    // the unit's hint.
+    let mut replies = Vec::new();
+    for batch in every_op_script(cfg.n_cells) {
+        for m in &batch {
+            sys.send(m);
+        }
+        util::settle(&mut sys, 1_000_000);
+        replies.extend(std::iter::from_fn(|| sys.recv()));
+    }
+    let sim = sys.sim_stats();
+    XiRun {
+        replies,
+        cycle: sys.cycle(),
+        stage_busy: sim.stage_busy,
+        latencies: [
+            sim.lat_issue_dispatch,
+            sim.lat_dispatch_retire,
+            sim.lat_issue_retire,
+        ],
+    }
+}
+
+#[test]
+fn scheduled_matches_exhaustive_on_every_op() {
+    // The adapter hints a whole operation at dispatch; the scheduled
+    // kernel must still reproduce the per-cycle reference bit for bit,
+    // bare or behind a clock-domain crossing, and a watchdog shorter than
+    // a sort must still quarantine the unit on the same cycle.
+    let mut cells: Vec<(u32, bool, u32, Option<u64>)> = Vec::new();
+    for n in [2, 16, 64] {
+        for registered in [false, true] {
+            for divider in [1, 3] {
+                cells.push((n, registered, divider, None));
+            }
+        }
+    }
+    cells.push((64, false, 1, Some(300)));
+    cells.push((64, true, 3, Some(300)));
+    for (n, registered, divider, watchdog) in cells {
+        let label =
+            format!("n {n}, registered {registered}, divider {divider}, watchdog {watchdog:?}");
+        let cfg = XiConfig::new(n).with_registered_tree(registered);
+        let scheduled = run_script(cfg, divider, watchdog, ActivityMode::Scheduled);
+        let exhaustive = run_script(cfg, divider, watchdog, ActivityMode::Exhaustive);
+        assert_eq!(scheduled, exhaustive, "{label}: activity modes diverged");
+        let timed_out = scheduled.replies.iter().any(|m| {
+            matches!(
+                m,
+                DevMsg::Error {
+                    code: ErrorCode::FuTimeout,
+                    ..
+                }
+            )
+        });
+        assert_eq!(
+            timed_out,
+            watchdog.is_some(),
+            "{label}: {:?}",
+            scheduled.replies
+        );
+    }
+}
+
+#[test]
+fn a_sort_fires_one_wake_per_operation() {
+    // Every χ-sort operation's length is fixed at dispatch, so the
+    // scheduled kernel wakes at most once per operation instead of once
+    // per microinstruction. A 64-value sort dispatches Reset, 64 Push,
+    // InitBounds, Sort and 64 ReadAt; the 66 that run a program each
+    // fire one wake.
+    let values = workload(5, 64, 1 << 20);
+    let mut farm = bench::throughput::xi_farm(1, 64, 5);
+    let results = farm.run_serial(&[Job::XiSort(values.clone())]).unwrap();
+    let mut expect = values.clone();
+    expect.sort_unstable();
+    assert!(
+        matches!(&results[0].output, Ok(JobOutput::Sorted { values, .. }) if *values == expect),
+        "{:?}",
+        results[0].output
+    );
+    let dispatched = 1 + 64 + 1 + 1 + 64;
+    let fired = farm.sim_stats().wheel.wakes_fired;
+    assert!(
+        fired <= dispatched,
+        "{fired} wakes for {dispatched} operations"
+    );
+    assert_eq!(fired, 66, "one wake per program-running operation");
 }
