@@ -497,7 +497,7 @@ impl Service {
     /// fold the farm's stats into the service rollups and advance the
     /// clock by the round's makespan.
     fn run_round(&mut self, start: u64) -> Result<(), FarmError> {
-        let selected = self.drr_select(start);
+        let mut selected = self.drr_select(start);
         debug_assert!(
             !selected.is_empty(),
             "run_round called with an eligible job pending"
@@ -505,7 +505,9 @@ impl Service {
         if selected.is_empty() {
             return Ok(());
         }
-        let jobs: Vec<Job> = selected.iter().map(|p| p.job.clone()).collect();
+        // The farm takes each job; an empty `Requests` allocates nothing.
+        let take = |p: &mut Pending| std::mem::replace(&mut p.job, Job::Requests(Vec::new()));
+        let jobs: Vec<Job> = selected.iter_mut().map(take).collect();
         let results = if self.cfg.parallel {
             self.farm.run_parallel(&jobs)?
         } else {

@@ -324,17 +324,15 @@ impl System {
         });
         // Retransmissions happen inside the endpoints; surface each
         // step's delta as one trace event so fault-injection tests can
-        // reconcile trace totals against `link_stats`.
-        let retx: u64 = [&port.end, &port.edge]
-            .into_iter()
-            .filter_map(LinkEnd::endpoint)
-            .map(|ep| ep.stats().retransmits)
-            .sum();
-        if retx > self.last_retransmits {
-            let segments = (retx - self.last_retransmits) as u32;
-            port.trace
-                .record(now, TraceEventKind::LinkRetransmit { segments });
-            self.last_retransmits = retx;
+        // reconcile trace totals against `link_stats`. A bare port has none.
+        if let (Some(end), Some(edge)) = (port.end.endpoint(), port.edge.endpoint()) {
+            let retx = end.stats().retransmits + edge.stats().retransmits;
+            if retx > self.last_retransmits {
+                let segments = (retx - self.last_retransmits) as u32;
+                port.trace
+                    .record(now, TraceEventKind::LinkRetransmit { segments });
+                self.last_retransmits = retx;
+            }
         }
         self.cycle += 1;
         if self.pending_rollback {
@@ -535,15 +533,17 @@ impl System {
     /// has exhausted its retries (a dead endpoint will never drain, so
     /// waiting on it would hang every caller).
     pub fn is_idle(&self) -> bool {
+        // A sender that gave up mid-message leaves a partial message in the
+        // deframe buffer for good: with the link dead, that is settled.
+        let coproc_idle = self.coproc.is_idle();
+        if !coproc_idle && !self.coproc.stalled_mid_message() {
+            return false;
+        }
         let gave_up = self.transport_gave_up();
         let edge = self.port.edge.endpoint();
         self.port.is_quiet()
             && edge.is_none_or(|ep| !ep.has_deliverable() && !ep.has_tx_work())
-            && (self.coproc.is_idle()
-                // A sender that gave up mid-message leaves a partial
-                // message in the device's deframe buffer forever; with the
-                // link declared dead that is as settled as it gets.
-                || (gave_up && self.coproc.stalled_mid_message()))
+            && (coproc_idle || gave_up)
             && (gave_up || edge.is_none_or(Endpoint::is_quiescent))
     }
 

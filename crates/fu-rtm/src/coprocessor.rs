@@ -225,6 +225,9 @@ pub struct Coprocessor {
     /// The reason the last scheduling decision returned no skip; the
     /// next [`Coprocessor::step`] counts it (or `Direct` when none).
     step_reason: Option<StepReason>,
+    /// `!stages_empty()`, noted by each step and kept exact by the frame
+    /// ports: while it holds, a decision steps without the verdict.
+    stage_work: bool,
     stage_evals: StageEvals,
     /// Cycles each stage had work (pipeline utilization). Unlike
     /// `stage_evals` this is counted identically in both scheduling
@@ -323,6 +326,7 @@ impl Coprocessor {
             skipped_cycles: 0,
             step_reasons: StepReasons::default(),
             step_reason: None,
+            stage_work: false,
             stage_evals: StageEvals::default(),
             stage_busy: StageEvals::default(),
             decoded_since: None,
@@ -374,6 +378,7 @@ impl Coprocessor {
     pub fn push_frame(&mut self, frame: u32) -> bool {
         if self.rx_fifo.can_push() {
             self.rx_fifo.push(frame);
+            self.stage_work = true;
             true
         } else {
             false
@@ -382,7 +387,10 @@ impl Coprocessor {
 
     /// Remove one frame from the transmit FIFO (transmitter → link).
     pub fn pop_frame(&mut self) -> Option<u32> {
-        self.tx_fifo.pop()
+        let f = self.tx_fifo.pop();
+        // The frame taken may have been the last stage work.
+        self.stage_work &= f.is_none() || !self.tx_fifo.is_idle() || !self.stages_empty();
+        f
     }
 
     /// Advance the design by one clock cycle.
@@ -649,6 +657,7 @@ impl Coprocessor {
                 }
             }
         }
+        self.stage_work = !self.stages_empty();
         self.cycle += 1;
     }
 
@@ -931,7 +940,8 @@ impl Coprocessor {
     /// per-cycle stall accounting (stats, lock counters and trace
     /// events), and each unit's internal progress
     /// ([`FunctionalUnit::advance_busy`] for active units,
-    /// [`FunctionalUnit::advance_idle`] otherwise).
+    /// [`FunctionalUnit::advance_idle`] for idle units that
+    /// [`FunctionalUnit::needs_clock_when_idle`]).
     ///
     /// `cycles` must not pass the verdict's wake (nor any external event
     /// the caller tracks); the caller picks the minimum.
@@ -969,14 +979,16 @@ impl Coprocessor {
             // pending — identical accounting to the stepped path.
             self.stage_busy.arbiter += k;
         }
-        for (i, fu) in self.fus.iter_mut().enumerate() {
-            if self.fu_quarantined[i] {
-                continue;
-            }
-            if self.fu_active[i] {
-                fu.advance_busy(k);
-            } else {
-                fu.advance_idle(k);
+        if self.n_active_fus > 0 || self.any_always_clock {
+            for (i, fu) in self.fus.iter_mut().enumerate() {
+                if self.fu_quarantined[i] {
+                    continue;
+                }
+                if self.fu_active[i] {
+                    fu.advance_busy(k);
+                } else if self.fu_always_clock[i] {
+                    fu.advance_idle(k);
+                }
             }
         }
         // Count the deadlines the span reaches. Only a verdict taken at
@@ -1017,6 +1029,11 @@ impl Coprocessor {
     ) -> u64 {
         self.step_reason = None;
         if self.activity == ActivityMode::Exhaustive {
+            return 0;
+        }
+        debug_assert_eq!(self.stage_work, !self.stages_empty(), "stale note");
+        if self.stage_work {
+            self.step_reason = Some(StepReason::Stage); // the verdict's first answer
             return 0;
         }
         let own = match self.quiet_verdict() {
@@ -1105,7 +1122,7 @@ impl Coprocessor {
     /// transmit frames). Queued watchdog errors are work and hold the
     /// machine awake.
     pub fn is_idle(&self) -> bool {
-        !self.msgbuf.mid_message() && self.pipeline_drained()
+        self.pipeline_drained() && !self.msgbuf.mid_message()
     }
 
     /// Every stage empty except possibly a partial message sitting in the
@@ -1114,14 +1131,14 @@ impl Coprocessor {
     /// the machine is permanently stalled here, which hosts with a dead
     /// reliable link treat as settled (see `System::is_idle`).
     pub fn stalled_mid_message(&self) -> bool {
-        self.msgbuf.mid_message() && self.pipeline_drained()
+        self.pipeline_drained() && self.msgbuf.mid_message()
     }
 
     fn pipeline_drained(&self) -> bool {
-        self.decoded_slot.is_idle()
+        !self.stage_work
+            && self.decoded_slot.is_idle()
             && self.lock.quiescent()
             && self.no_fu_activity()
-            && self.stages_empty()
     }
 
     /// Every stage and inter-stage register except the decoded slot is
@@ -1431,6 +1448,7 @@ impl Coprocessor {
         self.skipped_cycles = 0;
         self.step_reasons = StepReasons::default();
         self.step_reason = None;
+        self.stage_work = false;
         self.stage_evals = StageEvals::default();
         self.stage_busy = StageEvals::default();
         self.decoded_since = None;
@@ -1490,6 +1508,7 @@ impl Coprocessor {
             skipped_cycles: self.skipped_cycles,
             step_reasons: self.step_reasons,
             step_reason: self.step_reason,
+            stage_work: self.stage_work,
             stage_evals: self.stage_evals,
             stage_busy: self.stage_busy,
             decoded_since: self.decoded_since,

@@ -199,8 +199,10 @@ pub trait FunctionalUnit: Clocked + Send {
 
     /// Account for `cycles` fast-forwarded cycles during which the unit
     /// was idle. Must be observably equivalent to calling `commit` that
-    /// many times while idle; the default no-op is correct exactly when
-    /// an idle `commit` changes nothing.
+    /// many times while idle. Called only on units that
+    /// [`FunctionalUnit::needs_clock_when_idle`], so a unit overrides both
+    /// hooks or neither; the default no-op is correct exactly when an idle
+    /// `commit` changes nothing.
     fn advance_idle(&mut self, _cycles: u64) {}
 
     // ----- quiet-span scheduling ------------------------------------

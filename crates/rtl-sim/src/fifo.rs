@@ -22,8 +22,9 @@ use crate::stats::SlotStats;
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
     depth: usize,
-    cur: VecDeque<T>,
-    staged: VecDeque<T>,
+    /// Visible elements, then the `staged` ones a commit makes visible.
+    items: VecDeque<T>,
+    staged: usize,
     stats: SlotStats,
     high_water: usize,
 }
@@ -38,8 +39,8 @@ impl<T> Fifo<T> {
         assert!(depth > 0, "Fifo depth must be at least 1");
         Fifo {
             depth,
-            cur: VecDeque::with_capacity(depth),
-            staged: VecDeque::new(),
+            items: VecDeque::with_capacity(depth),
+            staged: 0,
             stats: SlotStats::default(),
             high_water: 0,
         }
@@ -52,32 +53,32 @@ impl<T> Fifo<T> {
 
     /// Number of elements currently poppable.
     pub fn len(&self) -> usize {
-        self.cur.len()
+        self.items.len() - self.staged
     }
 
     /// True when no element is poppable this cycle.
     pub fn is_empty(&self) -> bool {
-        self.cur.is_empty()
+        self.len() == 0
     }
 
     /// True when neither current nor staged elements exist.
     pub fn is_idle(&self) -> bool {
-        self.cur.is_empty() && self.staged.is_empty()
+        self.items.is_empty()
     }
 
     /// Head element, if any (consumer side).
     pub fn peek(&self) -> Option<&T> {
-        self.cur.front()
+        self.items.front().filter(|_| !self.is_empty())
     }
 
     /// Pop the head element (consumer side). Visible immediately to later
     /// evaluations this cycle.
     pub fn pop(&mut self) -> Option<T> {
-        let v = self.cur.pop_front();
-        if v.is_some() {
-            self.stats.takes += 1;
+        if self.is_empty() {
+            return None;
         }
-        v
+        self.stats.takes += 1;
+        self.items.pop_front()
     }
 
     /// True if a `push` this cycle will be accepted (producer side).
@@ -86,12 +87,12 @@ impl<T> Fifo<T> {
     /// can never overflow the FIFO even if it pushes several items per
     /// cycle (the message buffer does this when a link delivers a burst).
     pub fn can_push(&self) -> bool {
-        self.cur.len() + self.staged.len() < self.depth
+        self.items.len() < self.depth
     }
 
     /// Free slots available for pushes this cycle.
     pub fn space(&self) -> usize {
-        self.depth - (self.cur.len() + self.staged.len())
+        self.depth - self.items.len()
     }
 
     /// Stage an element for insertion at the next commit (producer side).
@@ -104,7 +105,8 @@ impl<T> Fifo<T> {
             "Fifo::push while full (missing can_push check)"
         );
         self.stats.pushes += 1;
-        self.staged.push_back(v);
+        self.items.push_back(v);
+        self.staged += 1;
     }
 
     /// Lifetime statistics.
@@ -132,9 +134,8 @@ impl<T> Fifo<T> {
     /// Drain every element (current and staged) into a vector, in order.
     /// Test helper; hardware has no such operation.
     pub fn drain_all(&mut self) -> Vec<T> {
-        let mut out: Vec<T> = self.cur.drain(..).collect();
-        out.extend(self.staged.drain(..));
-        out
+        self.staged = 0;
+        self.items.drain(..).collect()
     }
 }
 
@@ -142,20 +143,20 @@ impl<T> Clocked for Fifo<T> {
     fn commit(&mut self) {
         // Occupancy only grows by staged pushes, so an edge with nothing
         // staged cannot raise the high-water mark.
-        if !self.staged.is_empty() {
-            self.cur.extend(self.staged.drain(..));
-            debug_assert!(self.cur.len() <= self.depth);
-            self.high_water = self.high_water.max(self.cur.len());
+        if self.staged > 0 {
+            self.staged = 0;
+            debug_assert!(self.items.len() <= self.depth);
+            self.high_water = self.high_water.max(self.items.len());
         }
         self.stats.cycles += 1;
-        if !self.cur.is_empty() {
+        if !self.items.is_empty() {
             self.stats.occupied_cycles += 1;
         }
     }
 
     fn reset(&mut self) {
-        self.cur.clear();
-        self.staged.clear();
+        self.items.clear();
+        self.staged = 0;
         self.stats = SlotStats::default();
         self.high_water = 0;
     }

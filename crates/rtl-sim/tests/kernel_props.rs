@@ -112,14 +112,17 @@ proptest! {
         prop_assert_eq!(got, (0..next).collect::<Vec<_>>());
     }
 
-    /// The commit fast paths keep every statistic. Under an arbitrary
-    /// push/take/commit sequence, a slot's and a FIFO's items,
-    /// `SlotStats` and the FIFO's high-water mark match a naive model
-    /// whose every edge moves its staged items and updates every count.
+    /// The commit fast paths keep every statistic, and staged pushes stay
+    /// invisible until the clock edge. Under an arbitrary push / burst /
+    /// take / commit sequence, a slot's and a FIFO's items, `SlotStats`
+    /// and the FIFO's high-water mark match a naive model whose every
+    /// edge moves its staged items and updates every count; after every
+    /// operation the FIFO's `len`, `space`, `can_push`, `peek`,
+    /// `is_empty` and `is_idle` match the model too.
     #[test]
     fn commit_fast_paths_match_a_naive_model(
         depth in 1usize..6,
-        ops in proptest::collection::vec(0u8..4, 0..300),
+        ops in proptest::collection::vec((0u8..5, 1usize..7), 0..300),
     ) {
         let mut slot = HandshakeSlot::new();
         let mut fifo = Fifo::new(depth);
@@ -128,21 +131,28 @@ proptest! {
         let (mut s_cur, mut s_in, mut s_stats) = (None, None, SlotStats::default());
         let (mut f_cur, mut f_in) = (VecDeque::new(), Vec::new());
         let (mut f_stats, mut f_high) = (SlotStats::default(), 0);
-        for (next, op) in ops.into_iter().enumerate() {
+        let mut next = 0usize;
+        for (op, burst) in ops {
             match op {
-                0 => {
+                0 | 1 => {
+                    // One push, or a burst of up to the full depth in one
+                    // cycle (a wide link delivering several frames).
+                    let n = if op == 0 { 1 } else { burst.min(depth) };
                     if s_cur.is_none() && s_in.is_none() {
                         slot.push(next);
                         s_in = Some(next);
                         s_stats.pushes += 1;
                     }
-                    if f_cur.len() + f_in.len() < depth {
-                        fifo.push(next);
-                        f_in.push(next);
-                        f_stats.pushes += 1;
+                    for _ in 0..n {
+                        if f_cur.len() + f_in.len() < depth {
+                            fifo.push(next);
+                            f_in.push(next);
+                            f_stats.pushes += 1;
+                        }
+                        next += 1;
                     }
                 }
-                1 => {
+                2 => {
                     let want = s_cur.take();
                     s_stats.takes += u64::from(want.is_some());
                     prop_assert_eq!(slot.take(), want);
@@ -168,7 +178,13 @@ proptest! {
             prop_assert_eq!(slot.occupancy(), (s_cur.is_some(), s_in.is_some()));
             prop_assert_eq!(*fifo.stats(), f_stats);
             prop_assert_eq!(fifo.high_water(), f_high);
+            let held = f_cur.len() + f_in.len();
             prop_assert_eq!(fifo.len(), f_cur.len());
+            prop_assert_eq!(fifo.space(), depth - held);
+            prop_assert_eq!(fifo.can_push(), held < depth);
+            prop_assert_eq!(fifo.peek(), f_cur.front());
+            prop_assert_eq!(fifo.is_empty(), f_cur.is_empty());
+            prop_assert_eq!(fifo.is_idle(), held == 0);
         }
     }
 }

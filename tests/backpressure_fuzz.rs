@@ -148,7 +148,8 @@ fn no_backpressure_baseline() {
 
 // ---------------------------------------------------------------------
 // Serving front-end fuzz: the same philosophy one layer up. Queue-full
-// shedding, a crawling shard and disconnects are all "stalls" the
+// shedding, a crawling shard, disconnects, clock advances behind and
+// ahead of the arrivals and a mid-stream flush are all "stalls" the
 // front-end must absorb without losing or duplicating work.
 // ---------------------------------------------------------------------
 
@@ -199,6 +200,11 @@ fn serve_fuzz(seed: u64) -> (Vec<Completion>, rtl_sim::ServeStats, u64) {
 
     let mut fz = StallFuzzer::new(seed ^ 0x5EB_F00D, 0.0);
     let mut tick = 0u64;
+    // The latest tick the service has been told about, by a submit or an
+    // `advance_to`; later submits are clamped to it.
+    let mut horizon = 0u64;
+    // `advance_to` calls that landed behind the clock / past the horizon.
+    let (mut behind, mut ahead) = (0u64, 0u64);
     let mut admitted = 0u64;
     let mut shed = 0u64;
     let mut unknown = 0u64;
@@ -215,6 +221,7 @@ fn serve_fuzz(seed: u64) -> (Vec<Completion>, rtl_sim::ServeStats, u64) {
         // answer them in band instead of panicking.
         let tenant = (fz.below(u64::from(tenants) + 2)) as u32;
         let (job, want) = client_job((i * 3) % 1000, (fz.below(512)) as u32, (i % 200) as u16);
+        horizon = horizon.max(tick);
         match svc.submit(tenant, tick, job).expect("submit") {
             Admission::Admitted { seq } => {
                 admitted += 1;
@@ -234,12 +241,43 @@ fn serve_fuzz(seed: u64) -> (Vec<Completion>, rtl_sim::ServeStats, u64) {
         if fz.below(3) == 0 {
             done.extend(svc.poll());
         }
+        // It also moves the clock on, to ticks behind and ahead of it.
+        if fz.below(10) == 0 {
+            let t = if fz.below(2) == 0 {
+                svc.clock().saturating_sub(fz.below(3_000))
+            } else {
+                tick + fz.below(3_000)
+            };
+            let (clock, queued) = (svc.clock(), svc.queued());
+            svc.advance_to(t).expect("advance_to");
+            if t <= clock {
+                // No round can start before the clock: nothing moves.
+                assert_eq!((svc.clock(), svc.queued()), (clock, queued));
+                behind += 1;
+            } else if t > horizon {
+                ahead += 1;
+                // Every queued job arrived before `t`, so each round that
+                // starts before `t` has run.
+                assert!(svc.queued() == 0 || svc.clock() >= t, "seed {seed}");
+            }
+            horizon = horizon.max(t);
+        }
+        // Halfway through, one mid-stream flush.
+        if i == 125 {
+            done.extend(svc.drain().expect("mid-stream drain"));
+            assert!(svc.is_idle(), "mid-stream drain left work (seed {seed})");
+            assert_eq!(svc.pending_completions(), 0);
+        }
     }
     done.extend(svc.drain().expect("drain"));
 
     // Settle check — the serving analogue of `assert_parks_clean`: no
     // queued work, no unclaimed completions, every admitted job resolved.
     assert!(svc.is_idle(), "service failed to settle (seed {seed})");
+    assert!(
+        behind > 0 && ahead > 0,
+        "advances {behind} behind, {ahead} ahead (seed {seed})"
+    );
     assert_eq!(svc.pending_completions(), 0);
     let t = svc.stats().totals();
     assert!(unknown > 0, "no unknown tenant id drawn (seed {seed})");
