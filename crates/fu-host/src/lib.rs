@@ -12,8 +12,10 @@
 //!   limitation of the approach: there are FPGAs that are tightly
 //!   integrated with processors, offering extremely high transfer rates";
 //!   the presets span that spectrum (experiment E8).
-//! * [`system::System`] — the co-simulation of host queue ↔ link ↔
-//!   coprocessor, stepped one FPGA clock cycle at a time.
+//! * [`system::System`] — the co-simulation of host queues ↔ links ↔
+//!   coprocessor, stepped one FPGA clock cycle at a time, for one host
+//!   port or many; [`multihost::MultiHostSystem`] is the same system with
+//!   a call per host.
 //! * [`driver::Driver`] — the programmer-facing API ("typically the FPGA
 //!   would be treated as a fast I/O device"): register reads/writes,
 //!   instruction issue, synchronisation, and χ-sort convenience calls.

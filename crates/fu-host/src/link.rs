@@ -8,7 +8,7 @@
 //! the communication interface to the host computer, and the clock speed
 //! of the FPGA").
 //!
-//! The module also holds the one link pump both system types share:
+//! The module also holds the link pump of every host port:
 //! `LinkEnd` makes the bare-or-reliable choice for one end of a link
 //! pair, and `HostPort` bundles a host's link pair with both of its ends
 //! (the host's and the device edge's), the response deframer and the
@@ -293,6 +293,12 @@ pub struct Link {
     fault_index: u64,
     burst_remaining: u32,
     fault_stats: FaultStats,
+    /// `Some(width)`: deliver at most `width` frames per cycle, in order,
+    /// as a receiving port that takes no more would (a duplicate arriving
+    /// with its original waits its turn). The last delivery cycle handed
+    /// out and the frames it holds.
+    pace: Option<u64>,
+    last_delivery: (u64, u64),
 }
 
 impl Link {
@@ -308,7 +314,20 @@ impl Link {
             fault_index: 0,
             burst_remaining: 0,
             fault_stats: FaultStats::default(),
+            pace: None,
+            last_delivery: (0, 0),
         }
+    }
+
+    /// The cycle a frame arriving at `arrival` is delivered.
+    fn delivery(&mut self, arrival: u64) -> u64 {
+        let Some(width) = self.pace else {
+            return arrival;
+        };
+        let (last, n) = self.last_delivery;
+        let at = arrival.max(last + u64::from(n >= width));
+        self.last_delivery = (at, if at == last { n + 1 } else { 1 });
+        at
     }
 
     /// A link with a seeded fault model installed.
@@ -377,13 +396,13 @@ impl Link {
                 }
                 Fault::Duplicate => {
                     self.fault_stats.duplicated += 1;
-                    self.in_flight
-                        .push_back((now + self.model.latency_cycles, frame));
+                    let at = self.delivery(now + self.model.latency_cycles);
+                    self.in_flight.push_back((at, frame));
                 }
             }
         }
-        self.in_flight
-            .push_back((now + self.model.latency_cycles, frame));
+        let at = self.delivery(now + self.model.latency_cycles);
+        self.in_flight.push_back((at, frame));
     }
 
     /// Inject `frames` back to back from `now` on, each at the cycle the
@@ -422,12 +441,6 @@ impl Link {
         }
     }
 
-    /// Put a frame back at the head (the receiver's FIFO was full; real
-    /// links assert flow control).
-    pub fn unrecv(&mut self, now: u64, frame: u32) {
-        self.in_flight.push_front((now, frame));
-    }
-
     /// Frames still travelling.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
@@ -435,9 +448,9 @@ impl Link {
 
     /// Cycle at which the head in-flight frame becomes deliverable, if
     /// any frame is travelling, clamped to be no earlier than `now` (a
-    /// frame re-queued by [`Link::unrecv`] carries its re-queue time, which
-    /// may already have passed). Delivery times are deterministic, so an
-    /// idle-system scheduler can jump straight to this cycle.
+    /// frame its receiver has not taken yet, as flow control holds it on
+    /// the link, arrived in the past). Delivery times are deterministic, so
+    /// an idle-system scheduler can jump straight to this cycle.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
         self.in_flight.front().map(|(t, _)| (*t).max(now))
     }
@@ -495,23 +508,17 @@ impl LinkEnd {
         }
     }
 
-    /// Advance the retransmit timer to `now` (a no-op on a bare end).
-    #[inline]
-    pub(crate) fn poll(&mut self, now: u64) {
-        if let LinkEnd::Reliable(ep) = self {
-            ep.poll(now);
-        }
-    }
-
     /// Put frames on `link` and record each in `trace`. A bare end sends
     /// a frame per open bandwidth gate at `now`. A reliable end, when the
-    /// gate is open, stages its next segment and puts every frame of it
-    /// on the link at once, each at the cycle its gate opens, so the next
-    /// call is due at the gate after the segment's last frame.
+    /// gate is open, stages its next segment, arming its retransmit
+    /// deadline from `stamp`, and puts every frame of it on the link at
+    /// once, each at the cycle its gate opens, so the next call is due at
+    /// the gate after the segment's last frame.
     #[inline]
     pub(crate) fn transmit(
         &mut self,
         now: u64,
+        stamp: u64,
         link: &mut Link,
         trace: &mut TraceBuffer,
         dir: LinkDir,
@@ -527,36 +534,9 @@ impl LinkEnd {
                 }
             }
             LinkEnd::Reliable(ep) if link.can_send(now) => {
-                link.send_paced(now, ep.pull_segment(now), trace, dir);
+                link.send_paced(now, ep.pull_segment(stamp), trace, dir);
             }
             LinkEnd::Reliable(_) => {}
-        }
-    }
-
-    /// Take every frame `link` delivers at `now`, record each in `trace`
-    /// at the cycle it arrived, and hand the application payload to
-    /// `on_payload` in order: each wire frame on a bare end, whatever the
-    /// endpoint releases in order on a reliable one.
-    #[inline]
-    pub(crate) fn receive(
-        &mut self,
-        now: u64,
-        link: &mut Link,
-        trace: &mut TraceBuffer,
-        dir: LinkDir,
-        mut on_payload: impl FnMut(u32),
-    ) {
-        while let Some((at, f)) = link.recv_stamped(now) {
-            trace.record(at, TraceEventKind::LinkRx { dir });
-            match self {
-                LinkEnd::Bare(_) => on_payload(f),
-                LinkEnd::Reliable(ep) => ep.on_frame(now, f),
-            }
-        }
-        if let LinkEnd::Reliable(ep) = self {
-            while let Some(p) = ep.deliver() {
-                on_payload(p);
-            }
         }
     }
 
@@ -566,10 +546,8 @@ impl LinkEnd {
     /// with a segment to stage it waits for the earlier of the gate and
     /// its retransmit deadline, and otherwise for the deadline alone. That
     /// is exact: [`LinkEnd::transmit`] stages nothing while the gate is
-    /// closed (and it stays closed until the last frame of the previous
-    /// segment has gone out), and the deadline is the only cycle at which
-    /// `poll` acts. Plain branches rather than an iterator chain: this
-    /// runs on every scheduling decision.
+    /// closed (until the previous segment's last frame has gone out), and
+    /// the deadline is the only cycle at which `poll` acts.
     #[inline]
     pub(crate) fn next_event(&self, now: u64, tx: &Link) -> Option<u64> {
         match self {
@@ -583,11 +561,11 @@ impl LinkEnd {
         }
     }
 
-    /// When this end, taking every arrived frame in one
-    /// [`LinkEnd::receive`], must next take the frames on `rx`. A bare end
-    /// passes each frame on, so every arrival is an event. A reliable end
-    /// waits for the frame [`Endpoint::first_effect`] names, or for the
-    /// last frame in flight when none acts, so the link empties on time.
+    /// When this end, taking every arrived frame at once, must next take
+    /// the frames on `rx`. A bare end passes each frame on, so every
+    /// arrival is an event. A reliable end waits for the frame
+    /// [`Endpoint::first_effect`] names, or for the last frame in flight
+    /// when none acts, so the link empties on time.
     #[inline]
     pub(crate) fn next_arrival(&self, now: u64, rx: &Link) -> Option<u64> {
         match self {
@@ -601,19 +579,29 @@ impl LinkEnd {
         }
     }
 
+    /// May this end take the frames that have arrived on `rx`? A bare end
+    /// takes each as it arrives; a reliable one only once its
+    /// [`LinkEnd::next_arrival`] has come, in every activity mode, so a
+    /// per-cycle run records each arrival in the same order as one that
+    /// wakes only for it.
+    #[inline]
+    pub(crate) fn due(&self, now: u64, rx: &Link) -> bool {
+        // Nothing is due before the first frame in flight has arrived.
+        let arrived = || rx.in_flight.front().is_some_and(|&(t, _)| t <= now);
+        match self {
+            LinkEnd::Bare(_) => true,
+            LinkEnd::Reliable(_) => {
+                arrived() && self.next_arrival(now, rx).is_some_and(|t| t <= now)
+            }
+        }
+    }
+
     /// Nothing left to send: the queue is empty, or the endpoint is
     /// quiescent (all traffic delivered and acknowledged) or dead.
     pub(crate) fn is_quiet(&self) -> bool {
         match self {
             LinkEnd::Bare(q) => q.is_empty(),
             LinkEnd::Reliable(ep) => ep.is_quiescent() || ep.is_dead(),
-        }
-    }
-
-    /// Fold the endpoint's transport counters into `s` (nothing when bare).
-    pub(crate) fn add_stats(&self, s: &mut LinkStats) {
-        if let Some(ep) = self.endpoint() {
-            s.add_transport(ep.stats());
         }
     }
 
@@ -627,13 +615,11 @@ impl LinkEnd {
     }
 }
 
-/// A host's attachment to the coprocessor: the link pair, the host's
-/// [`LinkEnd`], the device edge's [`LinkEnd`], the host-side response
-/// deframer and the host-side link trace. Both ends share one transport,
-/// so every reliable link ends at the device edge and the coprocessor
-/// only ever sees payload frames. The trace is kept apart from the
-/// coprocessor's pipeline trace so a chatty pipeline cannot evict link
-/// events from the ring.
+/// A host's attachment to the coprocessor: the link pair, the host's and
+/// the device edge's [`LinkEnd`] (sharing one transport, so the
+/// coprocessor only sees payload), the response deframer and the link
+/// trace, kept apart from the pipeline's so a chatty pipeline cannot
+/// evict link events from the ring.
 #[derive(Clone)]
 pub(crate) struct HostPort {
     pub(crate) to_dev: Link,
@@ -642,6 +628,8 @@ pub(crate) struct HostPort {
     pub(crate) edge: LinkEnd,
     rx: DevDeframer,
     pub(crate) trace: TraceBuffer,
+    /// Both endpoints' retransmits already recorded in `trace`.
+    retransmits_traced: u64,
 }
 
 impl HostPort {
@@ -667,33 +655,94 @@ impl HostPort {
             }
         }
         Ok(HostPort {
-            to_dev: Link::new(link),
+            to_dev: Link {
+                pace: transport.map(|_| link.port_frames_per_cycle.into()),
+                ..Link::new(link)
+            },
             to_host: Link::new(link),
             end: LinkEnd::new(transport),
             edge: LinkEnd::new(transport),
             rx: DevDeframer::new(word_bits),
             trace: TraceBuffer::disabled(),
+            retransmits_traced: 0,
         })
     }
 
-    /// Advance the host end's timer and put its frames on the
-    /// device-bound link.
+    /// The port's part of a cycle before the clock edge: the host end
+    /// advances its timer and puts frames on the device-bound link, and a
+    /// due reliable edge takes every wire frame that has arrived, then
+    /// advances its own timer. A bare edge leaves its frames on the link
+    /// until [`HostPort::pull`] takes them: that is the link's flow
+    /// control.
     #[inline]
-    pub(crate) fn transmit(&mut self, now: u64) {
-        self.end.poll(now);
-        let dir = LinkDir::ToDevice;
-        self.end
-            .transmit(now, &mut self.to_dev, &mut self.trace, dir);
+    pub(crate) fn pump_in(&mut self, now: u64) {
+        if let LinkEnd::Reliable(ep) = &mut self.end {
+            ep.poll(now);
+        }
+        let (trace, dir) = (&mut self.trace, LinkDir::ToDevice);
+        self.end.transmit(now, now, &mut self.to_dev, trace, dir);
+        let due = self.edge.due(now, &self.to_dev);
+        if let LinkEnd::Reliable(ep) = &mut self.edge {
+            while let Some((at, f)) = due.then(|| self.to_dev.recv_stamped(now)).flatten() {
+                trace.record(at, TraceEventKind::LinkRx { dir });
+                ep.on_frame(now, f);
+            }
+            ep.poll(now);
+        }
     }
 
-    /// Take what the host-bound link delivers at `now` and hand every
-    /// response the deframer completes to `on_msg`. A malformed frame
-    /// becomes an in-band `BadFrame` error carrying its header, as the
-    /// device's message buffer reports one.
+    /// The device edge's next payload frame for the coprocessor: off the
+    /// link on a bare edge, from the endpoint's in-order deliveries on a
+    /// reliable one.
     #[inline]
-    pub(crate) fn receive(&mut self, now: u64, mut on_msg: impl FnMut(DevMsg)) {
+    pub(crate) fn pull(&mut self, now: u64) -> Option<u32> {
+        match &mut self.edge {
+            LinkEnd::Bare(_) => {
+                let f = self.to_dev.recv(now)?;
+                let dir = LinkDir::ToDevice;
+                self.trace.record(now, TraceEventKind::LinkRx { dir });
+                Some(f)
+            }
+            LinkEnd::Reliable(ep) => ep.deliver(),
+        }
+    }
+
+    /// Can the device edge take a response frame now? A bare edge puts it
+    /// on the link, so only while the bandwidth gate is open.
+    #[inline]
+    pub(crate) fn accepts(&self, now: u64) -> bool {
+        matches!(self.edge, LinkEnd::Reliable(_)) || self.to_host.can_send(now)
+    }
+
+    /// Hand the device edge a response frame it [accepts](Self::accepts).
+    #[inline]
+    pub(crate) fn forward(&mut self, now: u64, frame: u32) {
+        match &mut self.edge {
+            LinkEnd::Bare(_) => {
+                self.to_host.send(now, frame);
+                let dir = LinkDir::ToHost;
+                self.trace.record(now, TraceEventKind::LinkTx { dir });
+            }
+            LinkEnd::Reliable(ep) => ep.send(frame),
+        }
+    }
+
+    /// The port's part of a cycle after the clock edge. The device edge
+    /// puts frames on the host-bound link (a segment staged now arms its
+    /// retransmit deadline from the cycle the edge starts). The host end,
+    /// once due, takes every frame that has arrived, recording each at its
+    /// arrival cycle, and hands each response the deframer completes to
+    /// `on_msg`; a malformed frame becomes an in-band `BadFrame` error
+    /// carrying its header, as the device's message buffer reports one.
+    /// The retransmits both endpoints made go into the trace as one event,
+    /// so trace totals reconcile with [`HostPort::link_stats`].
+    #[inline]
+    pub(crate) fn pump_out(&mut self, now: u64, mut on_msg: impl FnMut(DevMsg)) {
+        let (trace, dir) = (&mut self.trace, LinkDir::ToHost);
+        self.edge
+            .transmit(now, now + 1, &mut self.to_host, trace, dir);
         let rx = &mut self.rx;
-        let on_frame = |f: u32| match rx.push(f) {
+        let mut on_frame = |f: u32| match rx.push(f) {
             Ok(Some(msg)) => on_msg(msg),
             Ok(None) => {}
             Err(e) => on_msg(DevMsg::Error {
@@ -701,21 +750,35 @@ impl HostPort {
                 info: e.header,
             }),
         };
-        let (trace, dir) = (&mut self.trace, LinkDir::ToHost);
-        self.end
-            .receive(now, &mut self.to_host, trace, dir, on_frame);
+        let due = self.end.due(now, &self.to_host);
+        while let Some((at, f)) = due.then(|| self.to_host.recv_stamped(now)).flatten() {
+            trace.record(at, TraceEventKind::LinkRx { dir });
+            match &mut self.end {
+                LinkEnd::Bare(_) => on_frame(f),
+                LinkEnd::Reliable(ep) => ep.on_frame(now, f),
+            }
+        }
+        if let LinkEnd::Reliable(ep) = &mut self.end {
+            std::iter::from_fn(|| ep.deliver()).for_each(on_frame);
+        }
+        if let (Some(end), Some(edge)) = (self.end.endpoint(), self.edge.endpoint()) {
+            let retx = end.stats().retransmits + edge.stats().retransmits;
+            if retx > self.retransmits_traced {
+                let segments = (retx - self.retransmits_traced) as u32;
+                self.trace
+                    .record(now, TraceEventKind::LinkRetransmit { segments });
+                self.retransmits_traced = retx;
+            }
+        }
     }
 
     /// This port's earliest pending event: either end's (see
     /// [`LinkEnd::next_event`]) or an arrival either receiver must take.
-    /// The host end takes every arrived frame in one call, so it wakes
-    /// per [`LinkEnd::next_arrival`]: a reliable one at the frame that
-    /// completes a segment. So does the device edge when
-    /// `edge_takes_all`; an edge that takes at most a port width of frames
-    /// per cycle wakes at every arriving frame, as deferred frames would
-    /// queue behind each other there.
+    /// Both ends take every arrived frame at once, so each wakes per
+    /// [`LinkEnd::next_arrival`]: a reliable one at the frame that
+    /// completes a segment, a bare one at every frame.
     #[inline]
-    pub(crate) fn next_event(&self, now: u64, edge_takes_all: bool) -> Option<u64> {
+    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
         let host = self.end.next_event(now, &self.to_dev);
         if host.is_some_and(|t| t <= now) {
             return host; // work this cycle: nothing can be earlier
@@ -724,12 +787,10 @@ impl HostPort {
         if edge.is_some_and(|t| t <= now) {
             return edge;
         }
-        let to_dev = if edge_takes_all {
-            self.edge.next_arrival(now, &self.to_dev)
-        } else {
-            self.to_dev.next_event_cycle(now)
-        };
-        let arrivals = earliest(to_dev, self.end.next_arrival(now, &self.to_host));
+        let arrivals = earliest(
+            self.edge.next_arrival(now, &self.to_dev),
+            self.end.next_arrival(now, &self.to_host),
+        );
         earliest(earliest(host, edge), arrivals)
     }
 
@@ -744,8 +805,12 @@ impl HostPort {
         let mut s = LinkStats::default();
         s.add_faults(&self.to_dev.fault_stats());
         s.add_faults(&self.to_host.fault_stats());
-        self.end.add_stats(&mut s);
-        self.edge.add_stats(&mut s);
+        for ep in [&self.end, &self.edge]
+            .into_iter()
+            .filter_map(LinkEnd::endpoint)
+        {
+            s.add_transport(ep.stats());
+        }
         s
     }
 }
@@ -797,17 +862,6 @@ mod tests {
     }
 
     #[test]
-    fn unrecv_redelivers_first() {
-        let mut l = Link::new(LinkModel::ideal());
-        l.send(0, 7);
-        l.send(1, 8);
-        let f = l.recv(3).unwrap();
-        l.unrecv(3, f);
-        assert_eq!(l.recv(3), Some(7), "pushed-back frame comes first");
-        assert_eq!(l.recv(3), Some(8));
-    }
-
-    #[test]
     fn presets_are_ordered_by_speed() {
         let p = LinkModel::presets();
         for w in p.windows(2) {
@@ -829,15 +883,15 @@ mod tests {
     }
 
     #[test]
-    fn next_event_cycle_clamps_after_unrecv() {
+    fn next_event_cycle_clamps_a_frame_left_waiting() {
         let mut l = Link::new(LinkModel::ideal());
-        l.send(0, 7);
-        let f = l.recv(5).unwrap();
-        l.unrecv(5, f);
-        // The re-queued frame carries t = 5; at now = 9 the link must not
-        // report an event in the past.
+        l.send(5, 7);
+        // The frame arrived at t = 5 and is still on the link (its receiver
+        // held it off); at now = 9 the link must not report an event in
+        // the past.
         assert_eq!(l.next_event_cycle(9), Some(9));
         assert_eq!(l.next_event_cycle(5), Some(5));
+        assert_eq!(l.recv(9), Some(7), "the waiting frame is still delivered");
         // A genuinely future delivery is reported untouched.
         let mut l2 = Link::new(LinkModel::pcie_like());
         l2.send(0, 1);
@@ -965,7 +1019,7 @@ mod tests {
         }
         let mut got = Vec::new();
         for now in 0..8 {
-            port.receive(now, |m| got.push(m));
+            port.pump_out(now, |m| got.push(m));
         }
         let bad = |info| DevMsg::Error {
             code: ErrorCode::BadFrame,

@@ -1,20 +1,55 @@
-//! The full-system co-simulation: host queue ↔ link ↔ coprocessor.
+//! The full-system co-simulation: host CPUs ↔ links ↔ one coprocessor.
 //!
-//! One [`System::step`] advances the whole arrangement by one FPGA clock
-//! cycle: host-bound frames drain from the device, device-bound frames
-//! enter the coprocessor's receive FIFO (with link latency and bandwidth
-//! applied in both directions), and the coprocessor itself is clocked.
-//! A reliable link ends at the device edge of the host port, in front of
-//! the coprocessor's frame port, so the coprocessor only sees payload.
+//! The paper's interface is "accessible by one or more host CPUs"
+//! (Figure 1.1). [`System`] is that interface with m ≥ 1 host ports,
+//! stepped one FPGA clock cycle at a time; its one-host calls speak for
+//! host 0, and [`crate::MultiHostSystem`] adds a call per host. In a
+//! cycle, each port with an event transmits and takes what has arrived;
+//! an arbiter feeds the coprocessor's receive port, locked to one host
+//! from a message's header frame to its last; the coprocessor is clocked;
+//! a router forwards each response frame to the host its header names;
+//! and each port with an event delivers to its host. A reliable link ends
+//! at its port's device edge, so the coprocessor only sees payload.
 
 use std::collections::VecDeque;
 
-use crate::link::{FaultModel, HostPort, LinkEnd, LinkModel, LinkStats};
-use fu_isa::msg::ErrorCode;
+use crate::link::{earliest, FaultModel, HostPort, LinkEnd, LinkModel, LinkStats};
+use fu_isa::msg::{ErrorCode, WireMsg};
 use fu_isa::transport::{Endpoint, TransportConfig};
 use fu_isa::{DevMsg, HostMsg};
 use fu_rtm::{ActivityMode, CoprocConfig, CoprocSnapshot, Coprocessor, FunctionalUnit};
-use rtl_sim::{LinkDir, RecoveryStats, SimError, SimStats, TraceBuffer, TraceEventKind};
+use rtl_sim::area::log2_ceil;
+use rtl_sim::{RecoveryStats, SimError, SimStats, TraceBuffer, TraceEventKind};
+
+/// One attached host: its port and the responses it has received.
+#[derive(Clone)]
+pub(crate) struct Host {
+    pub(crate) port: HostPort,
+    pub(crate) responses: VecDeque<DevMsg>,
+    /// Responses ever enqueued. Rewound by [`System::restore`], so a
+    /// replayed response carries the sequence number of its first
+    /// delivery.
+    resp_seq: u64,
+    /// Responses the consumer took. Never rewound, since no rollback
+    /// undoes what the consumer knows: replays below it are suppressed.
+    delivered: u64,
+    /// The port's next event as of its last pump or send, or the current
+    /// cycle once the router hands it a frame: nothing else changes the
+    /// port, so it is never late.
+    wake: Option<u64>,
+}
+
+/// Who holds the coprocessor's two frame ports: the host offered the
+/// receive port first, the hosts holding each port with the frames of
+/// their message still to come (`None`: every host), and the hosts whose
+/// malformed headers the coprocessor has yet to answer, oldest first.
+#[derive(Clone, Default)]
+struct Arbiter {
+    rr: usize,
+    rx: Option<(usize, usize)>,
+    tx: Option<(Option<usize>, usize)>,
+    bad_from: VecDeque<usize>,
+}
 
 /// A complete host+link+device state capture, taken by
 /// [`System::checkpoint`] and rewound by [`System::restore`]. The SEU
@@ -24,23 +59,11 @@ use rtl_sim::{LinkDir, RecoveryStats, SimError, SimStats, TraceBuffer, TraceEven
 #[derive(Clone)]
 pub struct SystemSnapshot {
     coproc: CoprocSnapshot,
-    port: HostPort,
-    responses: VecDeque<DevMsg>,
+    hosts: Vec<Host>,
+    arb: Arbiter,
     cycle: u64,
-    last_retransmits: u64,
-    /// Lifetime responses enqueued at capture time (replay dedup basis).
-    resp_seq: u64,
-    /// Lifetime responses the consumer had taken at capture time.
-    delivered: u64,
     /// Decoded-instruction count at capture time (checkpoint cadence).
     decoded: u64,
-}
-
-impl SystemSnapshot {
-    /// Cycle the snapshot was taken at.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
 }
 
 /// Automatic checkpoint/rollback state (see [`System::enable_recovery`]).
@@ -48,8 +71,8 @@ struct RecoveryState {
     /// Re-checkpoint after this many further decoded instructions.
     interval: u64,
     ckpt: SystemSnapshot,
-    /// Host messages sent since the checkpoint, replayed after a rollback.
-    journal: Vec<HostMsg>,
+    /// Messages sent since the checkpoint, replayed after a rollback.
+    journal: Vec<(usize, HostMsg)>,
     /// Uncorrected soft-error detections already answered by a rollback.
     /// Checkpointing pauses while the device's counter is ahead of this —
     /// a detected fault is in flight and the state is suspect.
@@ -58,50 +81,47 @@ struct RecoveryState {
     cycles_lost: u64,
 }
 
-/// Host + link + coprocessor.
+/// Host `i`'s fault models, device-bound then host-bound: host 0's
+/// device-bound stream keeps the model's seed, other hosts offset it, and
+/// each host-bound stream derives from its port's device-bound seed.
+fn port_faults(m: FaultModel, i: usize) -> [FaultModel; 2] {
+    let seed = m.seed ^ (i as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    let back = seed.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
+    [m.with_seed(seed), m.with_seed(back)]
+}
+
+/// Host ports + links + one coprocessor.
 pub struct System {
     coproc: Coprocessor,
-    /// The link pair and its two bare-or-reliable ends.
-    port: HostPort,
-    /// Responses fully received by the host.
-    responses: VecDeque<DevMsg>,
+    pub(crate) hosts: Vec<Host>,
+    arb: Arbiter,
     cycle: u64,
     word_bits: u32,
-    /// Total transport retransmits observed through the previous step;
-    /// per-step deltas become [`TraceEventKind::LinkRetransmit`] events.
-    last_retransmits: u64,
-    /// Lifetime count of responses enqueued toward the consumer. Rewound
-    /// by [`System::restore`], so a replayed response carries the same
-    /// sequence number as its first delivery.
-    resp_seq: u64,
-    /// Lifetime count of responses the consumer actually took via
-    /// [`System::recv`]. Never rewound: it is the consumer's knowledge,
-    /// which no rollback can undo. Replayed responses with a sequence
-    /// number below this are suppressed.
-    resp_delivered: u64,
+    /// Tag bits that carry the issuing host's index.
+    pub(crate) host_bits: u32,
+    /// The earliest of the hosts' wakes, or earlier (a send only lowers
+    /// it): no port has an event before it.
+    wake: Option<u64>,
     /// Automatic rollback recovery; `None` means soft errors surface to
     /// the consumer in band (parity-only / detection-only operation).
     recovery: Option<RecoveryState>,
-    /// A soft error arrived this step; rollback fires at the end of
-    /// [`System::step`], after the pipeline finishes the cycle.
-    pending_rollback: bool,
 }
 
 impl System {
-    /// Assemble a system over the bare frame link.
+    /// Assemble a one-host system over the bare frame link.
     pub fn new(
         cfg: CoprocConfig,
         units: Vec<Box<dyn FunctionalUnit>>,
         link: LinkModel,
     ) -> Result<System, SimError> {
-        System::assemble(cfg, units, link, None, None)
+        System::assemble(cfg, units, link, 1, None, None)
     }
 
-    /// Assemble a system with the reliable transport enabled on both ends
-    /// of the link, optionally with a fault model injecting errors into
-    /// each direction (the host→device direction uses the model's seed as
-    /// given; device→host derives a distinct seed so the two directions
-    /// see independent fault streams).
+    /// Assemble a one-host system with the reliable transport enabled on
+    /// both ends of the link, optionally with a fault model injecting
+    /// errors into each direction (the host→device direction uses the
+    /// model's seed as given; device→host derives a distinct seed so the
+    /// two directions see independent fault streams).
     pub fn new_reliable(
         cfg: CoprocConfig,
         units: Vec<Box<dyn FunctionalUnit>>,
@@ -109,43 +129,57 @@ impl System {
         transport: TransportConfig,
         faults: Option<FaultModel>,
     ) -> Result<System, SimError> {
-        System::assemble(cfg, units, link, Some(transport), faults)
+        System::assemble(cfg, units, link, 1, Some(transport), faults)
     }
 
-    /// The one assembler behind both constructors. The link model's port
-    /// width is applied to the coprocessor configuration; the port's two
-    /// ends share one transport, so they always agree.
+    /// The one assembler: `n_hosts` identical ports over `link`. The link
+    /// model's port width is applied to the coprocessor configuration;
+    /// each port's two ends share one transport, so they always agree.
     ///
     /// # Errors
-    /// [`SimError::Config`] for an invalid coprocessor or transport
-    /// configuration.
-    fn assemble(
+    /// [`SimError::Config`] for no host, hosts beyond the tag space, or an
+    /// invalid coprocessor or transport configuration.
+    pub(crate) fn assemble(
         mut cfg: CoprocConfig,
         units: Vec<Box<dyn FunctionalUnit>>,
         link: LinkModel,
+        n_hosts: usize,
         transport: Option<TransportConfig>,
         faults: Option<FaultModel>,
     ) -> Result<System, SimError> {
+        if n_hosts == 0 {
+            return Err(SimError::Config("at least one host required".into()));
+        }
+        let host_bits = log2_ceil(n_hosts.max(2) as u64) as u32;
+        if host_bits > 8 {
+            return Err(SimError::Config("too many hosts for the tag space".into()));
+        }
         cfg.rx_frames_per_cycle = link.port_frames_per_cycle;
         cfg.tx_frames_per_cycle = link.port_frames_per_cycle;
         let word_bits = cfg.word_bits;
-        let mut port = HostPort::new(link, word_bits, transport)?;
-        if let Some(m) = faults {
-            port.to_dev.install_faults(m);
-            port.to_host
-                .install_faults(m.with_seed(m.seed.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15));
+        let host = Host {
+            port: HostPort::new(link, word_bits, transport)?,
+            responses: VecDeque::new(),
+            resp_seq: 0,
+            delivered: 0,
+            wake: None,
+        };
+        let mut hosts = vec![host; n_hosts];
+        for (i, h) in hosts.iter_mut().enumerate() {
+            if let Some([to_dev, to_host]) = faults.map(|m| port_faults(m, i)) {
+                h.port.to_dev.install_faults(to_dev);
+                h.port.to_host.install_faults(to_host);
+            }
         }
         Ok(System {
             coproc: Coprocessor::new(cfg, units)?,
-            port,
-            responses: VecDeque::new(),
+            hosts,
+            arb: Arbiter::default(),
             cycle: 0,
             word_bits,
-            last_retransmits: 0,
-            resp_seq: 0,
-            resp_delivered: 0,
+            host_bits,
+            wake: None,
             recovery: None,
-            pending_rollback: false,
         })
     }
 
@@ -164,22 +198,36 @@ impl System {
         self.word_bits
     }
 
-    /// Timing model of the interconnect (both directions share one).
+    /// Timing model of the interconnect (every link shares one).
     pub fn link_model(&self) -> &LinkModel {
-        self.port.to_dev.model()
+        self.hosts[0].port.to_dev.model()
     }
 
-    /// Queue a message for transmission.
+    /// Queue a message from host 0.
     pub fn send(&mut self, msg: &HostMsg) {
+        self.send_from(0, msg);
+    }
+
+    /// Queue a message from `host`.
+    pub(crate) fn send_from(&mut self, host: usize, msg: &HostMsg) {
         if let Some(rec) = self.recovery.as_mut() {
-            rec.journal.push(msg.clone());
+            rec.journal.push((host, msg.clone()));
         }
-        self.port.end.send(msg.frames(self.word_bits));
+        let h = &mut self.hosts[host];
+        h.port.end.send(msg.frames(self.word_bits));
+        h.wake = h.port.next_event(self.cycle);
+        self.wake = earliest(self.wake, h.wake);
     }
 
     /// Select the coprocessor's scheduling mode (see [`ActivityMode`]).
+    /// `Exhaustive` pumps every port every cycle and keeps no wakes, so
+    /// they are recomputed here.
     pub fn set_activity_mode(&mut self, mode: ActivityMode) {
         self.coproc.set_activity_mode(mode);
+        for h in &mut self.hosts {
+            h.wake = h.port.next_event(self.cycle);
+        }
+        self.wake = self.hosts.iter().filter_map(|h| h.wake).min();
     }
 
     /// Scheduler statistics for the embedded coprocessor, with the host's
@@ -202,143 +250,172 @@ impl System {
     }
 
     /// Enable (or resize) event tracing on both the coprocessor pipeline
-    /// and the host-side link; `0` disables both. The two traces are
-    /// separate ring buffers — see [`System::link_trace`].
+    /// and every host's link; `0` disables both. The traces are separate
+    /// ring buffers — see [`System::link_trace`].
     pub fn set_trace_depth(&mut self, depth: usize) {
         self.coproc.set_trace_depth(depth);
-        self.port.trace = if depth > 0 {
-            TraceBuffer::new(depth)
-        } else {
-            TraceBuffer::disabled()
-        };
-    }
-
-    /// The host-side link trace (frame tx/rx and retransmit deltas).
-    pub fn link_trace(&self) -> &TraceBuffer {
-        &self.port.trace
-    }
-
-    /// Take the next fully-received response, if any.
-    pub fn recv(&mut self) -> Option<DevMsg> {
-        let msg = self.responses.pop_front();
-        if msg.is_some() {
-            self.resp_delivered += 1;
+        for h in &mut self.hosts {
+            h.port.trace = TraceBuffer::new(depth);
         }
+    }
+
+    /// Host 0's link trace (frame tx/rx, retransmit deltas, rollbacks).
+    pub fn link_trace(&self) -> &TraceBuffer {
+        &self.hosts[0].port.trace
+    }
+
+    /// Take host 0's next fully-received response, if any.
+    pub fn recv(&mut self) -> Option<DevMsg> {
+        self.take(0)
+    }
+
+    /// Take `host`'s next fully-received response, if any.
+    pub(crate) fn take(&mut self, host: usize) -> Option<DevMsg> {
+        let h = &mut self.hosts[host];
+        let msg = h.responses.pop_front();
+        h.delivered += u64::from(msg.is_some());
         msg
     }
 
-    /// Responses waiting to be taken.
+    /// Responses waiting for host 0.
     pub fn pending_responses(&self) -> usize {
-        self.responses.len()
+        self.hosts[0].responses.len()
     }
 
-    /// Advance one FPGA clock cycle.
+    /// Advance one FPGA clock cycle. Under `Scheduled` only the ports
+    /// whose cached wake is due, and those the router hands a frame this
+    /// cycle, are pumped: every other port would do nothing, since its
+    /// wake is its earliest event. `Exhaustive` pumps every port, so it
+    /// stays the per-cycle reference the cache is checked against.
     pub fn step(&mut self) {
         let now = self.cycle;
-        // Host side: the host end paces its frames onto the link.
-        self.port.transmit(now);
-        // Device edge, inbound: up to a port width of wire frames per
-        // cycle. A bare edge pushes each into the receive FIFO (with real
-        // flow control on overflow); a reliable one takes every frame,
-        // then hands validated payloads to the FIFO while it has space.
-        let port = &mut self.port;
-        let width = port.to_dev.model().port_frames_per_cycle;
-        for _ in 0..width {
-            let Some(f) = port.to_dev.recv(now) else {
-                break;
-            };
-            match &mut port.edge {
-                LinkEnd::Bare(_) => {
-                    if !self.coproc.push_frame(f) {
-                        port.to_dev.unrecv(now, f);
-                        break;
-                    }
-                }
-                LinkEnd::Reliable(ep) => ep.on_frame(now, f),
+        let all = self.coproc.activity_mode() == ActivityMode::Exhaustive;
+        // A port with a frame for the coprocessor has an event now.
+        let due = |wake: Option<u64>| all || wake.is_some_and(|t| t <= now);
+        if due(self.wake) {
+            for h in self.hosts.iter_mut().filter(|h| due(h.wake)) {
+                h.port.pump_in(now);
             }
-            let dir = LinkDir::ToDevice;
-            port.trace.record(now, TraceEventKind::LinkRx { dir });
+            self.feed(now);
         }
-        if let LinkEnd::Reliable(ep) = &mut port.edge {
-            ep.poll(now);
-            while self.coproc.rx_ready() {
-                let Some(p) = ep.deliver() else {
-                    break;
-                };
-                self.coproc.push_frame(p);
-            }
-        }
-        // Clock the FPGA.
         self.coproc.step();
-        // Device edge, outbound: a bare edge moves up to a port width of
-        // serialiser frames per cycle. A reliable edge queues everything
-        // the serialiser produced and, when the host-bound gate is open,
-        // puts its next segment on the link; the segment is staged after
-        // the clock edge, stamped with the cycle that edge starts.
-        match &mut port.edge {
-            LinkEnd::Bare(_) => {
-                for _ in 0..width {
-                    if !port.to_host.can_send(now) {
-                        break;
-                    }
-                    let Some(f) = self.coproc.pop_frame() else {
-                        break;
-                    };
-                    port.to_host.send(now, f);
-                    let dir = LinkDir::ToHost;
-                    port.trace.record(now, TraceEventKind::LinkTx { dir });
-                }
-            }
-            LinkEnd::Reliable(ep) => {
-                while let Some(f) = self.coproc.pop_frame() {
-                    ep.send(f);
-                }
-                if port.to_host.can_send(now) {
-                    let (segment, dir) = (ep.pull_segment(now + 1), LinkDir::ToHost);
-                    port.to_host.send_paced(now, segment, &mut port.trace, dir);
-                }
-            }
-        }
-        // Host receives, and each response goes toward the consumer under
-        // the recovery policy: with rollback enabled an in-band soft error
-        // is consumed as the rollback trigger (it never surfaces), and
-        // replayed responses the consumer already took before a rollback
-        // are suppressed, so the observable stream carries no duplicates.
+        self.route(now);
+        // Each host receives. With rollback enabled an in-band soft error
+        // is consumed as the rollback trigger, and replayed responses the
+        // consumer took before a rollback are suppressed.
         let recovering = self.recovery.is_some();
-        port.receive(now, |msg| {
-            if recovering {
-                if let DevMsg::Error {
-                    code: ErrorCode::SoftError,
-                    ..
-                } = msg
-                {
-                    self.pending_rollback = true;
-                    return;
+        let mut rollback = false;
+        // The router woke every port it handed a frame.
+        if due(self.wake) {
+            for h in self.hosts.iter_mut().filter(|h| due(h.wake)) {
+                let (responses, seq, delivered) = (&mut h.responses, &mut h.resp_seq, h.delivered);
+                h.port.pump_out(now, |msg| {
+                    let soft = ErrorCode::SoftError;
+                    if recovering && matches!(msg, DevMsg::Error { code, .. } if code == soft) {
+                        rollback = true;
+                        return;
+                    }
+                    *seq += 1;
+                    if *seq > delivered {
+                        responses.push_back(msg);
+                    }
+                });
+                if !all {
+                    h.wake = h.port.next_event(now + 1);
                 }
             }
-            let seq = self.resp_seq;
-            self.resp_seq += 1;
-            if seq >= self.resp_delivered {
-                self.responses.push_back(msg);
-            }
-        });
-        // Retransmissions happen inside the endpoints; surface each
-        // step's delta as one trace event so fault-injection tests can
-        // reconcile trace totals against `link_stats`. A bare port has none.
-        if let (Some(end), Some(edge)) = (port.end.endpoint(), port.edge.endpoint()) {
-            let retx = end.stats().retransmits + edge.stats().retransmits;
-            if retx > self.last_retransmits {
-                let segments = (retx - self.last_retransmits) as u32;
-                port.trace
-                    .record(now, TraceEventKind::LinkRetransmit { segments });
-                self.last_retransmits = retx;
-            }
+            self.wake = self.hosts.iter().filter_map(|h| h.wake).min();
         }
         self.cycle += 1;
-        if self.pending_rollback {
+        if rollback {
             self.rollback();
         } else if self.recovery.is_some() {
             self.maybe_checkpoint();
+        }
+    }
+
+    /// The arbiter: feed the coprocessor's receive port while it has
+    /// room. The port stays locked to one host from a message's header
+    /// frame to its last, and the next message comes from the first host
+    /// after the last one served that has a frame ready. A header the
+    /// coprocessor cannot size is passed on as a message of one frame:
+    /// its message buffer answers it with a `BadFrame` error, which the
+    /// router returns to this host.
+    fn feed(&mut self, now: u64) {
+        let n = self.hosts.len();
+        let (mut host, mut left) = self.arb.rx.unwrap_or((self.arb.rr, 0));
+        while self.coproc.rx_ready() {
+            let frame = if left > 0 {
+                match self.hosts[host].port.pull(now) {
+                    Some(f) => f,
+                    None => break,
+                }
+            } else {
+                // The first host from `rr` on with a frame ready; a plain
+                // loop, as this is on the busy-cycle path.
+                let mut next = None;
+                for k in 0..n {
+                    let i = self.arb.rr + k - if self.arb.rr + k < n { 0 } else { n };
+                    if let Some(f) = self.hosts[i].port.pull(now) {
+                        next = Some((i, f));
+                        break;
+                    }
+                }
+                let Some((i, f)) = next else {
+                    break;
+                };
+                (host, self.arb.rr) = (i, if i + 1 == n { 0 } else { i + 1 });
+                left = HostMsg::frame_count(f, self.word_bits).unwrap_or_else(|| {
+                    self.arb.bad_from.push_back(i);
+                    1
+                });
+                f
+            };
+            self.coproc.push_frame(frame);
+            left -= 1;
+        }
+        self.arb.rx = (left > 0).then_some((host, left));
+    }
+
+    /// The router: forward serialiser frames to the host a response's
+    /// header names, holding it until the response's last frame. A frame
+    /// leaves the coprocessor only when its hosts' device edges can take
+    /// it, so a bare link's bandwidth backs up into the transmit FIFO as
+    /// the hardware's would.
+    fn route(&mut self, now: u64) {
+        while let Some(f) = self.coproc.peek_frame() {
+            let (to, left) = match self.arb.tx {
+                Some(lock) => lock,
+                None => {
+                    // A tag's top `host_bits` bits name its host. A soft
+                    // error concerns the shared machine: every host hears
+                    // of it, on the link that carries its own responses.
+                    let to = match DevMsg::header_tag(f) {
+                        Ok(tag) => Some((tag >> (16 - self.host_bits)) as usize % self.hosts.len()),
+                        Err(Some(ErrorCode::BadFrame)) => self.arb.bad_from.pop_front().or(Some(0)),
+                        Err(Some(ErrorCode::SoftError)) => None,
+                        Err(_) => Some(0), // the management CPU
+                    };
+                    let len =
+                        DevMsg::frame_count(f, self.word_bits).expect("device frames well-formed");
+                    self.arb.tx = Some((to, len));
+                    (to, len)
+                }
+            };
+            let hosts = match to {
+                Some(h) => &mut self.hosts[h..=h],
+                None => &mut self.hosts[..],
+            };
+            if !hosts.iter().all(|h| h.port.accepts(now)) {
+                break;
+            }
+            self.coproc.pop_frame();
+            for h in hosts {
+                h.port.forward(now, f);
+                h.wake = Some(now);
+            }
+            self.wake = Some(now);
+            self.arb.tx = (left > 1).then_some((to, left - 1));
         }
     }
 
@@ -348,34 +425,32 @@ impl System {
     pub fn checkpoint(&self) -> Option<SystemSnapshot> {
         Some(SystemSnapshot {
             coproc: self.coproc.snapshot()?,
-            port: self.port.clone(),
-            responses: self.responses.clone(),
+            hosts: self.hosts.clone(),
+            arb: self.arb.clone(),
             cycle: self.cycle,
-            last_retransmits: self.last_retransmits,
-            resp_seq: self.resp_seq,
-            delivered: self.resp_delivered,
             decoded: self.coproc.stats().decoded,
         })
     }
 
     /// Rewind the system to `snap`. The SEU strike schedule and the
     /// soft-error counters survive the rewind (a strike already applied
-    /// is never replayed), as does the consumer's position in the
+    /// is never replayed), as does each consumer's position in its
     /// response stream: responses taken since the snapshot are dropped
     /// from the restored queue and suppressed on regeneration.
     pub fn restore(&mut self, snap: &SystemSnapshot) {
         self.coproc.restore(&snap.coproc);
-        self.port = snap.port.clone();
+        self.arb = snap.arb.clone();
         self.cycle = snap.cycle;
-        self.last_retransmits = snap.last_retransmits;
-        self.resp_seq = snap.resp_seq;
-        self.pending_rollback = false;
-        let mut q = snap.responses.clone();
-        let consumed = self.resp_delivered.saturating_sub(snap.delivered);
-        for _ in 0..consumed.min(q.len() as u64) {
-            q.pop_front();
+        for (h, s) in self.hosts.iter_mut().zip(&snap.hosts) {
+            let delivered = h.delivered;
+            *h = s.clone();
+            let consumed = delivered.saturating_sub(s.delivered);
+            let n = consumed.min(h.responses.len() as u64) as usize;
+            h.responses.drain(..n);
+            h.delivered = delivered;
+            h.wake = h.port.next_event(self.cycle);
         }
-        self.responses = q;
+        self.wake = self.hosts.iter().filter_map(|h| h.wake).min();
     }
 
     /// Enable automatic rollback recovery: take a checkpoint now and a
@@ -407,13 +482,7 @@ impl System {
         Ok(())
     }
 
-    /// True when automatic rollback recovery is active.
-    pub fn recovery_enabled(&self) -> bool {
-        self.recovery.is_some()
-    }
-
     fn rollback(&mut self) {
-        self.pending_rollback = false;
         let mut rec = self.recovery.take().expect("rollback requires recovery");
         let to_cycle = rec.ckpt.cycle;
         let lost = self.cycle.saturating_sub(to_cycle);
@@ -424,7 +493,7 @@ impl System {
         // checkpointing may resume once the counters agree again.
         let r = self.coproc.recovery_stats();
         rec.soft_handled = r.seus_detected - r.seus_corrected;
-        self.port.trace.record(
+        self.hosts[0].port.trace.record(
             self.cycle,
             TraceEventKind::Rollback {
                 to_cycle,
@@ -436,8 +505,8 @@ impl System {
         // journal is put back afterwards, ready for a further rollback to
         // the same checkpoint.
         let journal = std::mem::take(&mut rec.journal);
-        for m in &journal {
-            self.send(m);
+        for (host, m) in &journal {
+            self.send_from(*host, m);
         }
         rec.journal = journal;
         self.recovery = Some(rec);
@@ -495,43 +564,35 @@ impl System {
                     waiting_for: "system condition".into(),
                 });
             }
-            if self.idle_skip(max_cycles - elapsed) == 0 {
-                self.step();
+            // Jump over the cycles in which nothing can happen: the
+            // hosts' next event is the earliest of their ports' wakes.
+            let wake = self.wake;
+            match self
+                .coproc
+                .skip_to_next_event(max_cycles - elapsed, || wake)
+            {
+                0 => self.step(),
+                skip => self.cycle += skip,
             }
         }
         Ok(self.cycle.saturating_sub(start))
     }
 
-    /// Jump over cycles in which nothing can happen. Returns the number
-    /// of cycles skipped (0 means: step normally). The host's event set
-    /// is its port's, device edge included (see `HostPort::next_event`);
-    /// the edge takes at most a port width of frames per cycle, so every
-    /// frame arriving at it is an event.
-    fn idle_skip(&mut self, budget: u64) -> u64 {
-        let now = self.cycle;
-        let port = &self.port;
-        let skip = self
-            .coproc
-            .skip_to_next_event(budget, || port.next_event(now, false));
-        self.cycle += skip;
-        skip
-    }
-
-    /// Step until the next response arrives and return it.
+    /// Step until host 0's next response arrives and return it.
     ///
     /// # Errors
     /// [`SimError::Timeout`] when the budget runs out first.
     pub fn recv_blocking(&mut self, max_cycles: u64) -> Result<DevMsg, SimError> {
-        self.run_until(max_cycles, |s| !s.responses.is_empty())?;
+        self.run_until(max_cycles, |s| s.pending_responses() > 0)?;
         Ok(self.recv().expect("predicate guaranteed"))
     }
 
-    /// True when no work remains anywhere (host queue, links, FPGA). With
-    /// the reliable transport this additionally requires the device edge
-    /// to have nothing to deliver or send, and both endpoints to be
-    /// quiescent — all traffic delivered *and acknowledged* — unless one
-    /// has exhausted its retries (a dead endpoint will never drain, so
-    /// waiting on it would hang every caller).
+    /// True when no work remains anywhere (host queues, links, FPGA).
+    /// With the reliable transport this additionally requires every
+    /// device edge to have nothing to deliver or send, and every endpoint
+    /// to be quiescent — all traffic delivered *and acknowledged* —
+    /// unless one has exhausted its retries (a dead endpoint will never
+    /// drain, so waiting on it would hang every caller).
     pub fn is_idle(&self) -> bool {
         // A sender that gave up mid-message leaves a partial message in the
         // deframe buffer for good: with the link dead, that is settled.
@@ -540,31 +601,34 @@ impl System {
             return false;
         }
         let gave_up = self.transport_gave_up();
-        let edge = self.port.edge.endpoint();
-        self.port.is_quiet()
-            && edge.is_none_or(|ep| !ep.has_deliverable() && !ep.has_tx_work())
-            && (coproc_idle || gave_up)
-            && (gave_up || edge.is_none_or(Endpoint::is_quiescent))
+        (coproc_idle || gave_up)
+            && self.hosts.iter().all(|h| {
+                let edge = h.port.edge.endpoint();
+                h.port.is_quiet()
+                    && edge.is_none_or(|ep| !ep.has_deliverable() && !ep.has_tx_work())
+                    && (gave_up || edge.is_none_or(Endpoint::is_quiescent))
+            })
     }
 
-    /// Did either endpoint exhaust its retransmit budget?
+    /// Did any endpoint exhaust its retransmit budget?
     pub fn transport_gave_up(&self) -> bool {
-        [&self.port.end, &self.port.edge]
-            .into_iter()
+        self.hosts
+            .iter()
+            .flat_map(|h| [&h.port.end, &h.port.edge])
             .filter_map(LinkEnd::endpoint)
             .any(Endpoint::is_dead)
     }
 
-    /// Aggregate reliability statistics: injected faults on both link
-    /// directions plus transport counters from both endpoints. All zeros
-    /// on a bare, fault-free system.
+    /// Aggregate reliability statistics over every port: injected faults
+    /// on both link directions plus transport counters from both
+    /// endpoints. All zeros on a bare, fault-free system.
     pub fn link_stats(&self) -> LinkStats {
-        self.port.link_stats()
+        self.hosts.iter().map(|h| h.port.link_stats()).sum()
     }
 
-    /// Total frames moved in each direction: `(to device, to host)`.
+    /// Total frames host 0's links moved: `(to device, to host)`.
     pub fn frames_carried(&self) -> (u64, u64) {
-        let p = &self.port;
+        let p = &self.hosts[0].port;
         (p.to_dev.frames_carried(), p.to_host.frames_carried())
     }
 

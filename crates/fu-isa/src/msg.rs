@@ -295,6 +295,18 @@ impl DevMsg {
     }
 }
 
+impl DevMsg {
+    /// The tag a response's header frame carries. An error report carries
+    /// none: `Err` holds its code instead (`None` for an unknown code).
+    #[inline]
+    pub fn header_tag(header: u32) -> Result<Tag, Option<ErrorCode>> {
+        match (header >> 24) as u8 {
+            wire::ERROR => Err(ErrorCode::from_u8((header >> 16) as u8)),
+            _ => Ok(header as u16),
+        }
+    }
+}
+
 /// Framing error: the stream contained an unknown type code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameError {
@@ -312,20 +324,30 @@ impl std::error::Error for FrameError {}
 
 /// A message type of one wire direction, as a [`Deframer`] reads it.
 pub trait WireMsg: Sized {
+    /// Frames in the message whose header frame is `header`, `None` for
+    /// an unknown type code. A frame-level router sizes a message with
+    /// this before its payload has arrived.
+    fn frame_count(header: u32, word_bits: u32) -> Option<usize>;
+
     /// Decode the frames of one message received so far (`frames[0]` is
     /// its header): `Ok(None)` while frames are still missing.
     fn decode(frames: &[u32], word_bits: u32) -> Result<Option<Self>, FrameError>;
 }
 
 impl WireMsg for HostMsg {
+    #[inline]
+    fn frame_count(header: u32, word_bits: u32) -> Option<usize> {
+        match (header >> 24) as u8 {
+            wire::WRITE_REG => Some(1 + (word_bits / 32) as usize),
+            wire::INSTR => Some(3),
+            wire::WRITE_FLAGS | wire::READ_REG | wire::READ_FLAGS | wire::SYNC => Some(1),
+            _ => None,
+        }
+    }
+
     fn decode(f: &[u32], word_bits: u32) -> Result<Option<HostMsg>, FrameError> {
         let (ty, reg, low) = ((f[0] >> 24) as u8, (f[0] >> 16) as u8, f[0] as u16);
-        let need = match ty {
-            wire::WRITE_REG => 1 + (word_bits / 32) as usize,
-            wire::INSTR => 3,
-            wire::WRITE_FLAGS | wire::READ_REG | wire::READ_FLAGS | wire::SYNC => 1,
-            _ => return Err(FrameError { header: f[0] }),
-        };
+        let need = Self::frame_count(f[0], word_bits).ok_or(FrameError { header: f[0] })?;
         if f.len() < need {
             return Ok(None);
         }
@@ -347,14 +369,19 @@ impl WireMsg for HostMsg {
 }
 
 impl WireMsg for DevMsg {
+    #[inline]
+    fn frame_count(header: u32, word_bits: u32) -> Option<usize> {
+        match (header >> 24) as u8 {
+            wire::DATA => Some(1 + (word_bits / 32) as usize),
+            wire::ERROR => Some(2),
+            wire::FLAGS | wire::SYNC_ACK => Some(1),
+            _ => None,
+        }
+    }
+
     fn decode(f: &[u32], word_bits: u32) -> Result<Option<DevMsg>, FrameError> {
         let (ty, mid, low) = ((f[0] >> 24) as u8, (f[0] >> 16) as u8, f[0] as u16);
-        let need = match ty {
-            wire::DATA => 1 + (word_bits / 32) as usize,
-            wire::ERROR => 2,
-            wire::FLAGS | wire::SYNC_ACK => 1,
-            _ => return Err(FrameError { header: f[0] }),
-        };
+        let need = Self::frame_count(f[0], word_bits).ok_or(FrameError { header: f[0] })?;
         if f.len() < need {
             return Ok(None);
         }

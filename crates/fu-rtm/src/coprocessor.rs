@@ -385,6 +385,12 @@ impl Coprocessor {
         }
     }
 
+    /// The frame [`Coprocessor::pop_frame`] would remove next, left in
+    /// place (a router reads a header before it knows where it can go).
+    pub fn peek_frame(&self) -> Option<u32> {
+        self.tx_fifo.peek().copied()
+    }
+
     /// Remove one frame from the transmit FIFO (transmitter → link).
     pub fn pop_frame(&mut self) -> Option<u32> {
         let f = self.tx_fifo.pop();

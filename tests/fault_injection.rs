@@ -347,9 +347,12 @@ fn e12_batch(mode: ActivityMode) -> (Vec<DevMsg>, System) {
 
 /// The device edge's queued output is a host event, not coprocessor
 /// work: while the host-bound gate is closed the scheduled kernel skips
-/// to its reopening (or to a retransmit deadline), so it steps little
-/// more than one cycle per wire frame plus one per stage evaluation —
-/// and stays bit-identical to the exhaustive reference.
+/// to its reopening (or to a retransmit deadline), and each receiver
+/// wakes only at the frame that completes a segment. So every host event
+/// is a segment or ack being staged by its sender or completed at its
+/// receiver: at most two steps per segment or ack sent, where waking per
+/// wire frame costs one per frame — and the run stays bit-identical to
+/// the exhaustive reference.
 #[test]
 fn reliable_system_skips_while_its_device_edge_waits_on_the_gate() {
     let (e_out, e) = e12_batch(ActivityMode::Exhaustive);
@@ -368,11 +371,12 @@ fn reliable_system_skips_while_its_device_edge_waits_on_the_gate() {
         "{:?}",
         sim.step_reasons
     );
-    let wire = s.link_stats().wire_frames;
-    let evals: u64 = sim.stage_evals.iter().map(|&(_, n)| n).sum();
+    let ls = s.link_stats();
+    assert_eq!(ls.retransmits, 0, "a fault-free link retransmitted");
+    let segments = ls.segments_sent + ls.acks_sent;
     assert!(
-        sim.cycles_stepped <= wire + evals,
-        "stepped {} cycles for {wire} wire frames and {evals} stage evals",
-        sim.cycles_stepped
+        sim.step_reasons.host <= 2 * segments,
+        "stepped {} cycles for host events over {segments} segments and acks",
+        sim.step_reasons.host
     );
 }

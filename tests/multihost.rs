@@ -203,7 +203,7 @@ fn single_host_degenerates_to_plain_system() {
     );
     let resp = s.recv_blocking(0, 1_000_000).unwrap();
     assert!(matches!(resp, DevMsg::Data { .. }));
-    util::settle_multihost(&mut s, 10_000);
+    util::settle(&mut s, 10_000);
 }
 
 #[test]
@@ -544,30 +544,50 @@ fn a_reliable_host_wakes_once_per_segment() {
     // sync. Their payload fits one segment (half the 16-word window), so
     // the host end stages it once and each receiver wakes at the frame
     // that completes a segment: the host-event steps must not grow with
-    // k, though every write adds two wire frames.
+    // k, though every write adds two wire frames. A one-host `System` and
+    // a one-host `MultiHostSystem` are one drive loop, so both must step
+    // alike.
+    use fu_host::System;
     use fu_isa::transport::TransportConfig;
     let link = LinkModel::prototyping();
     let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
-    let host_steps = |k: u64| {
-        let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 1))];
+    let writes = |k: u64| {
+        (0..k).map(|i| HostMsg::WriteReg {
+            reg: 1,
+            value: Word::from_u64(i, 32),
+        })
+    };
+    let units = || -> Vec<Box<dyn FunctionalUnit>> { vec![Box::new(LatencyFu::new("add", 1, 1))] };
+    let multi_steps = |k: u64| {
         let mut s =
-            MultiHostSystem::new_reliable(CoprocConfig::default(), units, link, 1, tcfg, None)
+            MultiHostSystem::new_reliable(CoprocConfig::default(), units(), link, 1, tcfg, None)
                 .unwrap();
-        for i in 0..k {
-            let value = Word::from_u64(i, 32);
-            s.send(0, &HostMsg::WriteReg { reg: 1, value });
-        }
+        writes(k).for_each(|w| s.send(0, &w));
         let tag = s.brand_tag(0, 1);
         s.send(0, &HostMsg::Sync { tag });
-        assert_eq!(
-            s.recv_blocking(0, 1_000_000).unwrap(),
-            DevMsg::SyncAck { tag }
-        );
-        let st = s.link_stats(0);
-        assert_eq!((st.segments_sent, st.retransmits), (2, 0), "k = {k}");
-        s.sim_stats().step_reasons.host
+        let reply = s.recv_blocking(0, 1_000_000).unwrap();
+        assert_eq!(reply, DevMsg::SyncAck { tag });
+        (s.link_stats(0), s.cycle(), s.sim_stats())
     };
-    let steps: Vec<u64> = (1..=3).map(host_steps).collect();
+    let single_steps = |k: u64| {
+        let mut s =
+            System::new_reliable(CoprocConfig::default(), units(), link, tcfg, None).unwrap();
+        writes(k).for_each(|w| s.send(&w));
+        let tag = 1;
+        s.send(&HostMsg::Sync { tag });
+        let reply = s.recv_blocking(1_000_000).unwrap();
+        assert_eq!(reply, DevMsg::SyncAck { tag });
+        (s.link_stats(), s.cycle(), s.sim_stats())
+    };
+    let mut steps = Vec::new();
+    for k in 1..=3 {
+        let (multi, single) = (multi_steps(k), single_steps(k));
+        assert_eq!((multi.0, multi.1), (single.0, single.1), "k = {k}");
+        assert_eq!(multi.2.step_reasons, single.2.step_reasons, "k = {k}");
+        let st = multi.0;
+        assert_eq!((st.segments_sent, st.retransmits), (2, 0), "k = {k}");
+        steps.push(multi.2.step_reasons.host);
+    }
     assert!(steps.iter().all(|&n| n == steps[0]), "{steps:?}");
 }
 
@@ -647,7 +667,7 @@ fn run_traffic(
             replies[host].push(s.recv_blocking(host, BUDGET).unwrap());
         }
     }
-    util::settle_multihost(&mut s, BUDGET);
+    util::settle(&mut s, BUDGET);
     for (host, r) in replies.iter_mut().enumerate() {
         r.extend(std::iter::from_fn(|| s.recv(host)));
     }
@@ -693,4 +713,108 @@ proptest::proptest! {
         proptest::prop_assert_eq!(&e.2, &w.2, "link statistics diverged: {}", what);
         proptest::prop_assert_eq!(&e.3, &w.3, "stage busy-ness diverged: {}", what);
     }
+}
+
+#[test]
+fn rollback_recovery_masks_device_and_link_faults_on_two_hosts() {
+    // Two reliable hosts on pcie-like ports with link faults, a machine
+    // with parity, DMR and SEU strikes, and rollback recovery, driven only
+    // through blocking receives. Every host's reply stream must be the
+    // fault-free one, and some rollback must land inside a blocking
+    // receive and rewind the clock below the cycle that receive began at.
+    //
+    // Strikes hit flag files, result latches and scoreboard tickets, not
+    // stored registers: a `ReadReg` whose own read trips parity still
+    // answers with the corrupt word, and its `SoftError` leaves after it,
+    // so a reply taken before a split segment brings the error escapes
+    // the rollback. That device-side ordering fails a one-host system in
+    // the same way.
+    use fu_host::FaultModel;
+    use fu_isa::transport::TransportConfig;
+    use fu_rtm::{Redundancy, SeuConfig};
+    use rtl_sim::TraceEventKind;
+    const TRIPS: u16 = 60;
+    let link = LinkModel::pcie_like();
+    let tcfg = TransportConfig::for_link(link.latency_cycles, link.cycles_per_frame);
+    let base = CoprocConfig::default()
+        .with_parity()
+        .with_redundancy(Redundancy::Dmr);
+    let word = |v: u64| Word::from_u64(v, 32);
+    let add = |dst: u8, src: u8| {
+        HostMsg::Instr(fu_isa::InstrWord::user(fu_isa::UserInstr {
+            func: 1,
+            variety: 0,
+            dst_flag: 1,
+            dst_reg: dst,
+            aux_reg: 0,
+            src1: dst,
+            src2: src,
+            src3: 0,
+        }))
+    };
+    let run = |cfg: CoprocConfig, faults: Option<FaultModel>| {
+        let units: Vec<Box<dyn FunctionalUnit>> = vec![Box::new(LatencyFu::new("add", 1, 3))];
+        let mut s = MultiHostSystem::new_reliable(cfg, units, link, 2, tcfg, faults).unwrap();
+        s.set_trace_depth(1 << 16);
+        s.enable_recovery(16).unwrap();
+        let mut streams = vec![Vec::new(); 2];
+        let mut rewound_below_start = false;
+        for t in 0..TRIPS {
+            for host in 0..2usize {
+                // Host h adds r(2h+2) to r(2h+1).
+                let (ra, rb) = (2 * host as u8 + 1, 2 * host as u8 + 2);
+                let (a, b) = (u64::from(t), 1000 * host as u64 + u64::from(t % 7));
+                s.send(
+                    host,
+                    &HostMsg::WriteReg {
+                        reg: ra,
+                        value: word(a),
+                    },
+                );
+                s.send(
+                    host,
+                    &HostMsg::WriteReg {
+                        reg: rb,
+                        value: word(b),
+                    },
+                );
+                s.send(host, &add(ra, rb));
+                let tag = s.brand_tag(host, t);
+                s.send(host, &HostMsg::ReadReg { reg: ra, tag });
+            }
+            for (host, stream) in streams.iter_mut().enumerate() {
+                let (start, before) = (s.cycle(), s.recovery_stats().rollbacks);
+                stream.push(s.recv_blocking(host, 50_000_000).unwrap());
+                // A restore rewinds the link trace too, so the newest
+                // rollback event is the last rollback this receive took.
+                let last = s.link_trace().events().fold(None, |last, e| match e.kind {
+                    TraceEventKind::Rollback { to_cycle, .. } => Some(to_cycle),
+                    _ => last,
+                });
+                let rolled_back = s.recovery_stats().rollbacks > before;
+                rewound_below_start |= rolled_back && last.is_some_and(|c| c < start);
+            }
+        }
+        util::settle(&mut s, 50_000_000);
+        assert_eq!(s.link_trace().dropped(), 0, "the trace ring overflowed");
+        let links: fu_host::LinkStats = (0..2).map(|h| s.link_stats(h)).sum();
+        (streams, s.recovery_stats(), rewound_below_start, links)
+    };
+    let (clean, ..) = run(base.clone(), None);
+    let faults = FaultModel::uniform(0xFA_175, 40);
+    let seu = SeuConfig {
+        regfile: false,
+        ..SeuConfig::all(0xD00D, 300)
+    };
+    let (faulty, r, rewound, links) = run(base.with_seu(seu), Some(faults));
+    assert_eq!(faulty, clean, "a host's reply stream diverged: {r:?}");
+    assert!(r.rollbacks > 0, "no rollback happened: {r:?}");
+    assert!(
+        rewound,
+        "no rollback rewound below a blocking receive's start: {r:?}"
+    );
+    assert!(
+        links.frames_dropped + links.frames_corrupted > 0,
+        "no link fault fired: {links:?}"
+    );
 }

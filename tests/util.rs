@@ -68,8 +68,9 @@ pub fn drain_responses(sys: &mut System, n: usize, budget: u64) -> Vec<DevMsg> {
     );
 }
 
-/// Step `sys` until it reports fully idle (everything drained and, with a
-/// reliable transport, acknowledged).
+/// Run `sys` until it reports fully idle (everything drained and, with a
+/// reliable transport, acknowledged), skipping quiet stretches. A
+/// [`fu_host::MultiHostSystem`] settles through this too.
 ///
 /// # Panics
 /// After `budget` cycles without reaching idle.
@@ -77,21 +78,6 @@ pub fn drain_responses(sys: &mut System, n: usize, budget: u64) -> Vec<DevMsg> {
 pub fn settle(sys: &mut System, budget: u64) {
     sys.run_until(budget, |s| s.is_idle())
         .unwrap_or_else(|e| panic!("cycle budget of {budget} exhausted before idle: {e:?}"));
-}
-
-/// Step a [`fu_host::MultiHostSystem`] until it reports fully idle.
-///
-/// # Panics
-/// After `budget` cycles without reaching idle.
-#[allow(dead_code)]
-pub fn settle_multihost(sys: &mut fu_host::MultiHostSystem, budget: u64) {
-    for _ in 0..budget {
-        if sys.is_idle() {
-            return;
-        }
-        sys.step();
-    }
-    panic!("cycle budget of {budget} exhausted before the multi-host system went idle");
 }
 
 /// Feed `frames` into a bare [`fu_rtm::Coprocessor`] as flow control
