@@ -393,19 +393,26 @@ impl Farm {
                 .collect()
         };
         let per_shard: Vec<Vec<JobResult>> = if threaded {
-            std::thread::scope(|scope| {
+            // Each worker moves its driver onto its own stack: side by side,
+            // two would share a cache line both threads write every cycle.
+            let done: Vec<_> = std::thread::scope(|scope| {
                 let handles: Vec<_> = drivers
-                    .iter_mut()
+                    .drain(..)
                     .zip(&lists)
                     .enumerate()
-                    .map(|(s, (drv, list))| scope.spawn(move || run_list(s, drv, list)))
+                    .map(|(s, (mut drv, list))| {
+                        scope.spawn(move || (run_list(s, &mut drv, list), drv))
+                    })
                     .collect();
                 handles
                     .into_iter()
                     .enumerate()
                     .map(|(s, h)| h.join().map_err(|_| FarmError::WorkerPanicked { shard: s }))
                     .collect::<Result<_, _>>()
-            })?
+            })?;
+            let per_shard;
+            (per_shard, drivers) = done.into_iter().unzip();
+            per_shard
         } else {
             drivers
                 .iter_mut()

@@ -12,7 +12,9 @@
 //! `LinkEnd` makes the bare-or-reliable choice for one end of a link
 //! pair, and `HostPort` bundles a host's link pair with both of its ends
 //! (the host's and the device edge's), the response deframer and the
-//! link trace.
+//! link trace. A port works only at its events: a bare end sends a whole
+//! message at once, an idle end leaves the transport alone, and the
+//! arbiter's readiness is kept apart from the pump's events.
 
 use std::collections::VecDeque;
 
@@ -456,7 +458,7 @@ impl Link {
     }
 
     /// Earliest cycle at which the bandwidth gate reopens. Only a future
-    /// event if the sender actually has a frame queued.
+    /// event if the sender has a frame to send.
     pub fn next_send_cycle(&self) -> u64 {
         self.next_injection
     }
@@ -485,9 +487,9 @@ pub(crate) fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 /// acknowledges and retransmits them.
 #[derive(Debug, Clone)]
 pub(crate) enum LinkEnd {
-    /// Frames queued for the wire, awaiting link bandwidth.
-    Bare(VecDeque<u32>),
-    /// Boxed: an endpoint is several times the size of a bare queue.
+    /// Frames go on the wire as they are sent; nothing is held here.
+    Bare,
+    /// Boxed: an endpoint is large, and a bare end holds nothing.
     Reliable(Box<Endpoint>),
 }
 
@@ -495,25 +497,16 @@ impl LinkEnd {
     pub(crate) fn new(transport: Option<TransportConfig>) -> LinkEnd {
         match transport {
             Some(t) => LinkEnd::Reliable(Box::new(Endpoint::new(t))),
-            None => LinkEnd::Bare(VecDeque::new()),
+            None => LinkEnd::Bare,
         }
     }
 
-    /// Queue application frames for the peer.
-    #[inline]
-    pub(crate) fn send(&mut self, frames: impl IntoIterator<Item = u32>) {
-        match self {
-            LinkEnd::Bare(q) => q.extend(frames),
-            LinkEnd::Reliable(ep) => frames.into_iter().for_each(|f| ep.send(f)),
-        }
-    }
-
-    /// Put frames on `link` and record each in `trace`. A bare end sends
-    /// a frame per open bandwidth gate at `now`. A reliable end, when the
-    /// gate is open, stages its next segment, arming its retransmit
-    /// deadline from `stamp`, and puts every frame of it on the link at
-    /// once, each at the cycle its gate opens, so the next call is due at
-    /// the gate after the segment's last frame.
+    /// Put a reliable end's frames on `link` and record each in `trace`:
+    /// with a segment to stage and the gate open, stage it, arming the
+    /// retransmit deadline from `stamp`, and put every frame of it on the
+    /// link at once, each at the cycle its gate opens, so the next call
+    /// is due at the gate after the segment's last frame. A bare end sent
+    /// its frames when they were handed over.
     #[inline]
     pub(crate) fn transmit(
         &mut self,
@@ -523,37 +516,24 @@ impl LinkEnd {
         trace: &mut TraceBuffer,
         dir: LinkDir,
     ) {
-        match self {
-            LinkEnd::Bare(q) => {
-                while link.can_send(now) {
-                    let Some(f) = q.pop_front() else {
-                        break;
-                    };
-                    link.send(now, f);
-                    trace.record(now, TraceEventKind::LinkTx { dir });
-                }
-            }
-            LinkEnd::Reliable(ep) if link.can_send(now) => {
+        if let LinkEnd::Reliable(ep) = self {
+            if ep.has_tx_work() && link.can_send(now) {
                 link.send_paced(now, ep.pull_segment(stamp), trace, dir);
             }
-            LinkEnd::Reliable(_) => {}
         }
     }
 
-    /// This end's earliest pending event, given the link it transmits on.
-    /// A bare end with frames queued waits for the bandwidth gate to
-    /// reopen. A reliable end is due `now` only with payloads to deliver;
-    /// with a segment to stage it waits for the earlier of the gate and
-    /// its retransmit deadline, and otherwise for the deadline alone. That
-    /// is exact: [`LinkEnd::transmit`] stages nothing while the gate is
+    /// This end's earliest pending transmit or timer event, given the
+    /// link it transmits on. A bare end has none. A reliable end with a
+    /// segment to stage waits for the earlier of the gate and its
+    /// retransmit deadline, and otherwise for the deadline alone. That is
+    /// exact: [`LinkEnd::transmit`] stages nothing while the gate is
     /// closed (until the previous segment's last frame has gone out), and
     /// the deadline is the only cycle at which `poll` acts.
     #[inline]
     pub(crate) fn next_event(&self, now: u64, tx: &Link) -> Option<u64> {
         match self {
-            LinkEnd::Bare(q) if q.is_empty() => None,
-            LinkEnd::Bare(_) => Some(tx.next_send_cycle()),
-            LinkEnd::Reliable(ep) if ep.has_deliverable() => Some(now),
+            LinkEnd::Bare => None,
             LinkEnd::Reliable(ep) if ep.has_tx_work() => {
                 earliest(Some(tx.next_send_cycle().max(now)), ep.next_event_cycle())
             }
@@ -569,7 +549,7 @@ impl LinkEnd {
     #[inline]
     pub(crate) fn next_arrival(&self, now: u64, rx: &Link) -> Option<u64> {
         match self {
-            LinkEnd::Bare(_) => rx.next_event_cycle(now),
+            LinkEnd::Bare => rx.next_event_cycle(now),
             LinkEnd::Reliable(ep) => {
                 let last = rx.in_flight.len().checked_sub(1)?;
                 let frames = rx.in_flight.iter().map(|&(_, f)| f);
@@ -589,19 +569,10 @@ impl LinkEnd {
         // Nothing is due before the first frame in flight has arrived.
         let arrived = || rx.in_flight.front().is_some_and(|&(t, _)| t <= now);
         match self {
-            LinkEnd::Bare(_) => true,
+            LinkEnd::Bare => true,
             LinkEnd::Reliable(_) => {
                 arrived() && self.next_arrival(now, rx).is_some_and(|t| t <= now)
             }
-        }
-    }
-
-    /// Nothing left to send: the queue is empty, or the endpoint is
-    /// quiescent (all traffic delivered and acknowledged) or dead.
-    pub(crate) fn is_quiet(&self) -> bool {
-        match self {
-            LinkEnd::Bare(q) => q.is_empty(),
-            LinkEnd::Reliable(ep) => ep.is_quiescent() || ep.is_dead(),
         }
     }
 
@@ -609,7 +580,7 @@ impl LinkEnd {
     #[inline]
     pub(crate) fn endpoint(&self) -> Option<&Endpoint> {
         match self {
-            LinkEnd::Bare(_) => None,
+            LinkEnd::Bare => None,
             LinkEnd::Reliable(ep) => Some(ep),
         }
     }
@@ -668,6 +639,20 @@ impl HostPort {
         })
     }
 
+    /// Hand the host end a message at `now`: a bare end puts every frame on
+    /// the link at the cycle its gate opens; a reliable one queues them.
+    #[inline]
+    pub(crate) fn send(&mut self, now: u64, frames: impl IntoIterator<Item = u32>) {
+        match &mut self.end {
+            LinkEnd::Bare => {
+                let at = now.max(self.to_dev.next_send_cycle());
+                self.to_dev
+                    .send_paced(at, frames, &mut self.trace, LinkDir::ToDevice);
+            }
+            LinkEnd::Reliable(ep) => frames.into_iter().for_each(|f| ep.send(f)),
+        }
+    }
+
     /// The port's part of a cycle before the clock edge: the host end
     /// advances its timer and puts frames on the device-bound link, and a
     /// due reliable edge takes every wire frame that has arrived, then
@@ -691,13 +676,23 @@ impl HostPort {
         }
     }
 
+    /// The cycle from which [`HostPort::pull`] has a frame: the next
+    /// arrival on a bare edge, `now` while a reliable one has payload.
+    #[inline]
+    pub(crate) fn ready(&self, now: u64) -> Option<u64> {
+        match &self.edge {
+            LinkEnd::Bare => self.to_dev.next_event_cycle(now),
+            LinkEnd::Reliable(ep) => ep.has_deliverable().then_some(now),
+        }
+    }
+
     /// The device edge's next payload frame for the coprocessor: off the
     /// link on a bare edge, from the endpoint's in-order deliveries on a
     /// reliable one.
     #[inline]
     pub(crate) fn pull(&mut self, now: u64) -> Option<u32> {
         match &mut self.edge {
-            LinkEnd::Bare(_) => {
+            LinkEnd::Bare => {
                 let f = self.to_dev.recv(now)?;
                 let dir = LinkDir::ToDevice;
                 self.trace.record(now, TraceEventKind::LinkRx { dir });
@@ -718,7 +713,7 @@ impl HostPort {
     #[inline]
     pub(crate) fn forward(&mut self, now: u64, frame: u32) {
         match &mut self.edge {
-            LinkEnd::Bare(_) => {
+            LinkEnd::Bare => {
                 self.to_host.send(now, frame);
                 let dir = LinkDir::ToHost;
                 self.trace.record(now, TraceEventKind::LinkTx { dir });
@@ -754,7 +749,7 @@ impl HostPort {
         while let Some((at, f)) = due.then(|| self.to_host.recv_stamped(now)).flatten() {
             trace.record(at, TraceEventKind::LinkRx { dir });
             match &mut self.end {
-                LinkEnd::Bare(_) => on_frame(f),
+                LinkEnd::Bare => on_frame(f),
                 LinkEnd::Reliable(ep) => ep.on_frame(now, f),
             }
         }
@@ -772,13 +767,18 @@ impl HostPort {
         }
     }
 
-    /// This port's earliest pending event: either end's (see
-    /// [`LinkEnd::next_event`]) or an arrival either receiver must take.
-    /// Both ends take every arrived frame at once, so each wakes per
-    /// [`LinkEnd::next_arrival`]: a reliable one at the frame that
-    /// completes a segment, a bare one at every frame.
+    /// This port's earliest pump work: either end's transmit or timer
+    /// event (see [`LinkEnd::next_event`]) or an arrival either receiver
+    /// must take. Both ends take every arrived frame at once, so each
+    /// wakes per [`LinkEnd::next_arrival`]: a reliable one at the frame
+    /// that completes a segment, a bare host end at every frame (a bare
+    /// edge's arrivals are the arbiter's, see [`HostPort::ready`]).
     #[inline]
     pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
+        let host_rx = || self.end.next_arrival(now, &self.to_host);
+        if let LinkEnd::Bare = self.end {
+            return host_rx();
+        }
         let host = self.end.next_event(now, &self.to_dev);
         if host.is_some_and(|t| t <= now) {
             return host; // work this cycle: nothing can be earlier
@@ -787,16 +787,18 @@ impl HostPort {
         if edge.is_some_and(|t| t <= now) {
             return edge;
         }
-        let arrivals = earliest(
-            self.edge.next_arrival(now, &self.to_dev),
-            self.end.next_arrival(now, &self.to_host),
-        );
+        let arrivals = earliest(self.edge.next_arrival(now, &self.to_dev), host_rx());
         earliest(earliest(host, edge), arrivals)
     }
 
-    /// The host end is quiet and no frame is travelling either way.
+    /// No frame is travelling either way, and the host end is bare or
+    /// its endpoint quiescent (all traffic delivered and acknowledged) or
+    /// dead.
     pub(crate) fn is_quiet(&self) -> bool {
-        self.end.is_quiet() && self.to_dev.in_flight() == 0 && self.to_host.in_flight() == 0
+        let quiet = |ep: &Endpoint| ep.is_quiescent() || ep.is_dead();
+        self.end.endpoint().is_none_or(quiet)
+            && self.to_dev.in_flight() == 0
+            && self.to_host.in_flight() == 0
     }
 
     /// Injected faults on both directions plus both ends' transport
@@ -880,6 +882,32 @@ mod tests {
         let mut l = Link::new(LinkModel::prototyping());
         l.send(0, 1);
         l.send(1, 2);
+    }
+
+    #[test]
+    fn a_message_sent_in_one_call_leaves_one_frame_per_gate() {
+        let model = LinkModel::prototyping();
+        let frames = [1, 2, 3, 4];
+        // Sent at 10, behind a frame holding the gate until 57, and at
+        // 100, with the gate open.
+        for start in [10, 100] {
+            // The reference: one frame each time the gate reopens.
+            let mut per_gate = Link::new(model);
+            per_gate.send(7, 0);
+            let mut sent_at = Vec::new();
+            for f in frames {
+                let at = per_gate.next_send_cycle().max(start);
+                per_gate.send(at, f);
+                sent_at.push(at);
+            }
+            let mut port = HostPort::new(model, 32, None).unwrap();
+            port.trace = TraceBuffer::new(16);
+            port.to_dev.send(7, 0);
+            port.send(start, frames);
+            assert_eq!(port.to_dev.in_flight, per_gate.in_flight, "start {start}");
+            let traced: Vec<u64> = port.trace.events().map(|e| e.cycle).collect();
+            assert_eq!(traced, sent_at, "start {start}");
+        }
     }
 
     #[test]

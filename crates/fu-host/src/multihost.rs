@@ -21,7 +21,7 @@ use crate::System;
 use fu_isa::transport::TransportConfig;
 use fu_isa::{DevMsg, HostMsg, Tag};
 use fu_rtm::{CoprocConfig, FunctionalUnit};
-use rtl_sim::SimError;
+use rtl_sim::{SimError, TraceBuffer};
 
 /// `m` host CPUs sharing one coprocessor.
 pub struct MultiHostSystem(System);
@@ -125,6 +125,11 @@ impl MultiHostSystem {
     /// both link directions plus transport counters from both endpoints.
     pub fn link_stats(&self, host: usize) -> LinkStats {
         self.0.hosts[host].port.link_stats()
+    }
+
+    /// `host`'s link trace (host 0's also holds the rollbacks).
+    pub fn link_trace(&self, host: usize) -> &TraceBuffer {
+        &self.0.hosts[host].port.trace
     }
 }
 

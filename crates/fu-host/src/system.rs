@@ -5,11 +5,11 @@
 //! stepped one FPGA clock cycle at a time; its one-host calls speak for
 //! host 0, and [`crate::MultiHostSystem`] adds a call per host. In a
 //! cycle, each port with an event transmits and takes what has arrived;
-//! an arbiter feeds the coprocessor's receive port, locked to one host
-//! from a message's header frame to its last; the coprocessor is clocked;
-//! a router forwards each response frame to the host its header names;
-//! and each port with an event delivers to its host. A reliable link ends
-//! at its port's device edge, so the coprocessor only sees payload.
+//! once a port is ready, an arbiter feeds the coprocessor, locked to one
+//! host from a message's header frame to its last; the coprocessor is
+//! clocked; a router forwards each response frame to the host its header
+//! names; and each port with an event delivers to its host. A reliable
+//! link ends at its port's device edge, so the coprocessor sees payload.
 
 use std::collections::VecDeque;
 
@@ -102,6 +102,8 @@ pub struct System {
     /// The earliest of the hosts' wakes, or earlier (a send only lowers
     /// it): no port has an event before it.
     wake: Option<u64>,
+    /// The earliest cycle a port is [ready](HostPort::ready), or earlier.
+    ready: Option<u64>,
     /// Automatic rollback recovery; `None` means soft errors surface to
     /// the consumer in band (parity-only / detection-only operation).
     recovery: Option<RecoveryState>,
@@ -179,6 +181,7 @@ impl System {
             word_bits,
             host_bits,
             wake: None,
+            ready: None,
             recovery: None,
         })
     }
@@ -213,10 +216,11 @@ impl System {
         if let Some(rec) = self.recovery.as_mut() {
             rec.journal.push((host, msg.clone()));
         }
-        let h = &mut self.hosts[host];
-        h.port.end.send(msg.frames(self.word_bits));
-        h.wake = h.port.next_event(self.cycle);
+        let (now, h) = (self.cycle, &mut self.hosts[host]);
+        h.port.send(now, msg.frames(self.word_bits));
+        h.wake = h.port.next_event(now);
         self.wake = earliest(self.wake, h.wake);
+        self.ready = earliest(self.ready, h.port.ready(now));
     }
 
     /// Select the coprocessor's scheduling mode (see [`ActivityMode`]).
@@ -224,10 +228,16 @@ impl System {
     /// they are recomputed here.
     pub fn set_activity_mode(&mut self, mode: ActivityMode) {
         self.coproc.set_activity_mode(mode);
+        self.rewake();
+    }
+
+    fn rewake(&mut self) {
+        let now = self.cycle;
         for h in &mut self.hosts {
-            h.wake = h.port.next_event(self.cycle);
+            h.wake = h.port.next_event(now);
         }
         self.wake = self.hosts.iter().filter_map(|h| h.wake).min();
+        self.ready = self.hosts.iter().filter_map(|h| h.port.ready(now)).min();
     }
 
     /// Scheduler statistics for the embedded coprocessor, with the host's
@@ -285,18 +295,22 @@ impl System {
     /// Advance one FPGA clock cycle. Under `Scheduled` only the ports
     /// whose cached wake is due, and those the router hands a frame this
     /// cycle, are pumped: every other port would do nothing, since its
-    /// wake is its earliest event. `Exhaustive` pumps every port, so it
-    /// stays the per-cycle reference the cache is checked against.
+    /// wake is its earliest event. The arbiter runs only once some port
+    /// is ready. `Exhaustive` pumps every port and feeds every cycle, so
+    /// it stays the per-cycle reference the marks are checked against.
     pub fn step(&mut self) {
         let now = self.cycle;
         let all = self.coproc.activity_mode() == ActivityMode::Exhaustive;
-        // A port with a frame for the coprocessor has an event now.
         let due = |wake: Option<u64>| all || wake.is_some_and(|t| t <= now);
         if due(self.wake) {
             for h in self.hosts.iter_mut().filter(|h| due(h.wake)) {
                 h.port.pump_in(now);
+                self.ready = earliest(self.ready, h.port.ready(now));
             }
+        }
+        if due(self.ready) {
             self.feed(now);
+            self.ready = self.hosts.iter().filter_map(|h| h.port.ready(now)).min();
         }
         self.coproc.step();
         self.route(now);
@@ -436,21 +450,23 @@ impl System {
     /// soft-error counters survive the rewind (a strike already applied
     /// is never replayed), as does each consumer's position in its
     /// response stream: responses taken since the snapshot are dropped
-    /// from the restored queue and suppressed on regeneration.
+    /// from the restored queue and suppressed on regeneration; each port's
+    /// link trace, history too, keeps every event.
     pub fn restore(&mut self, snap: &SystemSnapshot) {
         self.coproc.restore(&snap.coproc);
         self.arb = snap.arb.clone();
         self.cycle = snap.cycle;
         for (h, s) in self.hosts.iter_mut().zip(&snap.hosts) {
             let delivered = h.delivered;
+            let trace = std::mem::replace(&mut h.port.trace, TraceBuffer::disabled());
             *h = s.clone();
             let consumed = delivered.saturating_sub(s.delivered);
             let n = consumed.min(h.responses.len() as u64) as usize;
             h.responses.drain(..n);
             h.delivered = delivered;
-            h.wake = h.port.next_event(self.cycle);
+            h.port.trace = trace;
         }
-        self.wake = self.hosts.iter().filter_map(|h| h.wake).min();
+        self.rewake();
     }
 
     /// Enable automatic rollback recovery: take a checkpoint now and a
@@ -565,8 +581,8 @@ impl System {
                 });
             }
             // Jump over the cycles in which nothing can happen: the
-            // hosts' next event is the earliest of their ports' wakes.
-            let wake = self.wake;
+            // hosts' next event is their earliest wake or readiness.
+            let wake = earliest(self.wake, self.ready);
             match self
                 .coproc
                 .skip_to_next_event(max_cycles - elapsed, || wake)
@@ -1007,6 +1023,24 @@ mod tests {
         // New traffic flows normally again.
         s.send(&HostMsg::Sync { tag: 3 });
         assert_eq!(s.recv_blocking(10_000).unwrap(), DevMsg::SyncAck { tag: 3 });
+    }
+
+    #[test]
+    fn two_rollbacks_to_one_checkpoint_leave_two_trace_events() {
+        let mut s = sys(LinkModel::pcie_like());
+        s.set_trace_depth(256);
+        s.enable_recovery(1_000).unwrap();
+        s.send(&HostMsg::Sync { tag: 1 });
+        for _ in 0..2 {
+            assert!(s.run_until(40, |_| false).is_err(), "runs out its budget");
+            s.rollback();
+        }
+        let events = s.link_trace().events();
+        let rollbacks = events
+            .filter(|e| matches!(e.kind, TraceEventKind::Rollback { .. }))
+            .count();
+        assert_eq!((rollbacks as u64, s.recovery_stats().rollbacks), (2, 2));
+        assert_eq!(s.recv_blocking(10_000).unwrap(), DevMsg::SyncAck { tag: 1 });
     }
 
     #[test]

@@ -623,6 +623,37 @@ mod tests {
         assert_eq!(b.deliver(), None, "resends are duplicates");
     }
 
+    #[test]
+    fn a_failed_check_resyncs_frame_by_frame_onto_the_next_segment() {
+        // A corrupt frame that still reads as a two-word data header
+        // swallows a magic-looking payload word of a lost segment and the
+        // first two frames of a valid one. When its CRC check fails,
+        // resync drops only the corrupt frame and re-feeds the rest: the
+        // payload word is taken as a header and fails its own check in
+        // turn, and the valid segment is then taken whole. Dropping the
+        // buffer would lose that segment until a resend.
+        let words = [0x0101_0101, 0x0202_0202];
+        let seg = data_segment(0, &words);
+        let corrupt = DATA_MAGIC << 24 | 2 << 16 | 0x0bad;
+        for magic in [DATA_MAGIC, ACK_MAGIC] {
+            let stray = magic << 24 | 1 << 16 | 0x77;
+            let mut b = Endpoint::new(cfg());
+            for &f in [corrupt, stray].iter().chain(&seg) {
+                b.on_frame(0, f);
+            }
+            let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
+            assert_eq!(got, words, "stray {stray:#x}: {:?}", b.stats());
+            assert_eq!(b.stats().rejected, 2, "two failed checks");
+            // A go-back-N resend is a duplicate; the next segment is new.
+            let next = data_segment(2, &[0x0303_0303]);
+            for &f in seg.iter().chain(&next) {
+                b.on_frame(1, f);
+            }
+            let got: Vec<u32> = std::iter::from_fn(|| b.deliver()).collect();
+            assert_eq!(got, [0x0303_0303], "stray {stray:#x}: {:?}", b.stats());
+        }
+    }
+
     /// `cfg()` with room for 8-word segments.
     fn wide() -> TransportConfig {
         TransportConfig {

@@ -592,27 +592,30 @@ fn a_reliable_host_wakes_once_per_segment() {
 }
 
 /// What a mode change must leave untouched: every host's replies, the
-/// cycle the system parked at, per-host link statistics and stage
-/// busy-ness.
+/// cycle the system parked at, per-host link statistics, stage busy-ness
+/// and every host's link trace sorted by cycle.
 type Observed = (
     Vec<Vec<DevMsg>>,
     u64,
     Vec<fu_host::LinkStats>,
     Vec<(&'static str, u64)>,
+    Vec<Vec<rtl_sim::TraceEvent>>,
 );
 
 /// One multi-host run of `ops` under `mode`. Each op is (host, kind,
-/// value, wait): kind 0 writes the host's register, 1 reads it back,
-/// 2 syncs and 3 runs an add on it; a read or sync with `wait` set
-/// blocks until every reply its host is owed has arrived, so the hosts
-/// mix closed- and open-loop traffic.
+/// value, wait, gap): the system first runs `gap` cycles, so a send may
+/// land while its host's earlier frames are still on the wire; then
+/// kind 0 writes the host's register, 1 reads it back, 2 syncs and 3
+/// runs an add on it; a read or sync with `wait` set blocks until every
+/// reply its host is owed has arrived, so the hosts mix closed- and
+/// open-loop traffic.
 fn run_traffic(
     mode: fu_rtm::ActivityMode,
     n_hosts: usize,
     link: LinkModel,
     reliable: Option<u32>,
     seed: u64,
-    ops: &[(usize, u8, u32, bool)],
+    ops: &[(usize, u8, u32, bool, u8)],
 ) -> Observed {
     use fu_host::FaultModel;
     use fu_isa::transport::TransportConfig;
@@ -629,9 +632,12 @@ fn run_traffic(
     }
     .unwrap();
     s.set_activity_mode(mode);
+    s.set_trace_depth(1 << 16);
     let mut replies = vec![Vec::new(); n_hosts];
     let mut owed = vec![0usize; n_hosts];
-    for (i, &(pick, kind, value, wait)) in ops.iter().enumerate() {
+    for (i, &(pick, kind, value, wait, gap)) in ops.iter().enumerate() {
+        // Runs out its budget by design: `gap` cycles, skipped or stepped.
+        let _ = s.run_until(gap.into(), |_| false);
         let host = pick % n_hosts;
         let reg = host as u8 + 1;
         let tag = s.brand_tag(host, i as u16);
@@ -674,44 +680,59 @@ fn run_traffic(
     let sim = s.sim_stats();
     assert_eq!(sim.step_reasons.total(), sim.cycles_stepped, "{mode:?}");
     let links = (0..n_hosts).map(|h| s.link_stats(h)).collect();
-    (replies, s.cycle(), links, sim.stage_busy)
+    let traces = (0..n_hosts)
+        .map(|h| {
+            let trace = s.link_trace(h);
+            assert_eq!(trace.dropped(), 0, "the trace ring overflowed");
+            let mut events: Vec<_> = trace.events().copied().collect();
+            events.sort_by_key(|e| e.cycle);
+            events
+        })
+        .collect();
+    (replies, s.cycle(), links, sim.stage_busy, traces)
 }
 
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
 
     /// The scheduled kernel pumps only the ports whose cached wake is
-    /// due, or that the router just handed a response; the exhaustive
-    /// reference pumps every port every cycle. Over any host count,
-    /// link, port kind, fault rate and traffic mix the two must agree on
-    /// every reply, the final cycle, every port's link statistics and
-    /// stage busy-ness.
+    /// due, or that the router just handed a response, and feeds only
+    /// once a port is ready; the exhaustive reference pumps every port
+    /// and feeds every cycle. Over any host count, port kind, fault rate
+    /// and traffic mix, sends landing mid-message included, and on every
+    /// link preset (the ideal one too, where a port is ready on most
+    /// cycles), the two must agree on every reply, the final cycle, every
+    /// port's link statistics, stage busy-ness and every port's link
+    /// trace.
     #[test]
     fn wake_cache_matches_per_cycle_pumping(
         seed in proptest::prelude::any::<u64>(),
         n_hosts in 1usize..=5,
-        link_idx in 0usize..3,
         reliable in proptest::prelude::any::<bool>(),
         permille in 0u32..=150,
         ops in proptest::collection::vec(
-            (0usize..5, 0u8..4, proptest::prelude::any::<u32>(), proptest::prelude::any::<bool>()),
+            (
+                0usize..5,
+                0u8..4,
+                proptest::prelude::any::<u32>(),
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<u8>(),
+            ),
             1..16,
         ),
     ) {
         use fu_rtm::ActivityMode;
-        let link = [
-            LinkModel::prototyping(),
-            LinkModel::pcie_like(),
-            LinkModel::tightly_coupled(),
-        ][link_idx];
         let reliable = reliable.then_some(permille);
-        let run = |mode| run_traffic(mode, n_hosts, link, reliable, seed, &ops);
-        let (e, w) = (run(ActivityMode::Exhaustive), run(ActivityMode::Scheduled));
-        let what = format!("{} hosts, {}, {reliable:?}, seed {seed:#x}", n_hosts, link.name);
-        proptest::prop_assert_eq!(&e.0, &w.0, "replies diverged: {}", what);
-        proptest::prop_assert_eq!(e.1, w.1, "final cycle diverged: {}", what);
-        proptest::prop_assert_eq!(&e.2, &w.2, "link statistics diverged: {}", what);
-        proptest::prop_assert_eq!(&e.3, &w.3, "stage busy-ness diverged: {}", what);
+        for link in LinkModel::presets() {
+            let run = |mode| run_traffic(mode, n_hosts, link, reliable, seed, &ops);
+            let (e, w) = (run(ActivityMode::Exhaustive), run(ActivityMode::Scheduled));
+            let what = format!("{} hosts, {}, {reliable:?}, seed {seed:#x}", n_hosts, link.name);
+            proptest::prop_assert_eq!(&e.0, &w.0, "replies diverged: {}", what);
+            proptest::prop_assert_eq!(e.1, w.1, "final cycle diverged: {}", what);
+            proptest::prop_assert_eq!(&e.2, &w.2, "link statistics diverged: {}", what);
+            proptest::prop_assert_eq!(&e.3, &w.3, "stage busy-ness diverged: {}", what);
+            proptest::prop_assert!(e.4 == w.4, "link traces diverged: {}", what);
+        }
     }
 }
 
@@ -785,9 +806,9 @@ fn rollback_recovery_masks_device_and_link_faults_on_two_hosts() {
             for (host, stream) in streams.iter_mut().enumerate() {
                 let (start, before) = (s.cycle(), s.recovery_stats().rollbacks);
                 stream.push(s.recv_blocking(host, 50_000_000).unwrap());
-                // A restore rewinds the link trace too, so the newest
+                // The link trace keeps every rollback, so the newest
                 // rollback event is the last rollback this receive took.
-                let last = s.link_trace().events().fold(None, |last, e| match e.kind {
+                let last = s.link_trace(0).events().fold(None, |last, e| match e.kind {
                     TraceEventKind::Rollback { to_cycle, .. } => Some(to_cycle),
                     _ => last,
                 });
@@ -796,9 +817,19 @@ fn rollback_recovery_masks_device_and_link_faults_on_two_hosts() {
             }
         }
         util::settle(&mut s, 50_000_000);
-        assert_eq!(s.link_trace().dropped(), 0, "the trace ring overflowed");
+        let trace = s.link_trace(0);
+        assert_eq!(trace.dropped(), 0, "the trace ring overflowed");
+        let rollback_events = trace
+            .events()
+            .filter(|e| matches!(e.kind, TraceEventKind::Rollback { .. }))
+            .count() as u64;
+        let r = s.recovery_stats();
+        assert_eq!(
+            rollback_events, r.rollbacks,
+            "a rollback event went missing"
+        );
         let links: fu_host::LinkStats = (0..2).map(|h| s.link_stats(h)).sum();
-        (streams, s.recovery_stats(), rewound_below_start, links)
+        (streams, r, rewound_below_start, links)
     };
     let (clean, ..) = run(base.clone(), None);
     let faults = FaultModel::uniform(0xFA_175, 40);
