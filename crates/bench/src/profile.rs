@@ -113,9 +113,10 @@ pub fn profile_workload(
         "tracing perturbed the {workload} simulation statistics"
     );
 
-    let report = &traced.shard_reports()[0];
+    let shard = &traced.shards()[0];
     assert_eq!(
-        report.trace_dropped, 0,
+        shard.trace_dropped(),
+        0,
         "the {workload} trace overflowed its {TRACE_DEPTH}-event ring"
     );
     ProfileRun {
@@ -125,8 +126,8 @@ pub fn profile_workload(
         instructions: traced_sim.lat_issue_retire.count(),
         utilization: traced_sim.utilization(),
         latency: traced_sim.latency_snapshot(),
-        trace_events: report.trace.len(),
-        trace_dropped: report.trace_dropped,
+        trace_events: shard.dump_trace().len(),
+        trace_dropped: shard.trace_dropped(),
         perfetto: traced
             .shard_perfetto(0)
             .expect("tracing was enabled on shard 0"),

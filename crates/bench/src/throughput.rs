@@ -9,7 +9,7 @@
 //! Every measured configuration is *verified*: the parallel run must be
 //! bit-identical to the serial run, or the harness panics.
 
-use fu_host::{Farm, FarmConfig, Job, LinkModel};
+use fu_host::{Driver, Farm, FarmConfig, Job, LinkModel};
 use fu_rtm::{CoprocConfig, FunctionalUnit};
 use rtl_sim::StallFuzzer;
 use xi_sort::{XiConfig, XiSortAdapter};
@@ -144,8 +144,9 @@ pub fn run_verified(
     jobs: &[Job],
     ops: u64,
 ) -> FarmRun {
+    let shard_cycles = |farm: &Farm| farm.shards().iter().map(Driver::cycles).collect::<Vec<_>>();
     let serial = farm.run_serial(jobs).expect("serial farm run");
-    let serial_cycles: Vec<u64> = farm.shard_reports().iter().map(|r| r.cycles).collect();
+    let serial_cycles = shard_cycles(farm);
 
     let parallel = farm.run_parallel(jobs).expect("parallel farm run");
 
@@ -155,7 +156,7 @@ pub fn run_verified(
         "parallel result stream diverged from serial ({workload}, {} shards)",
         farm.config().shards
     );
-    let parallel_cycles: Vec<u64> = farm.shard_reports().iter().map(|r| r.cycles).collect();
+    let parallel_cycles = shard_cycles(farm);
     assert_eq!(serial_cycles, parallel_cycles, "per-shard cycles diverged");
     for r in &parallel {
         assert!(

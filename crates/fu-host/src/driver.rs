@@ -127,6 +127,12 @@ impl Driver {
         all
     }
 
+    /// Events the pipeline and link trace rings evicted to make room; 0
+    /// means [`Driver::dump_trace`] is the full event stream.
+    pub fn trace_dropped(&self) -> u64 {
+        self.sys.coproc().trace().dropped() + self.sys.link_trace().dropped()
+    }
+
     /// The merged trace serialized as a Chrome-trace (Perfetto) JSON
     /// document — write it to a file and open it in `ui.perfetto.dev`.
     pub fn perfetto_trace(&self) -> String {

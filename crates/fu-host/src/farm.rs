@@ -15,8 +15,8 @@
 //! * **Bit-identical merging.** [`Farm::run_parallel`] returns exactly
 //!   the result vector [`Farm::run_serial`] returns — same responses,
 //!   same tags, same errors — because both are one executor that merges
-//!   results by walking the plan, not by arrival time. The
-//!   `farm_determinism` proptest enforces this.
+//!   results by walking the plan, not by arrival time. The differential
+//!   harness (`tests/differential.rs`) enforces this.
 //! * **Backpressure without queues.** Jobs are borrowed from the caller's
 //!   slice, never copied into a queue, so a batch costs no memory beyond
 //!   its results. Bounding the work in flight is the serving layer's job
@@ -197,25 +197,6 @@ pub struct JobResult {
     pub output: Result<JobOutput, DriverError>,
 }
 
-/// Per-shard accounting from the most recent run.
-#[derive(Debug, Clone, Default)]
-pub struct ShardReport {
-    /// Jobs this shard executed.
-    pub jobs: u64,
-    /// Simulated cycles the shard's system consumed.
-    pub cycles: u64,
-    /// Scheduler statistics rollup source.
-    pub sim: SimStats,
-    /// Link/transport statistics rollup source.
-    pub link: LinkStats,
-    /// The shard's retained trace events (pipeline + link, cycle order),
-    /// empty unless [`FarmConfig::trace_depth`] was set.
-    pub trace: Vec<rtl_sim::TraceEvent>,
-    /// Events the shard's pipeline and link trace rings evicted to make
-    /// room; 0 means `trace` is the shard's full event stream.
-    pub trace_dropped: u64,
-}
-
 /// Orchestration-level failures. Per-job failures travel inside
 /// [`JobResult::output`] instead.
 #[derive(Debug, Clone, PartialEq)]
@@ -255,7 +236,8 @@ type ShardBuilder = Arc<dyn Fn(&ShardCtx) -> Result<System, SimError> + Send + S
 pub struct Farm {
     cfg: FarmConfig,
     builder: ShardBuilder,
-    reports: Vec<ShardReport>,
+    /// The last run's shards, as it left them.
+    drivers: Vec<Driver>,
     /// Jobs the failover pass re-executed in the last run.
     failed_over: u64,
     /// Retry attempts the failover pass consumed in the last run.
@@ -271,7 +253,7 @@ impl Farm {
         Farm {
             cfg,
             builder: Arc::new(builder),
-            reports: Vec::new(),
+            drivers: Vec::new(),
             failed_over: 0,
             job_retries: 0,
         }
@@ -329,22 +311,6 @@ impl Farm {
         build_shard_from(&self.builder, &self.cfg, index)
     }
 
-    fn report(drv: &Driver, jobs: u64) -> ShardReport {
-        let sys = drv.system();
-        ShardReport {
-            jobs,
-            cycles: sys.cycle(),
-            sim: sys.sim_stats(),
-            link: sys.link_stats(),
-            trace: if sys.coproc().trace().is_enabled() || sys.link_trace().is_enabled() {
-                drv.dump_trace()
-            } else {
-                Vec::new()
-            },
-            trace_dropped: sys.coproc().trace().dropped() + sys.link_trace().dropped(),
-        }
-    }
-
     /// Run `jobs` on this thread: every shard is built exactly as in
     /// [`Farm::run_parallel`] and executes the same jobs in the same
     /// order, so this is the reference the parallel path is compared to
@@ -371,13 +337,15 @@ impl Farm {
     /// The one executor: build every shard, split the placement plan into
     /// per-shard job lists (submission order), run each list through
     /// [`run_on_shard`] — inline, or on one scoped thread per shard — then
-    /// merge back into job order, run the failover pass and write the
-    /// reports. Shards share no state, so whether they run one after
+    /// merge back into job order, run the failover pass and keep the
+    /// drivers. Shards share no state, so whether they run one after
     /// another or concurrently changes no result, cycle count or trace.
     fn run(&mut self, jobs: &[Job], threaded: bool) -> Result<Vec<JobResult>, FarmError> {
         if self.cfg.shards == 0 {
             return Err(FarmError::NoShards);
         }
+        // The last run's shards go first, so no two sets are ever alive.
+        self.drivers.clear();
         let mut drivers = (0..self.cfg.shards)
             .map(|s| self.build_shard(s))
             .collect::<Result<Vec<_>, _>>()?;
@@ -428,35 +396,30 @@ impl Farm {
             .iter()
             .map(|&s| cursors[s].next().expect("one result per planned job"))
             .collect();
-        let mut counts: Vec<u64> = lists.iter().map(|l| l.len() as u64).collect();
         let (failed_over, retries) = failover_pass(
             &self.cfg,
             &self.builder,
             &mut drivers,
-            &mut counts,
             &mut results,
             jobs,
             &plan,
         );
         self.failed_over = failed_over;
         self.job_retries = retries;
-        self.reports = drivers
-            .iter()
-            .zip(&counts)
-            .map(|(d, &n)| Farm::report(d, n))
-            .collect();
+        self.drivers = drivers;
         Ok(results)
     }
 
-    /// Per-shard accounting from the most recent run.
-    pub fn shard_reports(&self) -> &[ShardReport] {
-        &self.reports
+    /// The last run's shards, as the run left them (empty before the
+    /// first run).
+    pub fn shards(&self) -> &[Driver] {
+        &self.drivers
     }
 
     /// Scheduler statistics summed over all shards of the last run, with
     /// the failover pass's job accounting folded into the recovery block.
     pub fn sim_stats(&self) -> SimStats {
-        let mut s: SimStats = self.reports.iter().map(|r| &r.sim).sum();
+        let mut s: SimStats = self.drivers.iter().map(|d| d.system().sim_stats()).sum();
         s.recovery.jobs_failed_over += self.failed_over;
         s.recovery.job_retries += self.job_retries;
         s
@@ -464,19 +427,19 @@ impl Farm {
 
     /// Link/transport statistics summed over all shards of the last run.
     pub fn link_stats(&self) -> LinkStats {
-        self.reports.iter().map(|r| r.link).sum()
+        self.drivers.iter().map(|d| d.system().link_stats()).sum()
     }
 
     /// Simulated makespan of the last run: shards run concurrently in
     /// simulated time, so the farm finishes when its slowest shard does.
     pub fn makespan_cycles(&self) -> u64 {
-        self.reports.iter().map(|r| r.cycles).max().unwrap_or(0)
+        self.drivers.iter().map(Driver::cycles).max().unwrap_or(0)
     }
 
     /// Total simulated cycles summed over shards (the serial-equivalent
     /// cost of the last run).
     pub fn total_cycles(&self) -> u64 {
-        self.reports.iter().map(|r| r.cycles).sum()
+        self.drivers.iter().map(Driver::cycles).sum()
     }
 
     /// Per-instruction latency percentiles aggregated over every shard of
@@ -490,11 +453,11 @@ impl Farm {
     /// document. `None` when the shard index is out of range or tracing
     /// was off for the last run.
     pub fn shard_perfetto(&self, shard: usize) -> Option<String> {
-        let r = self.reports.get(shard)?;
-        if r.trace.is_empty() {
+        let trace = self.drivers.get(shard)?.dump_trace();
+        if trace.is_empty() {
             return None;
         }
-        Some(rtl_sim::trace::perfetto::export(r.trace.iter()))
+        Some(rtl_sim::trace::perfetto::export(trace.iter()))
     }
 }
 
@@ -622,12 +585,10 @@ fn retryable(out: &Result<JobOutput, DriverError>) -> bool {
 /// round-robin shard choice starting after the job's home shard, so
 /// serial and parallel runs take bit-identical failover decisions.
 /// Returns `(jobs re-executed, retry attempts consumed)`.
-#[allow(clippy::too_many_arguments)]
 fn failover_pass(
     cfg: &FarmConfig,
     builder: &ShardBuilder,
     drivers: &mut [Driver],
-    counts: &mut [u64],
     results: &mut [JobResult],
     jobs: &[Job],
     plan: &[usize],
@@ -646,7 +607,6 @@ fn failover_pass(
         for attempt in 0..cfg.max_job_retries as usize {
             retries += 1;
             let s = (home + 1 + attempt) % shards;
-            counts[s] += 1;
             let job = results[i].job;
             results[i] = run_on_shard(builder, cfg, &mut drivers[s], s, job, &jobs[job]);
             if !retryable(&results[i].output) {
@@ -705,6 +665,10 @@ mod tests {
             .collect()
     }
 
+    fn shard_cycles(f: &Farm) -> Vec<u64> {
+        f.shards().iter().map(Driver::cycles).collect()
+    }
+
     fn farm(shards: usize) -> Farm {
         Farm::standard(
             FarmConfig {
@@ -721,11 +685,35 @@ mod tests {
         let jobs = add_jobs(10);
         let mut f = farm(3);
         let serial = f.run_serial(&jobs).unwrap();
-        let serial_reports: Vec<u64> = f.shard_reports().iter().map(|r| r.cycles).collect();
+        let serial_cycles = shard_cycles(&f);
         let parallel = f.run_parallel(&jobs).unwrap();
-        let parallel_reports: Vec<u64> = f.shard_reports().iter().map(|r| r.cycles).collect();
         assert_eq!(serial, parallel);
-        assert_eq!(serial_reports, parallel_reports);
+        assert_eq!(serial_cycles, shard_cycles(&f));
+    }
+
+    /// A shard's rings count every event they evicted: the retained and
+    /// the dropped events of a shallow ring add up to the full stream a
+    /// deep ring keeps, and the deep ring drops none.
+    #[test]
+    fn shards_count_evicted_trace_events() {
+        let run = |trace_depth: usize| {
+            let mut f = Farm::standard(
+                FarmConfig {
+                    shards: 1,
+                    trace_depth,
+                    ..FarmConfig::default()
+                },
+                CoprocConfig::default(),
+                LinkModel::pcie_like(),
+            );
+            f.run_serial(&add_jobs(4)).unwrap();
+            let d = &f.shards()[0];
+            (d.dump_trace().len() as u64, d.trace_dropped())
+        };
+        let ((deep, deep_dropped), (kept, dropped)) = (run(1 << 16), run(16));
+        assert_eq!(deep_dropped, 0);
+        assert!(dropped > 0, "{deep} events");
+        assert_eq!(kept + dropped, deep);
     }
 
     #[test]
@@ -764,15 +752,17 @@ mod tests {
         let jobs = add_jobs(8);
         let mut f = farm(4);
         f.run_parallel(&jobs).unwrap();
-        let reports = f.shard_reports();
-        assert_eq!(reports.len(), 4);
-        assert_eq!(reports.iter().map(|r| r.jobs).sum::<u64>(), 8);
+        let shards = f.shards();
+        assert_eq!(shards.len(), 4);
         let sim = f.sim_stats();
         assert_eq!(
             sim.cycles_simulated,
-            reports.iter().map(|r| r.sim.cycles_simulated).sum::<u64>()
+            shards
+                .iter()
+                .map(|d| d.system().sim_stats().cycles_simulated)
+                .sum::<u64>()
         );
-        assert_eq!(f.total_cycles(), reports.iter().map(|r| r.cycles).sum());
+        assert_eq!(f.total_cycles(), shard_cycles(&f).iter().sum());
         assert!(f.makespan_cycles() <= f.total_cycles());
         assert!(f.makespan_cycles() > 0);
     }
@@ -955,13 +945,11 @@ mod tests {
         let mut f = poisoned_farm(3, 2);
         let serial = f.run_serial(&jobs).unwrap();
         let serial_rec = f.sim_stats().recovery;
-        let serial_cycles: Vec<u64> = f.shard_reports().iter().map(|r| r.cycles).collect();
+        let serial_cycles = shard_cycles(&f);
         let parallel = f.run_parallel(&jobs).unwrap();
-        let parallel_rec = f.sim_stats().recovery;
-        let parallel_cycles: Vec<u64> = f.shard_reports().iter().map(|r| r.cycles).collect();
         assert_eq!(serial, parallel);
-        assert_eq!(serial_rec, parallel_rec);
-        assert_eq!(serial_cycles, parallel_cycles);
+        assert_eq!(serial_rec, f.sim_stats().recovery);
+        assert_eq!(serial_cycles, shard_cycles(&f));
     }
 
     #[test]
@@ -1134,9 +1122,9 @@ mod tests {
         for r in &out {
             per_shard[r.shard] += r.cycles;
         }
-        for (report, expect) in f.shard_reports().iter().zip(&per_shard) {
+        for (cycles, expect) in shard_cycles(&f).iter().zip(&per_shard) {
             assert_eq!(
-                report.cycles, *expect,
+                cycles, expect,
                 "shard cycle counter must equal the sum of its job deltas"
             );
         }

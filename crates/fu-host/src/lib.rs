@@ -33,9 +33,7 @@ pub mod system;
 
 pub use baseline::CpuModel;
 pub use driver::{Driver, DriverError};
-pub use farm::{
-    Farm, FarmConfig, FarmError, Job, JobOutput, JobResult, Placement, ShardCtx, ShardReport,
-};
+pub use farm::{Farm, FarmConfig, FarmError, Job, JobOutput, JobResult, Placement, ShardCtx};
 pub use link::{FaultModel, FaultStats, Link, LinkModel, LinkStats};
 pub use multihost::MultiHostSystem;
 pub use serve::{Admission, Completion, ServeConfig, Service, TenantId, TenantSlo, TenantSpec};

@@ -11,8 +11,9 @@
 //! The module also holds the link pump of every host port:
 //! `LinkEnd` makes the bare-or-reliable choice for one end of a link
 //! pair, and `HostPort` bundles a host's link pair with both of its ends
-//! (the host's and the device edge's), the response deframer and the
-//! link trace. A port works only at its events: a bare end sends a whole
+//! (the host's and the device edge's) and the response deframer; each of
+//! its pumps records into the link trace its caller hands it. A port
+//! works only at its events: a bare end sends a whole
 //! message at once, an idle end leaves the transport alone, and the
 //! arbiter's readiness is kept apart from the pump's events.
 
@@ -588,9 +589,10 @@ impl LinkEnd {
 
 /// A host's attachment to the coprocessor: the link pair, the host's and
 /// the device edge's [`LinkEnd`] (sharing one transport, so the
-/// coprocessor only sees payload), the response deframer and the link
-/// trace, kept apart from the pipeline's so a chatty pipeline cannot
-/// evict link events from the ring.
+/// coprocessor only sees payload) and the response deframer. The link
+/// trace is the caller's: kept apart from the pipeline's, so a chatty
+/// pipeline cannot evict link events from the ring, and apart from the
+/// port, so a snapshot of the port copies no ring.
 #[derive(Clone)]
 pub(crate) struct HostPort {
     pub(crate) to_dev: Link,
@@ -598,8 +600,7 @@ pub(crate) struct HostPort {
     pub(crate) end: LinkEnd,
     pub(crate) edge: LinkEnd,
     rx: DevDeframer,
-    pub(crate) trace: TraceBuffer,
-    /// Both endpoints' retransmits already recorded in `trace`.
+    /// Both endpoints' retransmits already recorded in the trace.
     retransmits_traced: u64,
 }
 
@@ -634,7 +635,6 @@ impl HostPort {
             end: LinkEnd::new(transport),
             edge: LinkEnd::new(transport),
             rx: DevDeframer::new(word_bits),
-            trace: TraceBuffer::disabled(),
             retransmits_traced: 0,
         })
     }
@@ -642,12 +642,16 @@ impl HostPort {
     /// Hand the host end a message at `now`: a bare end puts every frame on
     /// the link at the cycle its gate opens; a reliable one queues them.
     #[inline]
-    pub(crate) fn send(&mut self, now: u64, frames: impl IntoIterator<Item = u32>) {
+    pub(crate) fn send(
+        &mut self,
+        now: u64,
+        frames: impl IntoIterator<Item = u32>,
+        trace: &mut TraceBuffer,
+    ) {
         match &mut self.end {
             LinkEnd::Bare => {
                 let at = now.max(self.to_dev.next_send_cycle());
-                self.to_dev
-                    .send_paced(at, frames, &mut self.trace, LinkDir::ToDevice);
+                self.to_dev.send_paced(at, frames, trace, LinkDir::ToDevice);
             }
             LinkEnd::Reliable(ep) => frames.into_iter().for_each(|f| ep.send(f)),
         }
@@ -660,11 +664,11 @@ impl HostPort {
     /// until [`HostPort::pull`] takes them: that is the link's flow
     /// control.
     #[inline]
-    pub(crate) fn pump_in(&mut self, now: u64) {
+    pub(crate) fn pump_in(&mut self, now: u64, trace: &mut TraceBuffer) {
         if let LinkEnd::Reliable(ep) = &mut self.end {
             ep.poll(now);
         }
-        let (trace, dir) = (&mut self.trace, LinkDir::ToDevice);
+        let dir = LinkDir::ToDevice;
         self.end.transmit(now, now, &mut self.to_dev, trace, dir);
         let due = self.edge.due(now, &self.to_dev);
         if let LinkEnd::Reliable(ep) = &mut self.edge {
@@ -690,12 +694,12 @@ impl HostPort {
     /// link on a bare edge, from the endpoint's in-order deliveries on a
     /// reliable one.
     #[inline]
-    pub(crate) fn pull(&mut self, now: u64) -> Option<u32> {
+    pub(crate) fn pull(&mut self, now: u64, trace: &mut TraceBuffer) -> Option<u32> {
         match &mut self.edge {
             LinkEnd::Bare => {
                 let f = self.to_dev.recv(now)?;
                 let dir = LinkDir::ToDevice;
-                self.trace.record(now, TraceEventKind::LinkRx { dir });
+                trace.record(now, TraceEventKind::LinkRx { dir });
                 Some(f)
             }
             LinkEnd::Reliable(ep) => ep.deliver(),
@@ -711,12 +715,12 @@ impl HostPort {
 
     /// Hand the device edge a response frame it [accepts](Self::accepts).
     #[inline]
-    pub(crate) fn forward(&mut self, now: u64, frame: u32) {
+    pub(crate) fn forward(&mut self, now: u64, frame: u32, trace: &mut TraceBuffer) {
         match &mut self.edge {
             LinkEnd::Bare => {
                 self.to_host.send(now, frame);
                 let dir = LinkDir::ToHost;
-                self.trace.record(now, TraceEventKind::LinkTx { dir });
+                trace.record(now, TraceEventKind::LinkTx { dir });
             }
             LinkEnd::Reliable(ep) => ep.send(frame),
         }
@@ -732,8 +736,13 @@ impl HostPort {
     /// The retransmits both endpoints made go into the trace as one event,
     /// so trace totals reconcile with [`HostPort::link_stats`].
     #[inline]
-    pub(crate) fn pump_out(&mut self, now: u64, mut on_msg: impl FnMut(DevMsg)) {
-        let (trace, dir) = (&mut self.trace, LinkDir::ToHost);
+    pub(crate) fn pump_out(
+        &mut self,
+        now: u64,
+        trace: &mut TraceBuffer,
+        mut on_msg: impl FnMut(DevMsg),
+    ) {
+        let dir = LinkDir::ToHost;
         self.edge
             .transmit(now, now + 1, &mut self.to_host, trace, dir);
         let rx = &mut self.rx;
@@ -760,8 +769,7 @@ impl HostPort {
             let retx = end.stats().retransmits + edge.stats().retransmits;
             if retx > self.retransmits_traced {
                 let segments = (retx - self.retransmits_traced) as u32;
-                self.trace
-                    .record(now, TraceEventKind::LinkRetransmit { segments });
+                trace.record(now, TraceEventKind::LinkRetransmit { segments });
                 self.retransmits_traced = retx;
             }
         }
@@ -901,11 +909,11 @@ mod tests {
                 sent_at.push(at);
             }
             let mut port = HostPort::new(model, 32, None).unwrap();
-            port.trace = TraceBuffer::new(16);
+            let mut trace = TraceBuffer::new(16);
             port.to_dev.send(7, 0);
-            port.send(start, frames);
+            port.send(start, frames, &mut trace);
             assert_eq!(port.to_dev.in_flight, per_gate.in_flight, "start {start}");
-            let traced: Vec<u64> = port.trace.events().map(|e| e.cycle).collect();
+            let traced: Vec<u64> = trace.events().map(|e| e.cycle).collect();
             assert_eq!(traced, sent_at, "start {start}");
         }
     }
@@ -1047,7 +1055,7 @@ mod tests {
         }
         let mut got = Vec::new();
         for now in 0..8 {
-            port.pump_out(now, |m| got.push(m));
+            port.pump_out(now, &mut TraceBuffer::disabled(), |m| got.push(m));
         }
         let bad = |info| DevMsg::Error {
             code: ErrorCode::BadFrame,

@@ -129,7 +129,7 @@ impl MultiHostSystem {
 
     /// `host`'s link trace (host 0's also holds the rollbacks).
     pub fn link_trace(&self, host: usize) -> &TraceBuffer {
-        &self.0.hosts[host].port.trace
+        &self.0.traces[host]
     }
 }
 

@@ -251,6 +251,11 @@ impl Service {
         &self.cfg
     }
 
+    /// The farm the rounds run on; its shards are the last round's.
+    pub fn farm(&self) -> &Farm {
+        &self.farm
+    }
+
     /// Number of tenants.
     pub fn tenants(&self) -> usize {
         self.lanes.len()

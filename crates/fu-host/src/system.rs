@@ -55,7 +55,8 @@ struct Arbiter {
 /// [`System::checkpoint`] and rewound by [`System::restore`]. The SEU
 /// strike schedule and the soft-error counters deliberately live outside
 /// the snapshot, so restoring never replays a strike already applied (a
-/// rollback would otherwise rediscover the same fault forever).
+/// rollback would otherwise rediscover the same fault forever); so do the
+/// link traces, which observe the run rather than belong to its state.
 #[derive(Clone)]
 pub struct SystemSnapshot {
     coproc: CoprocSnapshot,
@@ -94,6 +95,9 @@ fn port_faults(m: FaultModel, i: usize) -> [FaultModel; 2] {
 pub struct System {
     coproc: Coprocessor,
     pub(crate) hosts: Vec<Host>,
+    /// Each host's link trace. It lives outside the hosts, so a
+    /// checkpoint copies no ring and a rollback rewinds none.
+    pub(crate) traces: Vec<TraceBuffer>,
     arb: Arbiter,
     cycle: u64,
     word_bits: u32,
@@ -176,6 +180,7 @@ impl System {
         Ok(System {
             coproc: Coprocessor::new(cfg, units)?,
             hosts,
+            traces: (0..n_hosts).map(|_| TraceBuffer::disabled()).collect(),
             arb: Arbiter::default(),
             cycle: 0,
             word_bits,
@@ -217,7 +222,8 @@ impl System {
             rec.journal.push((host, msg.clone()));
         }
         let (now, h) = (self.cycle, &mut self.hosts[host]);
-        h.port.send(now, msg.frames(self.word_bits));
+        h.port
+            .send(now, msg.frames(self.word_bits), &mut self.traces[host]);
         h.wake = h.port.next_event(now);
         self.wake = earliest(self.wake, h.wake);
         self.ready = earliest(self.ready, h.port.ready(now));
@@ -264,14 +270,14 @@ impl System {
     /// ring buffers — see [`System::link_trace`].
     pub fn set_trace_depth(&mut self, depth: usize) {
         self.coproc.set_trace_depth(depth);
-        for h in &mut self.hosts {
-            h.port.trace = TraceBuffer::new(depth);
+        for t in &mut self.traces {
+            *t = TraceBuffer::new(depth);
         }
     }
 
     /// Host 0's link trace (frame tx/rx, retransmit deltas, rollbacks).
     pub fn link_trace(&self) -> &TraceBuffer {
-        &self.hosts[0].port.trace
+        &self.traces[0]
     }
 
     /// Take host 0's next fully-received response, if any.
@@ -303,8 +309,9 @@ impl System {
         let all = self.coproc.activity_mode() == ActivityMode::Exhaustive;
         let due = |wake: Option<u64>| all || wake.is_some_and(|t| t <= now);
         if due(self.wake) {
-            for h in self.hosts.iter_mut().filter(|h| due(h.wake)) {
-                h.port.pump_in(now);
+            let hosts = self.hosts.iter_mut().zip(&mut self.traces);
+            for (h, trace) in hosts.filter(|(h, _)| due(h.wake)) {
+                h.port.pump_in(now, trace);
                 self.ready = earliest(self.ready, h.port.ready(now));
             }
         }
@@ -321,9 +328,10 @@ impl System {
         let mut rollback = false;
         // The router woke every port it handed a frame.
         if due(self.wake) {
-            for h in self.hosts.iter_mut().filter(|h| due(h.wake)) {
+            let hosts = self.hosts.iter_mut().zip(&mut self.traces);
+            for (h, trace) in hosts.filter(|(h, _)| due(h.wake)) {
                 let (responses, seq, delivered) = (&mut h.responses, &mut h.resp_seq, h.delivered);
-                h.port.pump_out(now, |msg| {
+                h.port.pump_out(now, trace, |msg| {
                     let soft = ErrorCode::SoftError;
                     if recovering && matches!(msg, DevMsg::Error { code, .. } if code == soft) {
                         rollback = true;
@@ -360,7 +368,7 @@ impl System {
         let (mut host, mut left) = self.arb.rx.unwrap_or((self.arb.rr, 0));
         while self.coproc.rx_ready() {
             let frame = if left > 0 {
-                match self.hosts[host].port.pull(now) {
+                match self.hosts[host].port.pull(now, &mut self.traces[host]) {
                     Some(f) => f,
                     None => break,
                 }
@@ -370,7 +378,7 @@ impl System {
                 let mut next = None;
                 for k in 0..n {
                     let i = self.arb.rr + k - if self.arb.rr + k < n { 0 } else { n };
-                    if let Some(f) = self.hosts[i].port.pull(now) {
+                    if let Some(f) = self.hosts[i].port.pull(now, &mut self.traces[i]) {
                         next = Some((i, f));
                         break;
                     }
@@ -416,16 +424,17 @@ impl System {
                     (to, len)
                 }
             };
-            let hosts = match to {
-                Some(h) => &mut self.hosts[h..=h],
-                None => &mut self.hosts[..],
+            let span = match to {
+                Some(h) => h..h + 1,
+                None => 0..self.hosts.len(),
             };
-            if !hosts.iter().all(|h| h.port.accepts(now)) {
+            if !self.hosts[span.clone()].iter().all(|h| h.port.accepts(now)) {
                 break;
             }
             self.coproc.pop_frame();
-            for h in hosts {
-                h.port.forward(now, f);
+            let traces = &mut self.traces[span.clone()];
+            for (h, trace) in self.hosts[span].iter_mut().zip(traces) {
+                h.port.forward(now, f, trace);
                 h.wake = Some(now);
             }
             self.wake = Some(now);
@@ -450,21 +459,19 @@ impl System {
     /// soft-error counters survive the rewind (a strike already applied
     /// is never replayed), as does each consumer's position in its
     /// response stream: responses taken since the snapshot are dropped
-    /// from the restored queue and suppressed on regeneration; each port's
-    /// link trace, history too, keeps every event.
+    /// from the restored queue and suppressed on regeneration. The link
+    /// traces are not part of the snapshot, so they keep every event.
     pub fn restore(&mut self, snap: &SystemSnapshot) {
         self.coproc.restore(&snap.coproc);
         self.arb = snap.arb.clone();
         self.cycle = snap.cycle;
         for (h, s) in self.hosts.iter_mut().zip(&snap.hosts) {
             let delivered = h.delivered;
-            let trace = std::mem::replace(&mut h.port.trace, TraceBuffer::disabled());
             *h = s.clone();
             let consumed = delivered.saturating_sub(s.delivered);
             let n = consumed.min(h.responses.len() as u64) as usize;
             h.responses.drain(..n);
             h.delivered = delivered;
-            h.port.trace = trace;
         }
         self.rewake();
     }
@@ -509,7 +516,7 @@ impl System {
         // checkpointing may resume once the counters agree again.
         let r = self.coproc.recovery_stats();
         rec.soft_handled = r.seus_detected - r.seus_corrected;
-        self.hosts[0].port.trace.record(
+        self.traces[0].record(
             self.cycle,
             TraceEventKind::Rollback {
                 to_cycle,

@@ -1,18 +1,18 @@
 //! The serving layer's contract battery (experiment E17's correctness
 //! side): the multi-tenant front-end over the farm must be
 //!
-//! 1. **deterministic** — the completion stream is a pure function of the
-//!    submission sequence: threading (`run_parallel` vs `run_serial`),
-//!    activity mode (scheduled / exhaustive) and poll cadence
-//!    must all be unobservable, and per-job *results* must not even
-//!    depend on the shard count;
-//! 2. **fair** — under saturation, each backlogged tenant's dispatched
+//! 1. **fair** — under saturation, each backlogged tenant's dispatched
 //!    work share converges to its deficit-round-robin weight share;
-//! 3. **shed-safe** — every submitted job is either completed exactly
+//! 2. **shed-safe** — every submitted job is either completed exactly
 //!    once, rejected in-band at admission, or cancelled by an explicit
 //!    disconnect; nothing is lost or duplicated, even when a poisoned
 //!    shard forces failover retries (cross-checked against the farm's
 //!    `RecoveryStats`).
+//!
+//! That the completion stream is a pure function of the submission
+//! sequence — threading, activity mode, poll cadence and, for the
+//! results, shard count unobservable — is checked by the differential
+//! harness (`tests/differential.rs`).
 
 use std::collections::HashSet;
 
@@ -23,20 +23,14 @@ use fu_host::{
 };
 use fu_isa::{DevMsg, HostMsg, InstrWord, UserInstr, Word};
 use fu_rtm::testing::PoisonFu;
-use fu_rtm::{ActivityMode, CoprocConfig};
+use fu_rtm::CoprocConfig;
 use proptest::prelude::*;
 
-fn standard_service(
-    shards: usize,
-    mode: ActivityMode,
-    weights: &[u32],
-    cfg: ServeConfig,
-) -> Service {
+fn standard_service(shards: usize, weights: &[u32], cfg: ServeConfig) -> Service {
     let farm = Farm::standard(
         FarmConfig {
             shards,
             seed: 0xE17,
-            activity_mode: mode,
             placement: Placement::LeastLoaded,
             ..FarmConfig::default()
         },
@@ -51,116 +45,8 @@ fn standard_service(
     Service::new(cfg, specs, farm).expect("valid service")
 }
 
-/// Feed a workload through a service, polling every `poll_every`
-/// submissions (0 = only at the end), and return the full observable
-/// outcome: completions in dispatch order plus the shed submission
-/// indices.
-fn feed(
-    svc: &mut Service,
-    arrivals: &[fu_host::serve::workload::Arrival],
-    poll_every: usize,
-) -> (Vec<Completion>, Vec<usize>) {
-    let mut done = Vec::new();
-    let mut shed = Vec::new();
-    for (i, a) in arrivals.iter().enumerate() {
-        match svc
-            .submit(a.tenant, a.tick, a.job.clone())
-            .expect("submit never errors on a healthy farm")
-        {
-            Admission::Admitted { .. } => {}
-            Admission::Overloaded { .. } => shed.push(i),
-            other @ Admission::UnknownTenant { .. } => panic!("arrival {i}: {other:?}"),
-        }
-        if poll_every > 0 && i % poll_every == 0 {
-            done.extend(svc.poll());
-        }
-    }
-    done.extend(svc.drain().expect("drain"));
-    (done, shed)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// At a fixed shard count, the COMPLETE observable outcome —
-    /// completion stream (seqs, timestamps, shards, cycles, payloads),
-    /// shed decisions, final clock and tenant statistics — is identical
-    /// across threading, both activity modes and any poll cadence.
-    #[test]
-    fn outcome_is_identical_across_modes_threading_and_polling(
-        seed: u64,
-        shards in 1usize..4,
-        poll_every in 0usize..6,
-    ) {
-        let arrivals = open_loop(&WorkloadSpec {
-            clients: 30,
-            tenants: 3,
-            jobs_per_client: 2,
-            mean_gap: 2_500,
-            seed,
-        });
-        let cfg = ServeConfig {
-            queue_depth: 6, // small: shedding is part of the outcome
-            quantum: 8,
-            round_jobs: 16,
-            parallel: false,
-        };
-        let run = |mode: ActivityMode, parallel: bool, poll: usize| {
-            let mut svc =
-                standard_service(shards, mode, &[1, 2, 4], ServeConfig { parallel, ..cfg });
-            let out = feed(&mut svc, &arrivals, poll);
-            (out, svc.clock(), svc.stats().clone())
-        };
-        let reference = run(ActivityMode::Scheduled, false, 0);
-        prop_assert_eq!(
-            &reference, &run(ActivityMode::Scheduled, true, poll_every),
-            "threading leaked into the serving outcome"
-        );
-        prop_assert_eq!(
-            &reference, &run(ActivityMode::Scheduled, false, poll_every),
-            "poll cadence leaked into the serving outcome"
-        );
-        prop_assert_eq!(
-            &reference, &run(ActivityMode::Exhaustive, false, poll_every),
-            "exhaustive mode diverged"
-        );
-    }
-
-    /// Shard count changes timing (clock, completion times) but never
-    /// *results*: with shed-free admission, every sequence number
-    /// completes with the same payload on 1, 2 or 3 shards.
-    #[test]
-    fn per_job_results_are_invariant_across_shard_counts(seed: u64) {
-        let arrivals = open_loop(&WorkloadSpec {
-            clients: 24,
-            tenants: 2,
-            jobs_per_client: 2,
-            mean_gap: 1_500,
-            seed,
-        });
-        let outputs = |shards: usize| {
-            let mut svc = standard_service(
-                shards,
-                ActivityMode::Scheduled,
-                &[1, 2],
-                ServeConfig {
-                    queue_depth: usize::MAX, // shed-free: admission cannot depend on timing
-                    ..ServeConfig::default()
-                },
-            );
-            let (done, shed) = feed(&mut svc, &arrivals, 3);
-            prop_assert!(shed.is_empty());
-            let mut by_seq: Vec<_> = done
-                .into_iter()
-                .map(|c| (c.seq, c.tenant, c.output))
-                .collect();
-            by_seq.sort_by_key(|(seq, ..)| *seq);
-            by_seq
-        };
-        let one = outputs(1);
-        prop_assert_eq!(&one, &outputs(2), "2-shard results diverged from 1-shard");
-        prop_assert_eq!(&one, &outputs(3), "3-shard results diverged from 1-shard");
-    }
 
     /// Saturated tenants receive dispatched-work shares that track their
     /// DRR weights, whatever the weights are.
@@ -171,7 +57,6 @@ proptest! {
     ) {
         let mut svc = standard_service(
             shards,
-            ActivityMode::Scheduled,
             &w,
             ServeConfig {
                 queue_depth: 700,
@@ -227,7 +112,6 @@ proptest! {
         });
         let mut svc = standard_service(
             2,
-            ActivityMode::Scheduled,
             &[1, 1, 2, 4],
             ServeConfig {
                 queue_depth,
@@ -384,13 +268,13 @@ fn completion_timestamps_are_causally_consistent() {
         mean_gap: 2_000,
         seed: 0xCAFE,
     });
-    let mut svc = standard_service(
-        2,
-        ActivityMode::Scheduled,
-        &[1, 2, 4],
-        ServeConfig::default(),
-    );
-    let (done, _) = feed(&mut svc, &arrivals, 1);
+    let mut svc = standard_service(2, &[1, 2, 4], ServeConfig::default());
+    let mut done = Vec::new();
+    for a in &arrivals {
+        svc.submit(a.tenant, a.tick, a.job.clone()).expect("submit");
+        done.extend(svc.poll());
+    }
+    done.extend(svc.drain().expect("drain"));
     assert!(!done.is_empty());
     for c in &done {
         assert!(c.cycles > 0, "seq {}: zero-cycle completion", c.seq);

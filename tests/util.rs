@@ -5,22 +5,36 @@
 //! lives here once instead of being re-invented (with subtly different
 //! panic messages) in every test file. Each test binary includes this
 //! module with `mod util;` and uses its own subset of the helpers.
+#![allow(dead_code)]
 
 use fu_host::System;
 use fu_isa::DevMsg;
+use rtl_sim::{LatencyHistogram, SimStats};
 
 /// Cycle budget for every blocking [`fu_host::Driver`] call in the root
 /// tests. Generous: a budget expiry here means a hang, not a slow link.
-#[allow(dead_code)]
 pub const DRIVER_TIMEOUT: u64 = 5_000_000;
 
 /// Cycle budget for draining a long randomized response stream.
-#[allow(dead_code)]
 pub const STREAM_BUDGET: u64 = 60_000_000;
 
 /// Cycle budget for settling an already-drained system to idle.
-#[allow(dead_code)]
 pub const SETTLE_BUDGET: u64 = 10_000;
+
+/// The mode-independent projection of [`SimStats`]: simulated time, stage
+/// busy-ness and the latency histograms, without the work counters that
+/// `ActivityMode::Scheduled` exists to cut.
+pub fn invariant_slice(s: &SimStats) -> (u64, &[(&'static str, u64)], [&LatencyHistogram; 3]) {
+    (
+        s.cycles_simulated,
+        &s.stage_busy,
+        [
+            &s.lat_issue_dispatch,
+            &s.lat_dispatch_retire,
+            &s.lat_issue_retire,
+        ],
+    )
+}
 
 /// Consume a driver and check the underlying system parks cleanly: no
 /// queued frames, no in-flight responses, within [`SETTLE_BUDGET`].
@@ -29,7 +43,6 @@ pub const SETTLE_BUDGET: u64 = 10_000;
 /// When the system fails to reach idle, or an unclaimed response is
 /// still sitting in the host queue — both mean a test left dangling
 /// traffic behind.
-#[allow(dead_code)]
 pub fn assert_parks_clean(driver: fu_host::Driver) {
     let mut sys = driver.into_system();
     settle(&mut sys, SETTLE_BUDGET);
@@ -45,7 +58,6 @@ pub fn assert_parks_clean(driver: fu_host::Driver) {
 /// # Panics
 /// After `budget` cycles without the `n`-th response, with a message
 /// naming the budget and what actually arrived.
-#[allow(dead_code)]
 pub fn drain_responses(sys: &mut System, n: usize, budget: u64) -> Vec<DevMsg> {
     let mut out = Vec::new();
     for _ in 0..budget {
@@ -74,7 +86,6 @@ pub fn drain_responses(sys: &mut System, n: usize, budget: u64) -> Vec<DevMsg> {
 ///
 /// # Panics
 /// After `budget` cycles without reaching idle.
-#[allow(dead_code)]
 pub fn settle(sys: &mut System, budget: u64) {
     sys.run_until(budget, |s| s.is_idle())
         .unwrap_or_else(|e| panic!("cycle budget of {budget} exhausted before idle: {e:?}"));
@@ -86,7 +97,6 @@ pub fn settle(sys: &mut System, budget: u64) {
 ///
 /// # Panics
 /// After `budget` cycles without draining.
-#[allow(dead_code)]
 pub fn feed_frames_until_idle(
     coproc: &mut fu_rtm::Coprocessor,
     frames: impl IntoIterator<Item = u32>,
