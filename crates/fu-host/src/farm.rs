@@ -16,7 +16,7 @@
 //!   the result vector [`Farm::run_serial`] returns — same responses,
 //!   same tags, same errors — because both are one executor that merges
 //!   results by walking the plan, not by arrival time. The differential
-//!   harness (`tests/differential.rs`) enforces this.
+//!   harness (`tests/harness.rs`) enforces this.
 //! * **Backpressure without queues.** Jobs are borrowed from the caller's
 //!   slice, never copied into a queue, so a batch costs no memory beyond
 //!   its results. Bounding the work in flight is the serving layer's job

@@ -17,7 +17,7 @@
 //! steers it. No component may branch on trace state, and nothing recorded
 //! here feeds back into architecturally visible behaviour — a run with
 //! tracing enabled is bit-identical to the same run with tracing disabled
-//! (the differential harness, `tests/differential.rs`, holds this as a
+//! (the differential harness, `tests/harness.rs`, holds this as a
 //! property test).
 
 pub mod perfetto;

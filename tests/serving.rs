@@ -1,18 +1,20 @@
 //! The serving layer's contract battery (experiment E17's correctness
 //! side): the multi-tenant front-end over the farm must be
 //!
-//! 1. **fair** — under saturation, each backlogged tenant's dispatched
+//! 1. **deterministic** — the completion stream is a pure function of the
+//!    submission sequence: threading, activity mode and poll cadence are
+//!    unobservable, and per-job *results* do not even depend on the shard
+//!    count (sessions run through the differential harness,
+//!    `tests/harness.rs`);
+//! 2. **fair** — under saturation, each backlogged tenant's dispatched
 //!    work share converges to its deficit-round-robin weight share;
-//! 2. **shed-safe** — every submitted job is either completed exactly
+//! 3. **shed-safe** — every submitted job is either completed exactly
 //!    once, rejected in-band at admission, or cancelled by an explicit
 //!    disconnect; nothing is lost or duplicated, even when a poisoned
 //!    shard forces failover retries (cross-checked against the farm's
 //!    `RecoveryStats`).
-//!
-//! That the completion stream is a pure function of the submission
-//! sequence — threading, activity mode, poll cadence and, for the
-//! results, shard count unobservable — is checked by the differential
-//! harness (`tests/differential.rs`).
+
+mod harness;
 
 use std::collections::HashSet;
 
@@ -24,6 +26,7 @@ use fu_host::{
 use fu_isa::{DevMsg, HostMsg, InstrWord, UserInstr, Word};
 use fu_rtm::testing::PoisonFu;
 use fu_rtm::CoprocConfig;
+use harness::{check, Front, Output, Units, Workload};
 use proptest::prelude::*;
 
 fn standard_service(shards: usize, weights: &[u32], cfg: ServeConfig) -> Service {
@@ -43,6 +46,54 @@ fn standard_service(shards: usize, weights: &[u32], cfg: ServeConfig) -> Service
         .map(|(i, &w)| TenantSpec::new(format!("t{i}"), w))
         .collect();
     Service::new(cfg, specs, farm).expect("valid service")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// At a fixed shard count, the whole outcome of a session with a
+    /// small queue — completions, shed decisions, final clock and tenant
+    /// statistics — is identical in every cell: both activity modes,
+    /// serial and parallel rounds, traced or not, polled or drained.
+    #[test]
+    fn outcome_is_identical_across_modes_threading_and_polling(
+        seed: u64,
+        shards in 1usize..=3,
+        clients in 3usize..12,
+        queue_depth in 2usize..8,
+        poll_every in 1usize..6,
+    ) {
+        let front = Front::Service(clients, queue_depth, poll_every);
+        let link = LinkModel::pcie_like();
+        check(&Workload::drawn(Units::Standard, link, shards, false, None, seed, front));
+    }
+
+    /// Shard count changes timing but never results: with an unbounded
+    /// queue, every sequence number completes for the same tenant with
+    /// the same payload on 1, 2 or 3 shards.
+    #[test]
+    fn per_job_results_are_invariant_across_shard_counts(
+        seed: u64,
+        clients in 3usize..12,
+        poll_every in 1usize..6,
+    ) {
+        let results = |shards| {
+            let front = Front::Service(clients, usize::MAX, poll_every);
+            let link = LinkModel::pcie_like();
+            let w = Workload::drawn(Units::Standard, link, shards, false, None, seed, front);
+            let runs = check(&w);
+            let Output::Service(done, ..) = &runs[0].1.output else {
+                unreachable!("a session completes")
+            };
+            let by_seq = done.iter().map(|c| (c.seq, c.tenant, c.output.clone()));
+            let mut by_seq: Vec<_> = by_seq.collect();
+            by_seq.sort_by_key(|(seq, ..)| *seq);
+            by_seq
+        };
+        let one = results(1);
+        prop_assert_eq!(&one, &results(2), "2-shard results diverged from 1-shard");
+        prop_assert_eq!(&one, &results(3), "3-shard results diverged from 1-shard");
+    }
 }
 
 proptest! {
