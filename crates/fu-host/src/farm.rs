@@ -419,10 +419,18 @@ impl Farm {
     /// Scheduler statistics summed over all shards of the last run, with
     /// the failover pass's job accounting folded into the recovery block.
     pub fn sim_stats(&self) -> SimStats {
-        let mut s: SimStats = self.drivers.iter().map(|d| d.system().sim_stats()).sum();
+        let mut s = SimStats::default();
+        self.add_sim_stats(&mut s);
+        s
+    }
+
+    /// Add [`Farm::sim_stats`] into the roll-up `s` in place.
+    pub fn add_sim_stats(&self, s: &mut SimStats) {
+        for d in &self.drivers {
+            d.system().add_sim_stats(s);
+        }
         s.recovery.jobs_failed_over += self.failed_over;
         s.recovery.job_retries += self.job_retries;
-        s
     }
 
     /// Link/transport statistics summed over all shards of the last run.

@@ -520,7 +520,7 @@ impl Service {
         };
         self.stats.rounds += 1;
         self.stats.dispatched += jobs.len() as u64;
-        self.sim += self.farm.sim_stats();
+        self.farm.add_sim_stats(&mut self.sim);
         self.link += self.farm.link_stats();
         // Completion times: shards execute their jobs in plan order, so a
         // job finishes at `start` plus the cycles of everything before it

@@ -249,20 +249,24 @@ impl System {
     /// Scheduler statistics for the embedded coprocessor, with the host's
     /// rollback counters folded into the recovery block.
     pub fn sim_stats(&self) -> SimStats {
-        let mut s = self.coproc.sim_stats();
-        s.recovery = self.recovery_stats();
+        let mut s = SimStats::default();
+        self.add_sim_stats(&mut s);
         s
+    }
+
+    /// Add [`System::sim_stats`] into the roll-up `s` in place.
+    pub fn add_sim_stats(&self, s: &mut SimStats) {
+        self.coproc.add_sim_stats(s);
+        if let Some(rec) = &self.recovery {
+            s.recovery.rollbacks += rec.rollbacks;
+            s.recovery.cycles_lost += rec.cycles_lost;
+        }
     }
 
     /// Soft-error bookkeeping: the device's strike counters plus the
     /// host's rollback counters.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut r = self.coproc.recovery_stats();
-        if let Some(rec) = &self.recovery {
-            r.rollbacks += rec.rollbacks;
-            r.cycles_lost += rec.cycles_lost;
-        }
-        r
+        self.sim_stats().recovery
     }
 
     /// Enable (or resize) event tracing on both the coprocessor pipeline

@@ -31,11 +31,34 @@
 //! | floating point | `FADD/FSUB/FMUL rd, rs1, rs2 [, fD]`, `FCMP rs1, rs2 [, fD]` |
 //! | popcount | `POPCNT rd, rs` |
 //! | management | `NOP`, `COPY rd, rs`, `LOADI rd, imm`, `COPYF fd, fs`, `SETF fd, imm`, `FENCE` |
+//!
+//! # The line lexer
+//!
+//! The host assembles every word of every job it streams, so
+//! [`assemble_line`] makes one left-to-right pass over the bytes of a
+//! line and allocates nothing unless it reports an error. It skips
+//! leading whitespace (`char::is_whitespace`, so U+00A0 and U+2003
+//! count) and takes the mnemonic up to the first whitespace character or
+//! `;`. From there each comma starts an operand token, trimmed of
+//! whitespace and skipped when empty, until the `;` of a comment or the
+//! end of the line. Each token is parsed as it ends, into a fixed inline
+//! array of operands. Tokens past the array are still parsed and
+//! counted, so a malformed operand anywhere on the line is reported
+//! before the mnemonic is looked at. The mnemonic is then upper-cased
+//! into a six-byte buffer and matched once. Its arm reads the operands it
+//! expects, and any left over are the "extra operands" error. A valid
+//! line never builds an error value: those are made only on the way out.
+//! [`assemble`] splits lines at `\n` and sizes its output once from the
+//! source's length, so a program costs one allocation whatever its
+//! length.
 
 use crate::funit_codes;
 use crate::instr::{InstrWord, RegNum, UserInstr};
 use crate::mgmt::MgmtOp;
 use crate::variety::{ArithOp, LogicOp, ShiftVariety};
+
+#[cfg(test)]
+mod reference;
 
 /// An assembly error with its source line number (1-based).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,43 +85,81 @@ enum Operand {
     Imm(u32),
 }
 
-fn parse_operand(tok: &str, line: usize) -> Result<Operand, AsmError> {
-    let err = |msg: String| AsmError { line, msg };
-    let parse_num = |s: &str| -> Result<u32, AsmError> {
-        let (digits, radix) = if let Some(hex) = s.strip_prefix("0x").or(s.strip_prefix("0X")) {
-            (hex, 16)
-        } else if let Some(bin) = s.strip_prefix("0b").or(s.strip_prefix("0B")) {
-            (bin, 2)
-        } else {
-            (s, 10)
-        };
-        u32::from_str_radix(digits, radix).map_err(|_| err(format!("invalid number `{s}`")))
+/// Operands a line keeps inline. No form reads past its fifth operand;
+/// the rest are lexed and counted only.
+const INLINE_OPS: usize = 8;
+
+fn parse_num(s: &str) -> Option<u32> {
+    let (digits, radix) = match s.as_bytes() {
+        [b'0', b'x' | b'X', ..] => (&s[2..], 16),
+        [b'0', b'b' | b'B', ..] => (&s[2..], 2),
+        _ => (s, 10),
     };
-    let reg_num = |s: &str, kind: &str| -> Result<RegNum, AsmError> {
-        let n = parse_num(s)?;
-        u8::try_from(n).map_err(|_| err(format!("{kind} register {n} out of range (0..=255)")))
-    };
-    if let Some(rest) = tok.strip_prefix('r').or(tok.strip_prefix('R')) {
-        if rest.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            return Ok(Operand::Data(reg_num(rest, "data")?));
-        }
-    }
-    if let Some(rest) = tok.strip_prefix('f').or(tok.strip_prefix('F')) {
-        if rest.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            return Ok(Operand::Flag(reg_num(rest, "flag")?));
-        }
-    }
-    if let Some(rest) = tok.strip_prefix('#') {
-        return Ok(Operand::Imm(parse_num(rest)?));
-    }
-    if tok.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        return Ok(Operand::Imm(parse_num(tok)?));
-    }
-    Err(err(format!("unrecognised operand `{tok}`")))
+    u32::from_str_radix(digits, radix).ok()
 }
 
+/// Byte length of the whitespace character (`char::is_whitespace`) that
+/// starts at byte `i` of `s`, or 0. Only the first byte of a multi-byte
+/// character can start one, so a scan may step through the rest byte by
+/// byte.
+#[inline]
+fn space_len(s: &str, i: usize) -> usize {
+    match s.as_bytes()[i] {
+        b' ' | b'\t'..=b'\r' => 1,
+        0..=0xbf => 0,
+        _ => wide_space_len(&s[i..]),
+    }
+}
+
+#[cold]
+fn wide_space_len(s: &str) -> usize {
+    s.chars()
+        .next()
+        .filter(|c| c.is_whitespace())
+        .map_or(0, char::len_utf8)
+}
+
+/// The operand a non-empty, trimmed token spells, if any. Its error
+/// is built apart, by [`operand_error`], so the hot path returns a
+/// register-sized value.
+fn parse_operand(tok: &str) -> Option<Operand> {
+    match tok.as_bytes() {
+        [b'r' | b'R', b'0'..=b'9', ..] => parse_num(&tok[1..])?.try_into().ok().map(Operand::Data),
+        [b'f' | b'F', b'0'..=b'9', ..] => parse_num(&tok[1..])?.try_into().ok().map(Operand::Flag),
+        [b'#', ..] => parse_num(&tok[1..]).map(Operand::Imm),
+        [b'0'..=b'9', ..] => parse_num(tok).map(Operand::Imm),
+        _ => None,
+    }
+}
+
+/// Why [`parse_operand`] rejected `tok`.
+#[cold]
+fn operand_error(tok: &str, line: usize) -> AsmError {
+    let (kind, digits) = match tok.as_bytes() {
+        [b'r' | b'R', b'0'..=b'9', ..] => ("data", &tok[1..]),
+        [b'f' | b'F', b'0'..=b'9', ..] => ("flag", &tok[1..]),
+        [b'#', ..] => ("", &tok[1..]),
+        [b'0'..=b'9', ..] => ("", tok),
+        _ => {
+            return AsmError {
+                line,
+                msg: format!("unrecognised operand `{tok}`"),
+            }
+        }
+    };
+    let msg = match parse_num(digits) {
+        // Only a register number can parse and still be rejected.
+        Some(n) => format!("{kind} register {n} out of range (0..=255)"),
+        None => format!("invalid number `{digits}`"),
+    };
+    AsmError { line, msg }
+}
+
+/// A line's lexed operands and the read cursor of its mnemonic's arm.
 struct Ops<'a> {
-    ops: Vec<Operand>,
+    ops: [Operand; INLINE_OPS],
+    /// Operands lexed, including any beyond the inline array.
+    len: usize,
     idx: usize,
     line: usize,
     mnemonic: &'a str,
@@ -112,74 +173,79 @@ impl<'a> Ops<'a> {
         }
     }
 
-    fn data(&mut self) -> Result<RegNum, AsmError> {
-        match self.ops.get(self.idx) {
-            Some(Operand::Data(r)) => {
+    /// The operand under the cursor; `None` past the last one.
+    fn peek(&self) -> Option<&Operand> {
+        debug_assert!(
+            self.idx < INLINE_OPS,
+            "no form reads past the inline operands"
+        );
+        self.ops[..self.len.min(INLINE_OPS)].get(self.idx)
+    }
+
+    /// Take the operand under the cursor when `accept` maps it; otherwise
+    /// report `want` against what is there.
+    fn expect<T>(
+        &mut self,
+        want: &str,
+        accept: impl Fn(Operand) -> Option<T>,
+    ) -> Result<T, AsmError> {
+        match self.peek().copied().and_then(&accept) {
+            Some(v) => {
                 self.idx += 1;
-                Ok(*r)
+                Ok(v)
             }
-            other => Err(self.err(format!(
-                "expected data register at operand {}, found {other:?}",
-                self.idx + 1
-            ))),
+            None => Err(self.expected(want)),
         }
     }
 
-    fn flag_or(&mut self, default: RegNum) -> Result<RegNum, AsmError> {
-        match self.ops.get(self.idx) {
-            Some(Operand::Flag(r)) => {
-                self.idx += 1;
-                Ok(*r)
-            }
-            None => Ok(default),
-            other => Err(self.err(format!(
-                "expected flag register at operand {}, found {other:?}",
-                self.idx + 1
-            ))),
-        }
+    /// Kept out of line, so that the operand readers inline into each
+    /// form without their error formatting.
+    #[cold]
+    fn expected(&self, want: &str) -> AsmError {
+        self.err(format!(
+            "expected {want} at operand {}, found {:?}",
+            self.idx + 1,
+            self.peek()
+        ))
+    }
+
+    fn data(&mut self) -> Result<RegNum, AsmError> {
+        self.expect("data register", |op| match op {
+            Operand::Data(r) => Some(r),
+            _ => None,
+        })
     }
 
     fn flag(&mut self) -> Result<RegNum, AsmError> {
-        match self.ops.get(self.idx) {
-            Some(Operand::Flag(r)) => {
-                self.idx += 1;
-                Ok(*r)
-            }
-            other => Err(self.err(format!(
-                "expected flag register at operand {}, found {other:?}",
-                self.idx + 1
-            ))),
+        self.expect("flag register", |op| match op {
+            Operand::Flag(r) => Some(r),
+            _ => None,
+        })
+    }
+
+    fn flag_or(&mut self, default: RegNum) -> Result<RegNum, AsmError> {
+        if self.peek().is_none() {
+            return Ok(default);
         }
+        self.flag()
     }
 
     fn imm(&mut self) -> Result<u32, AsmError> {
-        match self.ops.get(self.idx) {
-            Some(Operand::Imm(v)) => {
-                self.idx += 1;
-                Ok(*v)
-            }
-            other => Err(self.err(format!(
-                "expected immediate at operand {}, found {other:?}",
-                self.idx + 1
-            ))),
-        }
+        self.expect("immediate", |op| match op {
+            Operand::Imm(v) => Some(v),
+            _ => None,
+        })
     }
 
     fn data_or_imm(&mut self) -> Result<Operand, AsmError> {
-        match self.ops.get(self.idx) {
-            Some(op @ (Operand::Data(_) | Operand::Imm(_))) => {
-                self.idx += 1;
-                Ok(*op)
-            }
-            other => Err(self.err(format!(
-                "expected data register or immediate at operand {}, found {other:?}",
-                self.idx + 1
-            ))),
-        }
+        self.expect("data register or immediate", |op| match op {
+            Operand::Flag(_) => None,
+            op => Some(op),
+        })
     }
 
     fn finish(&self) -> Result<(), AsmError> {
-        if self.idx == self.ops.len() {
+        if self.idx == self.len {
             Ok(())
         } else {
             Err(self.err(format!(
@@ -203,197 +269,241 @@ fn user(func: u8, variety: u8) -> UserInstr {
     }
 }
 
-/// Assemble one instruction line (without comments). `line` is used for
-/// error reporting only.
+fn arith(o: &mut Ops, op: ArithOp) -> Result<UserInstr, AsmError> {
+    let mut u = user(funit_codes::ARITH, op.variety().0);
+    match op {
+        ArithOp::Add | ArithOp::Adc | ArithOp::Sub | ArithOp::Sbb => {
+            u.dst_reg = o.data()?;
+            u.src1 = o.data()?;
+            u.src2 = o.data()?;
+            u.dst_flag = o.flag_or(0)?;
+            u.aux_reg = o.flag_or(0)?;
+        }
+        ArithOp::Inc | ArithOp::Dec => {
+            u.dst_reg = o.data()?;
+            u.src1 = o.data()?;
+            u.dst_flag = o.flag_or(0)?;
+        }
+        ArithOp::Neg => {
+            u.dst_reg = o.data()?;
+            u.src2 = o.data()?; // NEG works on the second operand
+            u.dst_flag = o.flag_or(0)?;
+        }
+        ArithOp::Cmp | ArithOp::Cmpb => {
+            u.src1 = o.data()?;
+            u.src2 = o.data()?;
+            u.dst_flag = o.flag_or(0)?;
+            u.aux_reg = o.flag_or(0)?;
+        }
+    }
+    Ok(u)
+}
+
+fn logic(o: &mut Ops, op: LogicOp) -> Result<UserInstr, AsmError> {
+    let mut u = user(funit_codes::LOGIC, op.variety().0);
+    match op {
+        LogicOp::Not | LogicOp::Copy => {
+            u.dst_reg = o.data()?;
+            u.src1 = o.data()?;
+        }
+        LogicOp::Test => {
+            u.src1 = o.data()?;
+            u.src2 = o.data()?;
+        }
+        _ => {
+            u.dst_reg = o.data()?;
+            u.src1 = o.data()?;
+            u.src2 = o.data()?;
+        }
+    }
+    u.dst_flag = o.flag_or(0)?;
+    Ok(u)
+}
+
+fn shift(o: &mut Ops, kind: ShiftVariety) -> Result<UserInstr, AsmError> {
+    let mut u = user(funit_codes::SHIFT, kind.0);
+    u.dst_reg = o.data()?;
+    u.src1 = o.data()?;
+    match o.data_or_imm()? {
+        Operand::Data(r) => u.src2 = r,
+        Operand::Imm(v) => {
+            if v > 255 {
+                return Err(o.err(format!("shift amount {v} exceeds 8 bits")));
+            }
+            u.variety |= ShiftVariety::IMM_AMOUNT;
+            u.src3 = v as u8;
+        }
+        Operand::Flag(_) => unreachable!("data_or_imm filters flags"),
+    }
+    u.dst_flag = o.flag_or(0)?;
+    Ok(u)
+}
+
+/// FADD/FSUB/FMUL (`rd, rs1, rs2`) and FCMP (variety 3: `rs1, rs2`, flags
+/// only).
+fn fpu(o: &mut Ops, variety: u8) -> Result<UserInstr, AsmError> {
+    let mut u = user(funit_codes::FPU, variety);
+    if variety != 3 {
+        u.dst_reg = o.data()?;
+    }
+    u.src1 = o.data()?;
+    u.src2 = o.data()?;
+    u.dst_flag = o.flag_or(0)?;
+    Ok(u)
+}
+
+/// MUL (`rlo, rhi, rs1, rs2`) and DIV (`rq, rrem, rs1, rs2`): the second
+/// destination travels in the aux field.
+fn two_results(o: &mut Ops, func: u8) -> Result<UserInstr, AsmError> {
+    let mut u = user(func, 0);
+    u.dst_reg = o.data()?;
+    u.aux_reg = o.data()?;
+    u.src1 = o.data()?;
+    u.src2 = o.data()?;
+    u.dst_flag = o.flag_or(0)?;
+    Ok(u)
+}
+
+/// Assemble one instruction line; `;` starts a comment. `line` is used
+/// for error reporting only.
 pub fn assemble_line(text: &str, line: usize) -> Result<Option<InstrWord>, AsmError> {
-    let text = text.split(';').next().unwrap_or("").trim();
-    if text.is_empty() {
+    let bytes = text.as_bytes();
+    let skip_space = |mut i: usize| {
+        while i < bytes.len() {
+            match space_len(text, i) {
+                0 => break,
+                n => i += n,
+            }
+        }
+        i
+    };
+    let start = skip_space(0);
+    let mut i = start;
+    while i < bytes.len() && bytes[i] != b';' && space_len(text, i) == 0 {
+        i += 1;
+    }
+    let mnemonic = &text[start..i];
+    if mnemonic.is_empty() {
         return Ok(None);
     }
-    let (mnemonic, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
-    let ops: Result<Vec<Operand>, AsmError> = rest
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|t| parse_operand(t, line))
-        .collect();
     let mut o = Ops {
-        ops: ops?,
+        ops: [Operand::Imm(0); INLINE_OPS],
+        len: 0,
         idx: 0,
         line,
         mnemonic,
     };
-    let upper = mnemonic.to_ascii_uppercase();
+    // One operand per comma up to the comment, trimmed; empty ones are
+    // skipped. `end` follows the token's last non-space byte.
+    loop {
+        let start = skip_space(i);
+        let mut end = start;
+        i = start;
+        while i < bytes.len() && bytes[i] != b',' && bytes[i] != b';' {
+            let space = match bytes[i] {
+                b'!'..=b'~' => 0,
+                _ => space_len(text, i),
+            };
+            if space == 0 {
+                i += 1;
+                end = i;
+            } else {
+                i += space;
+            }
+        }
+        if end > start {
+            let tok = &text[start..end];
+            let op = parse_operand(tok).ok_or_else(|| operand_error(tok, line))?;
+            if let Some(slot) = o.ops.get_mut(o.len) {
+                *slot = op;
+            }
+            o.len += 1;
+        }
+        if bytes.get(i) != Some(&b',') {
+            break;
+        }
+        i += 1;
+    }
 
-    // Management primitives.
-    let mgmt = match upper.as_str() {
-        "NOP" => Some(MgmtOp::Nop),
-        "COPY" => Some(MgmtOp::Copy {
+    // Upper-case into a buffer as long as the longest mnemonic; a longer
+    // one matches nothing.
+    let mut buf = [0u8; 6];
+    let key = match buf.get_mut(..mnemonic.len()) {
+        Some(key) => {
+            key.copy_from_slice(mnemonic.as_bytes());
+            key.make_ascii_uppercase();
+            &*key
+        }
+        None => &[],
+    };
+    let word = match key {
+        b"NOP" => MgmtOp::Nop.encode(),
+        b"COPY" => MgmtOp::Copy {
             dst: o.data()?,
             src: o.data()?,
-        }),
-        "LOADI" => Some(MgmtOp::LoadImm {
+        }
+        .encode(),
+        b"LOADI" => MgmtOp::LoadImm {
             dst: o.data()?,
             imm: o.imm()?,
-        }),
-        "COPYF" => Some(MgmtOp::CopyFlags {
+        }
+        .encode(),
+        b"COPYF" => MgmtOp::CopyFlags {
             dst: o.flag()?,
             src: o.flag()?,
-        }),
-        "SETF" => Some(MgmtOp::SetFlags {
+        }
+        .encode(),
+        b"SETF" => MgmtOp::SetFlags {
             dst: o.flag()?,
             imm: o.imm()? as u8,
-        }),
-        "FENCE" => Some(MgmtOp::Fence),
-        _ => None,
-    };
-    if let Some(op) = mgmt {
-        o.finish()?;
-        return Ok(Some(op.encode()));
-    }
-
-    // Arithmetic unit.
-    if let Some(op) = ArithOp::from_mnemonic(&upper) {
-        let mut u = user(funit_codes::ARITH, op.variety().0);
-        match op {
-            ArithOp::Add | ArithOp::Adc | ArithOp::Sub | ArithOp::Sbb => {
-                u.dst_reg = o.data()?;
-                u.src1 = o.data()?;
-                u.src2 = o.data()?;
-                u.dst_flag = o.flag_or(0)?;
-                u.aux_reg = o.flag_or(0)?;
-            }
-            ArithOp::Inc | ArithOp::Dec => {
-                u.dst_reg = o.data()?;
-                u.src1 = o.data()?;
-                u.dst_flag = o.flag_or(0)?;
-            }
-            ArithOp::Neg => {
-                u.dst_reg = o.data()?;
-                u.src2 = o.data()?; // NEG works on the second operand
-                u.dst_flag = o.flag_or(0)?;
-            }
-            ArithOp::Cmp | ArithOp::Cmpb => {
-                u.src1 = o.data()?;
-                u.src2 = o.data()?;
-                u.dst_flag = o.flag_or(0)?;
-                u.aux_reg = o.flag_or(0)?;
-            }
         }
-        o.finish()?;
-        return Ok(Some(InstrWord::user(u)));
-    }
-
-    // Logic unit.
-    if let Some(op) = LogicOp::from_mnemonic(&upper) {
-        let mut u = user(funit_codes::LOGIC, op.variety().0);
-        match op {
-            LogicOp::Not | LogicOp::Copy => {
-                u.dst_reg = o.data()?;
-                u.src1 = o.data()?;
-            }
-            LogicOp::Test => {
-                u.src1 = o.data()?;
-                u.src2 = o.data()?;
-            }
-            _ => {
-                u.dst_reg = o.data()?;
-                u.src1 = o.data()?;
-                u.src2 = o.data()?;
-            }
-        }
-        u.dst_flag = o.flag_or(0)?;
-        o.finish()?;
-        return Ok(Some(InstrWord::user(u)));
-    }
-
-    // Shift unit.
-    let shift = match upper.as_str() {
-        "SHL" => Some(ShiftVariety::SHL),
-        "SHR" => Some(ShiftVariety::SHR),
-        "SAR" => Some(ShiftVariety::SAR),
-        "ROL" => Some(ShiftVariety::ROL),
-        _ => None,
-    };
-    if let Some(kind) = shift {
-        let mut u = user(funit_codes::SHIFT, kind.0);
-        u.dst_reg = o.data()?;
-        u.src1 = o.data()?;
-        match o.data_or_imm()? {
-            Operand::Data(r) => u.src2 = r,
-            Operand::Imm(v) => {
-                if v > 255 {
-                    return Err(o.err(format!("shift amount {v} exceeds 8 bits")));
-                }
-                u.variety |= ShiftVariety::IMM_AMOUNT;
-                u.src3 = v as u8;
-            }
-            Operand::Flag(_) => unreachable!("data_or_imm filters flags"),
-        }
-        u.dst_flag = o.flag_or(0)?;
-        o.finish()?;
-        return Ok(Some(InstrWord::user(u)));
-    }
-
-    // Floating-point unit.
-    let fpu_variety = match upper.as_str() {
-        "FADD" => Some(0u8),
-        "FSUB" => Some(1),
-        "FMUL" => Some(2),
-        "FCMP" => Some(3),
-        _ => None,
-    };
-    if let Some(variety) = fpu_variety {
-        let mut u = user(funit_codes::FPU, variety);
-        if variety == 3 {
-            // FCMP rs1, rs2 [, fD] — flags only.
-            u.src1 = o.data()?;
-            u.src2 = o.data()?;
-        } else {
-            u.dst_reg = o.data()?;
-            u.src1 = o.data()?;
-            u.src2 = o.data()?;
-        }
-        u.dst_flag = o.flag_or(0)?;
-        o.finish()?;
-        return Ok(Some(InstrWord::user(u)));
-    }
-
-    match upper.as_str() {
-        "MUL" => {
-            let mut u = user(funit_codes::MUL, 0);
-            u.dst_reg = o.data()?; // low half
-            u.aux_reg = o.data()?; // high half (second destination)
-            u.src1 = o.data()?;
-            u.src2 = o.data()?;
-            u.dst_flag = o.flag_or(0)?;
-            o.finish()?;
-            Ok(Some(InstrWord::user(u)))
-        }
-        "DIV" => {
-            // DIV rq, rrem, rs1, rs2 — quotient and remainder.
-            let mut u = user(funit_codes::DIV, 0);
-            u.dst_reg = o.data()?; // quotient
-            u.aux_reg = o.data()?; // remainder (second destination)
-            u.src1 = o.data()?;
-            u.src2 = o.data()?;
-            u.dst_flag = o.flag_or(0)?;
-            o.finish()?;
-            Ok(Some(InstrWord::user(u)))
-        }
-        "POPCNT" => {
+        .encode(),
+        b"FENCE" => MgmtOp::Fence.encode(),
+        b"ADD" => InstrWord::user(arith(&mut o, ArithOp::Add)?),
+        b"ADC" => InstrWord::user(arith(&mut o, ArithOp::Adc)?),
+        b"SUB" => InstrWord::user(arith(&mut o, ArithOp::Sub)?),
+        b"SBB" => InstrWord::user(arith(&mut o, ArithOp::Sbb)?),
+        b"INC" => InstrWord::user(arith(&mut o, ArithOp::Inc)?),
+        b"DEC" => InstrWord::user(arith(&mut o, ArithOp::Dec)?),
+        b"NEG" => InstrWord::user(arith(&mut o, ArithOp::Neg)?),
+        b"CMP" => InstrWord::user(arith(&mut o, ArithOp::Cmp)?),
+        b"CMPB" => InstrWord::user(arith(&mut o, ArithOp::Cmpb)?),
+        b"AND" => InstrWord::user(logic(&mut o, LogicOp::And)?),
+        b"OR" => InstrWord::user(logic(&mut o, LogicOp::Or)?),
+        b"XOR" => InstrWord::user(logic(&mut o, LogicOp::Xor)?),
+        b"NAND" => InstrWord::user(logic(&mut o, LogicOp::Nand)?),
+        b"NOR" => InstrWord::user(logic(&mut o, LogicOp::Nor)?),
+        b"XNOR" => InstrWord::user(logic(&mut o, LogicOp::Xnor)?),
+        b"NOT" => InstrWord::user(logic(&mut o, LogicOp::Not)?),
+        b"ANDN" => InstrWord::user(logic(&mut o, LogicOp::Andn)?),
+        b"LCOPY" => InstrWord::user(logic(&mut o, LogicOp::Copy)?),
+        b"TEST" => InstrWord::user(logic(&mut o, LogicOp::Test)?),
+        b"SHL" => InstrWord::user(shift(&mut o, ShiftVariety::SHL)?),
+        b"SHR" => InstrWord::user(shift(&mut o, ShiftVariety::SHR)?),
+        b"SAR" => InstrWord::user(shift(&mut o, ShiftVariety::SAR)?),
+        b"ROL" => InstrWord::user(shift(&mut o, ShiftVariety::ROL)?),
+        b"FADD" => InstrWord::user(fpu(&mut o, 0)?),
+        b"FSUB" => InstrWord::user(fpu(&mut o, 1)?),
+        b"FMUL" => InstrWord::user(fpu(&mut o, 2)?),
+        b"FCMP" => InstrWord::user(fpu(&mut o, 3)?),
+        b"MUL" => InstrWord::user(two_results(&mut o, funit_codes::MUL)?),
+        b"DIV" => InstrWord::user(two_results(&mut o, funit_codes::DIV)?),
+        b"POPCNT" => {
             let mut u = user(funit_codes::POPCOUNT, 0);
             u.dst_reg = o.data()?;
             u.src1 = o.data()?;
             u.dst_flag = o.flag_or(0)?;
-            o.finish()?;
-            Ok(Some(InstrWord::user(u)))
+            InstrWord::user(u)
         }
-        _ => Err(AsmError {
-            line,
-            msg: format!("unknown mnemonic `{mnemonic}`"),
-        }),
-    }
+        _ => {
+            return Err(AsmError {
+                line,
+                msg: format!("unknown mnemonic `{mnemonic}`"),
+            })
+        }
+    };
+    o.finish()?;
+    Ok(Some(word))
 }
 
 /// Assemble a multi-line program. Blank lines and `;` comments are
@@ -413,8 +523,14 @@ pub fn assemble_line(text: &str, line: usize) -> Result<Option<InstrWord>, AsmEr
 /// assert_eq!(disassemble(program[2]), "FENCE");
 /// ```
 pub fn assemble(source: &str) -> Result<Vec<InstrWord>, AsmError> {
-    let mut out = Vec::new();
-    for (i, line) in source.lines().enumerate() {
+    // A word's line holds at least three bytes (`NOP`) and, unless it is
+    // the last, a newline: one allocation for any program.
+    let mut out = Vec::with_capacity((source.len() + 1) / 4);
+    // Lines end at `\n`; a `\r` before it is trailing whitespace.
+    let mut start = 0;
+    for (i, bytes) in source.as_bytes().split(|&b| b == b'\n').enumerate() {
+        let line = &source[start..start + bytes.len()];
+        start += bytes.len() + 1;
         if let Some(w) = assemble_line(line, i + 1)? {
             out.push(w);
         }

@@ -941,10 +941,9 @@ impl Coprocessor {
 
     /// Jump the clock forward `cycles` through a span the last
     /// [`Coprocessor::quiet_verdict`] proved quiet, replaying exactly the
-    /// bookkeeping the stepped cycles would have produced: storage
-    /// lifetime statistics, busy-cycle counters, the dispatcher's
-    /// per-cycle stall accounting (stats, lock counters and trace
-    /// events), and each unit's internal progress
+    /// bookkeeping the stepped cycles would have produced: busy-cycle
+    /// counters, the dispatcher's per-cycle stall accounting (stats, lock
+    /// counters and trace events), and each unit's internal progress
     /// ([`FunctionalUnit::advance_busy`] for active units,
     /// [`FunctionalUnit::advance_idle`] for idle units that
     /// [`FunctionalUnit::needs_clock_when_idle`]).
@@ -957,28 +956,19 @@ impl Coprocessor {
         }
         let k = cycles;
         let start = self.cycle;
-        self.rx_fifo.note_idle_cycles(k);
-        self.msg_slot.note_idle_cycles(k);
         if self.decoded_slot.has_data() {
             // A waiting head's issue clock starts when it first becomes
             // visible — the first cycle of the span if not already set.
             if self.decoded_since.is_none() {
                 self.decoded_since = Some(start);
             }
-            self.decoded_slot.note_held_cycles(k);
             self.stage_busy.dispatcher += k;
             let Some(Err(class)) = self.head_decision() else {
                 unreachable!("a quiet span's decoded head stalls")
             };
             self.dispatcher
                 .note_stalled_span(class, start, k, &mut self.lock, &mut self.trace);
-        } else {
-            self.decoded_slot.note_idle_cycles(k);
         }
-        self.exec_slot.note_idle_cycles(k);
-        self.resp_slot.note_idle_cycles(k);
-        self.dev_slot.note_idle_cycles(k);
-        self.tx_fifo.note_idle_cycles(k);
         if self.n_active_fus > 0 {
             // The arbiter's busy predicate holds whenever units are
             // active, even though its eval is a no-op with no completion
@@ -1076,37 +1066,31 @@ impl Coprocessor {
     /// Scheduler statistics: how much work the simulator did to produce
     /// the simulated cycles so far.
     pub fn sim_stats(&self) -> SimStats {
-        let e = &self.stage_evals;
-        let b = &self.stage_busy;
-        SimStats {
-            cycles_simulated: self.cycle,
-            cycles_stepped: self.cycle - self.skipped_cycles,
-            cycles_skipped: self.skipped_cycles,
-            stage_evals: vec![
-                ("msgbuf", e.msgbuf),
-                ("decoder", e.decoder),
-                ("dispatcher", e.dispatcher),
-                ("execution", e.execution),
-                ("arbiter", e.arbiter),
-                ("encoder", e.encoder),
-                ("serializer", e.serializer),
-            ],
-            stage_busy: vec![
-                ("msgbuf", b.msgbuf),
-                ("decoder", b.decoder),
-                ("dispatcher", b.dispatcher),
-                ("execution", b.execution),
-                ("arbiter", b.arbiter),
-                ("encoder", b.encoder),
-                ("serializer", b.serializer),
-            ],
-            lat_issue_dispatch: self.lat_issue_dispatch.clone(),
-            lat_dispatch_retire: self.lat_dispatch_retire.clone(),
-            lat_issue_retire: self.lat_issue_retire.clone(),
-            wheel: self.wakes,
-            step_reasons: self.step_reasons,
-            recovery: self.recovery,
-        }
+        let mut s = SimStats::default();
+        self.add_sim_stats(&mut s);
+        s
+    }
+
+    /// Add [`Coprocessor::sim_stats`] into the roll-up `s` in place: no
+    /// histogram copy, and no allocation once `s` lists the stages.
+    pub fn add_sim_stats(&self, s: &mut SimStats) {
+        let (e, b) = (&self.stage_evals, &self.stage_busy);
+        s.cycles_simulated += self.cycle;
+        s.cycles_stepped += self.cycle - self.skipped_cycles;
+        s.cycles_skipped += self.skipped_cycles;
+        s.add_stage("msgbuf", e.msgbuf, b.msgbuf);
+        s.add_stage("decoder", e.decoder, b.decoder);
+        s.add_stage("dispatcher", e.dispatcher, b.dispatcher);
+        s.add_stage("execution", e.execution, b.execution);
+        s.add_stage("arbiter", e.arbiter, b.arbiter);
+        s.add_stage("encoder", e.encoder, b.encoder);
+        s.add_stage("serializer", e.serializer, b.serializer);
+        s.lat_issue_dispatch += &self.lat_issue_dispatch;
+        s.lat_dispatch_retire += &self.lat_dispatch_retire;
+        s.lat_issue_retire += &self.lat_issue_retire;
+        s.wheel += &self.wakes;
+        s.step_reasons += &self.step_reasons;
+        s.recovery += &self.recovery;
     }
 
     /// Soft-error bookkeeping so far (strike outcomes; the rollback and

@@ -16,7 +16,6 @@
 use std::collections::VecDeque;
 
 use crate::component::Clocked;
-use crate::stats::SlotStats;
 
 /// A bounded synchronous FIFO.
 #[derive(Debug, Clone)]
@@ -25,8 +24,6 @@ pub struct Fifo<T> {
     /// Visible elements, then the `staged` ones a commit makes visible.
     items: VecDeque<T>,
     staged: usize,
-    stats: SlotStats,
-    high_water: usize,
 }
 
 impl<T> Fifo<T> {
@@ -41,8 +38,6 @@ impl<T> Fifo<T> {
             depth,
             items: VecDeque::with_capacity(depth),
             staged: 0,
-            stats: SlotStats::default(),
-            high_water: 0,
         }
     }
 
@@ -77,7 +72,6 @@ impl<T> Fifo<T> {
         if self.is_empty() {
             return None;
         }
-        self.stats.takes += 1;
         self.items.pop_front()
     }
 
@@ -104,31 +98,8 @@ impl<T> Fifo<T> {
             self.can_push(),
             "Fifo::push while full (missing can_push check)"
         );
-        self.stats.pushes += 1;
         self.items.push_back(v);
         self.staged += 1;
-    }
-
-    /// Lifetime statistics.
-    pub fn stats(&self) -> &SlotStats {
-        &self.stats
-    }
-
-    /// Maximum occupancy ever observed at a commit (for sizing studies,
-    /// ablation A3).
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Account for `n` fast-forwarded idle cycles without running commits.
-    ///
-    /// Equivalent to calling [`Clocked::commit`] `n` times while the FIFO
-    /// is idle: only `stats.cycles` advances (an idle FIFO accrues no
-    /// occupancy and its high-water mark cannot move). Callers must only
-    /// invoke this while [`Fifo::is_idle`] holds.
-    pub fn note_idle_cycles(&mut self, n: u64) {
-        debug_assert!(self.is_idle(), "note_idle_cycles on a non-idle Fifo");
-        self.stats.cycles += n;
     }
 
     /// Drain every element (current and staged) into a vector, in order.
@@ -141,24 +112,13 @@ impl<T> Fifo<T> {
 
 impl<T> Clocked for Fifo<T> {
     fn commit(&mut self) {
-        // Occupancy only grows by staged pushes, so an edge with nothing
-        // staged cannot raise the high-water mark.
-        if self.staged > 0 {
-            self.staged = 0;
-            debug_assert!(self.items.len() <= self.depth);
-            self.high_water = self.high_water.max(self.items.len());
-        }
-        self.stats.cycles += 1;
-        if !self.items.is_empty() {
-            self.stats.occupied_cycles += 1;
-        }
+        debug_assert!(self.items.len() <= self.depth);
+        self.staged = 0;
     }
 
     fn reset(&mut self) {
         self.items.clear();
         self.staged = 0;
-        self.stats = SlotStats::default();
-        self.high_water = 0;
     }
 }
 
@@ -223,19 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn high_water_tracks_peak_occupancy() {
-        let mut f = Fifo::new(8);
-        for i in 0..5 {
-            f.push(i);
-        }
-        f.commit();
-        f.pop();
-        f.pop();
-        f.commit();
-        assert_eq!(f.high_water(), 5);
-    }
-
-    #[test]
     #[should_panic(expected = "Fifo::push")]
     fn overflow_panics() {
         let mut f = Fifo::new(1);
@@ -251,8 +198,6 @@ mod tests {
         f.push(2u8);
         f.reset();
         assert!(f.is_idle());
-        assert_eq!(f.high_water(), 0);
-        assert_eq!(f.stats().pushes, 0);
     }
 
     #[test]

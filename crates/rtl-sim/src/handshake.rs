@@ -26,7 +26,6 @@
 //! the order they intend and document it.
 
 use crate::component::Clocked;
-use crate::stats::SlotStats;
 
 /// A single-entry elastic buffer between two pipeline stages.
 ///
@@ -43,7 +42,6 @@ use crate::stats::SlotStats;
 pub struct HandshakeSlot<T> {
     cur: Option<T>,
     incoming: Option<T>,
-    stats: SlotStats,
 }
 
 impl<T> HandshakeSlot<T> {
@@ -52,7 +50,6 @@ impl<T> HandshakeSlot<T> {
         HandshakeSlot {
             cur: None,
             incoming: None,
-            stats: SlotStats::default(),
         }
     }
 
@@ -69,11 +66,7 @@ impl<T> HandshakeSlot<T> {
     /// Remove and return the held item (consumer side). Returns `None` when
     /// the slot is empty; a stage that polls an empty slot simply idles.
     pub fn take(&mut self) -> Option<T> {
-        let v = self.cur.take();
-        if v.is_some() {
-            self.stats.takes += 1;
-        }
-        v
+        self.cur.take()
     }
 
     /// Remove the held item only when `pred` accepts it (consumer side).
@@ -105,7 +98,6 @@ impl<T> HandshakeSlot<T> {
             self.can_push(),
             "HandshakeSlot::push while occupied (missing can_push check)"
         );
-        self.stats.pushes += 1;
         self.incoming = Some(v);
     }
 
@@ -119,46 +111,6 @@ impl<T> HandshakeSlot<T> {
     pub fn is_idle(&self) -> bool {
         self.cur.is_none() && self.incoming.is_none()
     }
-
-    /// Lifetime statistics (pushes, takes, stall cycles).
-    pub fn stats(&self) -> &SlotStats {
-        &self.stats
-    }
-
-    /// Record one cycle of stall accounting: call once per cycle from the
-    /// owning design if the producer had data but `can_push` was false.
-    pub fn note_stall(&mut self) {
-        self.stats.stall_cycles += 1;
-    }
-
-    /// Account for `n` fast-forwarded idle cycles without running commits.
-    ///
-    /// Equivalent to calling [`Clocked::commit`] `n` times while the slot
-    /// is idle: only `stats.cycles` advances (an empty slot accrues no
-    /// occupancy). Callers must only invoke this while
-    /// [`HandshakeSlot::is_idle`] holds.
-    pub fn note_idle_cycles(&mut self, n: u64) {
-        debug_assert!(
-            self.is_idle(),
-            "note_idle_cycles on a non-idle HandshakeSlot"
-        );
-        self.stats.cycles += n;
-    }
-
-    /// Account for `n` fast-forwarded cycles during which the slot held
-    /// an item that its consumer provably could not take (a stalled
-    /// head). Equivalent to `n` commits with an occupied register and no
-    /// staged value: `cycles` and `occupied_cycles` both advance.
-    /// Callers must only invoke this while the slot holds data and
-    /// nothing is staged.
-    pub fn note_held_cycles(&mut self, n: u64) {
-        debug_assert!(
-            self.cur.is_some() && self.incoming.is_none(),
-            "note_held_cycles needs a held item and no staged push"
-        );
-        self.stats.cycles += n;
-        self.stats.occupied_cycles += n;
-    }
 }
 
 impl<T> Clocked for HandshakeSlot<T> {
@@ -170,16 +122,11 @@ impl<T> Clocked for HandshakeSlot<T> {
             debug_assert!(self.cur.is_none());
             self.cur = self.incoming.take();
         }
-        self.stats.cycles += 1;
-        if self.cur.is_some() {
-            self.stats.occupied_cycles += 1;
-        }
     }
 
     fn reset(&mut self) {
         self.cur = None;
         self.incoming = None;
-        self.stats = SlotStats::default();
     }
 }
 
@@ -297,20 +244,5 @@ mod tests {
         s.push(2u32);
         s.reset();
         assert!(s.is_idle());
-        assert_eq!(s.stats().pushes, 0);
-    }
-
-    #[test]
-    fn stats_track_occupancy() {
-        let mut s = HandshakeSlot::new();
-        s.push(1u32);
-        s.commit(); // occupied
-        s.commit(); // still occupied (no take)
-        s.take();
-        s.commit(); // empty
-        assert_eq!(s.stats().cycles, 3);
-        assert_eq!(s.stats().occupied_cycles, 2);
-        assert_eq!(s.stats().pushes, 1);
-        assert_eq!(s.stats().takes, 1);
     }
 }

@@ -50,7 +50,7 @@ pub use handshake::HandshakeSlot;
 pub use reg::{Reg, SatCounter};
 pub use stall::{splitmix64, StallFuzzer};
 pub use stats::{
-    LatencyHistogram, LatencySnapshot, Percentiles, RecoveryStats, ServeStats, SimStats, SlotStats,
+    LatencyHistogram, LatencySnapshot, Percentiles, RecoveryStats, ServeStats, SimStats,
     StepReason, StepReasons, TenantCounters, WheelStats,
 };
 pub use trace::{LinkDir, StallCause, TraceBuffer, TraceEvent, TraceEventKind, VcdWriter};

@@ -1,55 +1,8 @@
-//! Occupancy and flow statistics collected by the pipeline primitives,
-//! plus scheduler-level counters ([`SimStats`]) reported by designs that
-//! support activity-gated stepping and quiet-span skipping.
+//! Statistics the designs report: per-instruction latency histograms,
+//! scheduler-level counters ([`SimStats`]) of activity-gated stepping and
+//! quiet-span skipping, and the recovery and serving counters.
 
 use std::fmt;
-
-/// Counters maintained by [`crate::HandshakeSlot`] and [`crate::Fifo`].
-///
-/// `stall_cycles` is only meaningful when the owning design calls
-/// `note_stall` (slots cannot themselves observe that a producer *wanted*
-/// to push).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlotStats {
-    /// Items handed to the slot.
-    pub pushes: u64,
-    /// Items removed from the slot.
-    pub takes: u64,
-    /// Clock edges seen since reset.
-    pub cycles: u64,
-    /// Clock edges at which the slot held data.
-    pub occupied_cycles: u64,
-    /// Cycles at which a producer reported being blocked.
-    pub stall_cycles: u64,
-}
-
-impl SlotStats {
-    /// Fraction of cycles the slot held data, in `[0, 1]`.
-    #[must_use]
-    pub fn occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.occupied_cycles as f64 / self.cycles as f64
-        }
-    }
-
-    /// Items per cycle actually delivered downstream.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.takes as f64 / self.cycles as f64
-        }
-    }
-
-    /// Items currently in flight (pushed but not yet taken).
-    #[must_use]
-    pub fn in_flight(&self) -> u64 {
-        self.pushes - self.takes
-    }
-}
 
 /// A fixed-size log2-bucket latency histogram.
 ///
@@ -526,6 +479,13 @@ impl std::ops::AddAssign<&RecoveryStats> for RecoveryStats {
 }
 
 impl SimStats {
+    /// Add one pipeline stage's evaluation and busy counts by name; a
+    /// stage new to this roll-up goes at the end.
+    pub fn add_stage(&mut self, name: &'static str, evals: u64, busy: u64) {
+        add_named(&mut self.stage_evals, name, evals);
+        add_named(&mut self.stage_busy, name, busy);
+    }
+
     /// Fraction of simulated cycles that were fast-forwarded, in `[0, 1]`.
     #[must_use]
     pub fn skip_fraction(&self) -> f64 {
@@ -570,16 +530,10 @@ impl std::ops::AddAssign<&SimStats> for SimStats {
         self.cycles_stepped += rhs.cycles_stepped;
         self.cycles_skipped += rhs.cycles_skipped;
         for &(name, n) in &rhs.stage_evals {
-            match self.stage_evals.iter_mut().find(|(s, _)| *s == name) {
-                Some((_, total)) => *total += n,
-                None => self.stage_evals.push((name, n)),
-            }
+            add_named(&mut self.stage_evals, name, n);
         }
         for &(name, n) in &rhs.stage_busy {
-            match self.stage_busy.iter_mut().find(|(s, _)| *s == name) {
-                Some((_, total)) => *total += n,
-                None => self.stage_busy.push((name, n)),
-            }
+            add_named(&mut self.stage_busy, name, n);
         }
         self.lat_issue_dispatch += &rhs.lat_issue_dispatch;
         self.lat_dispatch_retire += &rhs.lat_dispatch_retire;
@@ -590,9 +544,10 @@ impl std::ops::AddAssign<&SimStats> for SimStats {
     }
 }
 
-impl std::ops::AddAssign for SimStats {
-    fn add_assign(&mut self, rhs: SimStats) {
-        *self += &rhs;
+fn add_named(list: &mut Vec<(&'static str, u64)>, name: &'static str, n: u64) {
+    match list.iter_mut().find(|(s, _)| *s == name) {
+        Some((_, total)) => *total += n,
+        None => list.push((name, n)),
     }
 }
 
@@ -608,15 +563,6 @@ impl std::ops::Add for SimStats {
 impl std::iter::Sum for SimStats {
     fn sum<I: Iterator<Item = SimStats>>(iter: I) -> SimStats {
         iter.fold(SimStats::default(), |acc, s| acc + s)
-    }
-}
-
-impl<'a> std::iter::Sum<&'a SimStats> for SimStats {
-    fn sum<I: Iterator<Item = &'a SimStats>>(iter: I) -> SimStats {
-        iter.fold(SimStats::default(), |mut acc, s| {
-            acc += s;
-            acc
-        })
     }
 }
 
@@ -876,27 +822,5 @@ mod tests {
     fn sim_stats_zero_safe() {
         let s = SimStats::default();
         assert_eq!(s.skip_fraction(), 0.0);
-    }
-
-    #[test]
-    fn ratios_handle_zero_cycles() {
-        let s = SlotStats::default();
-        assert_eq!(s.occupancy(), 0.0);
-        assert_eq!(s.throughput(), 0.0);
-        assert_eq!(s.in_flight(), 0);
-    }
-
-    #[test]
-    fn ratios_compute() {
-        let s = SlotStats {
-            pushes: 10,
-            takes: 8,
-            cycles: 16,
-            occupied_cycles: 8,
-            stall_cycles: 2,
-        };
-        assert_eq!(s.occupancy(), 0.5);
-        assert_eq!(s.throughput(), 0.5);
-        assert_eq!(s.in_flight(), 2);
     }
 }

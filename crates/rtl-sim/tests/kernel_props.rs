@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use rtl_sim::{Clocked, Fifo, HandshakeSlot, SlotStats, StallFuzzer};
+use rtl_sim::{Clocked, Fifo, HandshakeSlot, StallFuzzer};
 
 proptest! {
     /// A HandshakeSlot never loses, duplicates or reorders items under
@@ -81,7 +81,6 @@ proptest! {
         let n_got = got.len() as u64;
         prop_assert_eq!(got, (0..n_got).collect::<Vec<_>>());
         prop_assert_eq!(n_got, next, "a drained FIFO returns everything");
-        prop_assert!(fifo.high_water() <= depth);
     }
 
     /// Burst pushes never exceed capacity and preserve order.
@@ -112,12 +111,11 @@ proptest! {
         prop_assert_eq!(got, (0..next).collect::<Vec<_>>());
     }
 
-    /// The commit fast paths keep every statistic, and staged pushes stay
-    /// invisible until the clock edge. Under an arbitrary push / burst /
-    /// take / commit sequence, a slot's and a FIFO's items, `SlotStats`
-    /// and the FIFO's high-water mark match a naive model whose every
-    /// edge moves its staged items and updates every count; after every
-    /// operation the FIFO's `len`, `space`, `can_push`, `peek`,
+    /// The commit fast paths keep staged pushes invisible until the clock
+    /// edge. Under an arbitrary push / burst / take / commit sequence, a
+    /// slot's and a FIFO's items match a naive model whose every edge
+    /// moves its staged items; after every operation the slot's
+    /// occupancy and the FIFO's `len`, `space`, `can_push`, `peek`,
     /// `is_empty` and `is_idle` match the model too.
     #[test]
     fn commit_fast_paths_match_a_naive_model(
@@ -126,11 +124,9 @@ proptest! {
     ) {
         let mut slot = HandshakeSlot::new();
         let mut fifo = Fifo::new(depth);
-        // Model: (held, staged, stats) for the slot; the FIFO's extra
-        // high-water mark alongside.
-        let (mut s_cur, mut s_in, mut s_stats) = (None, None, SlotStats::default());
+        // Model: (held, staged) for the slot and for the FIFO.
+        let (mut s_cur, mut s_in) = (None, None);
         let (mut f_cur, mut f_in) = (VecDeque::new(), Vec::new());
-        let (mut f_stats, mut f_high) = (SlotStats::default(), 0);
         let mut next = 0usize;
         for (op, burst) in ops {
             match op {
@@ -141,43 +137,29 @@ proptest! {
                     if s_cur.is_none() && s_in.is_none() {
                         slot.push(next);
                         s_in = Some(next);
-                        s_stats.pushes += 1;
                     }
                     for _ in 0..n {
                         if f_cur.len() + f_in.len() < depth {
                             fifo.push(next);
                             f_in.push(next);
-                            f_stats.pushes += 1;
                         }
                         next += 1;
                     }
                 }
                 2 => {
-                    let want = s_cur.take();
-                    s_stats.takes += u64::from(want.is_some());
-                    prop_assert_eq!(slot.take(), want);
-                    let want = f_cur.pop_front();
-                    f_stats.takes += u64::from(want.is_some());
-                    prop_assert_eq!(fifo.pop(), want);
+                    prop_assert_eq!(slot.take(), s_cur.take());
+                    prop_assert_eq!(fifo.pop(), f_cur.pop_front());
                 }
                 _ => {
                     slot.commit();
                     if s_cur.is_none() {
                         s_cur = s_in.take();
                     }
-                    s_stats.cycles += 1;
-                    s_stats.occupied_cycles += u64::from(s_cur.is_some());
                     fifo.commit();
                     f_cur.extend(f_in.drain(..));
-                    f_stats.cycles += 1;
-                    f_stats.occupied_cycles += u64::from(!f_cur.is_empty());
-                    f_high = f_high.max(f_cur.len());
                 }
             }
-            prop_assert_eq!(*slot.stats(), s_stats);
             prop_assert_eq!(slot.occupancy(), (s_cur.is_some(), s_in.is_some()));
-            prop_assert_eq!(*fifo.stats(), f_stats);
-            prop_assert_eq!(fifo.high_water(), f_high);
             let held = f_cur.len() + f_in.len();
             prop_assert_eq!(fifo.len(), f_cur.len());
             prop_assert_eq!(fifo.space(), depth - held);

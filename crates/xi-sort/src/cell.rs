@@ -365,80 +365,72 @@ impl CellArena {
                 TailPlan::Materialize => self.materialize_tail(),
             }
         }
-        let m = self.data.len();
+        // Zipped loops over the live prefix (every array has its length):
+        // no index, so no bounds check, and each loop vectorises.
+        let sel = &mut self.selected;
         match cmd {
             CellCmd::Load => unreachable!("Load is applied by the shift chain (push_front)"),
             CellCmd::AssignScanPosition => {
                 unreachable!("the scan assignment is applied by scan_assign")
             }
-            CellCmd::Save => self.saved[..m].copy_from_slice(&self.selected[..m]),
-            CellCmd::Restore => self.selected[..m].copy_from_slice(&self.saved[..m]),
-            CellCmd::SelectAll => self.selected[..m].fill(true),
+            CellCmd::Save => self.saved.copy_from_slice(sel),
+            CellCmd::Restore => sel.copy_from_slice(&self.saved),
+            CellCmd::SelectAll => sel.fill(true),
             CellCmd::SelectImprecise => {
-                for i in 0..m {
-                    self.selected[i] = self.lo[i] != self.hi[i];
+                for ((s, &lo), &hi) in sel.iter_mut().zip(&self.lo).zip(&self.hi) {
+                    *s = lo != hi;
                 }
             }
-            CellCmd::MatchDataLt => {
-                for i in 0..m {
-                    self.selected[i] &= self.data[i] < b.data;
-                }
-            }
-            CellCmd::MatchDataEq => {
-                for i in 0..m {
-                    self.selected[i] &= self.data[i] == b.data;
-                }
-            }
-            CellCmd::MatchDataGt => {
-                for i in 0..m {
-                    self.selected[i] &= self.data[i] > b.data;
-                }
-            }
-            CellCmd::MatchLowerBound => {
-                for i in 0..m {
-                    self.selected[i] &= self.lo[i] == b.lo;
-                }
-            }
-            CellCmd::MatchUpperBound => {
-                for i in 0..m {
-                    self.selected[i] &= self.hi[i] == b.hi;
-                }
-            }
-            CellCmd::MatchLowerBoundLe => {
-                for i in 0..m {
-                    self.selected[i] &= self.lo[i] <= b.lo;
-                }
-            }
-            CellCmd::MatchUpperBoundGe => {
-                for i in 0..m {
-                    self.selected[i] &= self.hi[i] >= b.hi;
-                }
-            }
+            CellCmd::MatchDataLt => Self::and_each(sel, &self.data, |d| d < b.data),
+            CellCmd::MatchDataEq => Self::and_each(sel, &self.data, |d| d == b.data),
+            CellCmd::MatchDataGt => Self::and_each(sel, &self.data, |d| d > b.data),
+            CellCmd::MatchLowerBound => Self::and_each(sel, &self.lo, |lo| lo == b.lo),
+            CellCmd::MatchUpperBound => Self::and_each(sel, &self.hi, |hi| hi == b.hi),
+            CellCmd::MatchLowerBoundLe => Self::and_each(sel, &self.lo, |lo| lo <= b.lo),
+            CellCmd::MatchUpperBoundGe => Self::and_each(sel, &self.hi, |hi| hi >= b.hi),
+            // A bound update first checks every selected cell's new
+            // interval, so its write loop is a branch-free select.
             CellCmd::SetLowerBound => {
-                for i in 0..m {
-                    if self.selected[i] {
-                        let iv = IndexInterval::new(b.lo, self.hi[i]);
-                        self.lo[i] = iv.lo;
-                    }
+                Self::check_selected(sel, &self.hi, |hi| (b.lo, hi));
+                for (lo, &s) in self.lo.iter_mut().zip(sel.iter()) {
+                    *lo = if s { b.lo } else { *lo };
                 }
             }
             CellCmd::SetUpperBound => {
-                for i in 0..m {
-                    if self.selected[i] {
-                        let iv = IndexInterval::new(self.lo[i], b.hi);
-                        self.hi[i] = iv.hi;
-                    }
+                Self::check_selected(sel, &self.lo, |lo| (lo, b.hi));
+                for (hi, &s) in self.hi.iter_mut().zip(sel.iter()) {
+                    *hi = if s { b.hi } else { *hi };
                 }
             }
             CellCmd::SetBounds => {
-                for i in 0..m {
-                    if self.selected[i] {
-                        let iv = IndexInterval::new(b.lo, b.hi);
-                        self.lo[i] = iv.lo;
-                        self.hi[i] = iv.hi;
-                    }
+                Self::check_selected(sel, &self.lo, |_| (b.lo, b.hi));
+                for ((lo, hi), &s) in self.lo.iter_mut().zip(&mut self.hi).zip(sel.iter()) {
+                    (*lo, *hi) = if s { (b.lo, b.hi) } else { (*lo, *hi) };
                 }
             }
+        }
+    }
+
+    /// [`IndexInterval::new`]'s check on the new interval `bounds(keys[i])`
+    /// of every selected cell: panics, as it does, at the first empty
+    /// one. The scan for one has no early exit, so it vectorises.
+    fn check_selected(sel: &[bool], keys: &[u32], bounds: impl Fn(u32) -> (u32, u32)) {
+        let empty = |(&s, &k): (&bool, &u32)| {
+            let (lo, hi) = bounds(k);
+            s & (lo > hi)
+        };
+        let cells = || sel.iter().zip(keys);
+        if cells().fold(false, |any, c| any | empty(c)) {
+            let (_, &k) = cells().find(|&c| empty(c)).expect("an empty interval");
+            let (lo, hi) = bounds(k);
+            IndexInterval::new(lo, hi);
+        }
+    }
+
+    /// `sel[i] &= keep(keys[i])` over the live prefix: a selection match.
+    fn and_each(sel: &mut [bool], keys: &[u32], keep: impl Fn(u32) -> bool) {
+        for (s, &k) in sel.iter_mut().zip(keys) {
+            *s &= keep(k);
         }
     }
 
@@ -757,11 +749,21 @@ mod tests {
 
     #[test]
     fn arena_shadows_cell_by_cell_model_over_a_command_tape() {
-        // A deterministic pseudo-random tape over every broadcast
-        // command, interleaved with shift-loads and scan assignments;
-        // after each operation the arena must materialise to exactly
-        // the reference array.
-        let n = 12usize;
+        // From an empty prefix, then from live prefixes of 1, 63, 64, 65
+        // and 200 cells (so the vectorised broadcast loops run their
+        // remainders), both in a full array and with a three-cell tail.
+        shadow_command_tape(12, 0);
+        for live in [1, 63, 64, 65, 200] {
+            shadow_command_tape(live, live);
+            shadow_command_tape(live + 3, live);
+        }
+    }
+
+    /// A deterministic pseudo-random tape over every broadcast command,
+    /// interleaved with shift-loads and scan assignments, on `n` cells
+    /// after `preload` shift-loads; after each operation the arena must
+    /// materialise to exactly the reference array.
+    fn shadow_command_tape(n: usize, preload: usize) {
         let inert = SimdCell::new(0, IndexInterval::precise(u32::MAX));
         let mut arena = CellArena::new(n, inert);
         let mut reference = Reference {
@@ -774,6 +776,12 @@ mod tests {
             x ^= x << 5;
             x
         };
+        for _ in 0..preload {
+            let c = SimdCell::new(rng() % 32, IndexInterval::precise(u32::MAX));
+            arena.push_front(c);
+            reference.push_front(c);
+        }
+        assert_eq!(arena.live(), preload);
         for step in 0..400 {
             let roll = rng() % 20;
             if roll < 4 {
@@ -815,7 +823,7 @@ mod tests {
             assert_eq!(
                 arena.cells(),
                 reference.cells,
-                "arena diverged at step {step}"
+                "arena of {n} cells, {preload} preloaded, diverged at step {step}"
             );
             assert_eq!(
                 arena.count_selected(),
@@ -837,6 +845,58 @@ mod tests {
                 .map(|(i, c)| (i as u32, *c));
             assert_eq!(arena.leftmost_selected(), expect_leftmost);
         }
+    }
+
+    /// A prefix of cells with precise positions 9, 3, 2 (cell 0 first),
+    /// as the reference array and as an arena.
+    fn bounded_cells() -> (Reference, CellArena) {
+        let cells: Vec<SimdCell> = [9, 3, 2]
+            .map(|p| SimdCell::new(p, IndexInterval::precise(p)))
+            .into();
+        let mut arena = CellArena::new(cells.len(), cells[0]);
+        for &c in cells.iter().rev() {
+            arena.push_front(c);
+        }
+        assert_eq!(arena.cells(), cells);
+        (Reference { cells }, arena)
+    }
+
+    #[test]
+    #[should_panic(expected = "index interval ⟨5, 3⟩ is empty")]
+    fn a_selected_cells_empty_bound_update_panics() {
+        // Raising the lower bound to 5 empties cells 1 and 2; like the
+        // cell-by-cell model, the arena panics at the first of them.
+        let (mut reference, mut arena) = bounded_cells();
+        let raise = Broadcast {
+            data: 0,
+            lo: 5,
+            hi: 0,
+        };
+        let model = std::panic::catch_unwind(move || {
+            reference.apply_all(CellCmd::SelectAll, Broadcast::default());
+            reference.apply_all(CellCmd::SetLowerBound, raise);
+        });
+        let msg = model.expect_err("the model panics too");
+        assert_eq!(
+            msg.downcast_ref::<String>().unwrap(),
+            "index interval ⟨5, 3⟩ is empty"
+        );
+        arena.apply_all(CellCmd::SelectAll, Broadcast::default());
+        arena.apply_all(CellCmd::SetLowerBound, raise);
+    }
+
+    #[test]
+    fn an_unselected_cells_bound_update_is_not_checked() {
+        // The same broadcasts with no cell selected change nothing.
+        let (reference, mut arena) = bounded_cells();
+        for (cmd, lo, hi) in [
+            (CellCmd::SetLowerBound, 5, 0),
+            (CellCmd::SetUpperBound, 0, 1),
+            (CellCmd::SetBounds, 7, 6),
+        ] {
+            arena.apply_all(cmd, Broadcast { data: 0, lo, hi });
+        }
+        assert_eq!(arena.cells(), reference.cells);
     }
 
     #[test]
