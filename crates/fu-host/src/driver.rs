@@ -183,11 +183,6 @@ impl Driver {
         self.sys.send(&HostMsg::WriteReg { reg, value });
     }
 
-    /// Write a flag register.
-    pub fn write_flags(&mut self, reg: u8, flags: Flags) {
-        self.sys.send(&HostMsg::WriteFlags { reg, flags });
-    }
-
     /// Issue an instruction (user or management).
     pub fn exec(&mut self, instr: InstrWord) {
         self.sys.send(&HostMsg::Instr(instr));

@@ -98,6 +98,10 @@ impl FaultModel {
     }
 
     fn decide(&self, index: u64) -> Fault {
+        let rates = self.drop_permille | self.corrupt_permille | self.duplicate_permille;
+        if rates | self.burst_permille == 0 {
+            return Fault::None; // an inert model draws nothing
+        }
         let r = splitmix64(self.seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let roll = (r % 1000) as u32;
         let mut threshold = self.drop_permille;
@@ -546,16 +550,20 @@ impl LinkEnd {
     /// the frames on `rx`. A bare end passes each frame on, so every
     /// arrival is an event. A reliable end waits for the frame
     /// [`Endpoint::first_effect`] names, or for the last frame in flight
-    /// when none acts, so the link empties on time.
+    /// when none acts, so the link empties on time. It remembers that
+    /// frame until it next takes frames ([`Endpoint::next_effect`]), so
+    /// the wire is not scanned at every call.
     #[inline]
-    pub(crate) fn next_arrival(&self, now: u64, rx: &Link) -> Option<u64> {
+    pub(crate) fn next_arrival(&mut self, now: u64, rx: &Link) -> Option<u64> {
         match self {
             LinkEnd::Bare => rx.next_event_cycle(now),
             LinkEnd::Reliable(ep) => {
-                let last = rx.in_flight.len().checked_sub(1)?;
+                let &(_, head) = rx.in_flight.front()?;
+                let n = rx.in_flight.len();
+                let i = ep.next_effect(head, n);
                 let frames = rx.in_flight.iter().map(|&(_, f)| f);
-                let i = ep.first_effect(frames).unwrap_or(last);
-                Some(rx.in_flight[i].0.max(now))
+                debug_assert_eq!(i, ep.first_effect(frames), "stale remembered wake");
+                Some(rx.in_flight[i.unwrap_or(n - 1)].0.max(now))
             }
         }
     }
@@ -566,7 +574,7 @@ impl LinkEnd {
     /// per-cycle run records each arrival in the same order as one that
     /// wakes only for it.
     #[inline]
-    pub(crate) fn due(&self, now: u64, rx: &Link) -> bool {
+    pub(crate) fn due(&mut self, now: u64, rx: &Link) -> bool {
         // Nothing is due before the first frame in flight has arrived.
         let arrived = || rx.in_flight.front().is_some_and(|&(t, _)| t <= now);
         match self {
@@ -782,10 +790,9 @@ impl HostPort {
     /// that completes a segment, a bare host end at every frame (a bare
     /// edge's arrivals are the arbiter's, see [`HostPort::ready`]).
     #[inline]
-    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        let host_rx = || self.end.next_arrival(now, &self.to_host);
+    pub(crate) fn next_event(&mut self, now: u64) -> Option<u64> {
         if let LinkEnd::Bare = self.end {
-            return host_rx();
+            return self.end.next_arrival(now, &self.to_host);
         }
         let host = self.end.next_event(now, &self.to_dev);
         if host.is_some_and(|t| t <= now) {
@@ -795,7 +802,8 @@ impl HostPort {
         if edge.is_some_and(|t| t <= now) {
             return edge;
         }
-        let arrivals = earliest(self.edge.next_arrival(now, &self.to_dev), host_rx());
+        let host_rx = self.end.next_arrival(now, &self.to_host);
+        let arrivals = earliest(self.edge.next_arrival(now, &self.to_dev), host_rx);
         earliest(earliest(host, edge), arrivals)
     }
 
@@ -1006,6 +1014,110 @@ mod tests {
         }
         assert_eq!(got, (0..100u32).collect::<Vec<_>>());
         assert_eq!(l.fault_stats(), FaultStats::default());
+    }
+
+    #[test]
+    fn an_inert_model_delivers_as_no_model_does() {
+        let model = LinkModel::pcie_like();
+        let mut bare = Link::new(model);
+        let mut inert = Link::with_faults(model, FaultModel::none(7));
+        for f in 0..100u32 {
+            for l in [&mut bare, &mut inert] {
+                l.send(l.next_send_cycle(), f);
+            }
+        }
+        assert_eq!(inert.in_flight, bare.in_flight);
+        assert_eq!(inert.fault_stats(), FaultStats::default());
+    }
+
+    #[test]
+    fn an_inert_model_still_counts_its_frames() {
+        // A model installed later draws from the frame index the inert
+        // one left, as if it had been drawing all along.
+        let mut l = Link::with_faults(LinkModel::ideal(), FaultModel::none(3));
+        (0..50u32).for_each(|f| l.send(f.into(), f));
+        assert_eq!(l.fault_index, 50);
+    }
+
+    /// A CRC-valid data segment starting at `seq`, built by hand.
+    fn data_segment(seq: u16, words: &[u32]) -> Vec<u32> {
+        use fu_isa::transport::DATA_MAGIC;
+        let mut seg = vec![DATA_MAGIC << 24 | (words.len() as u32) << 16 | u32::from(seq)];
+        seg.extend(words);
+        seg.push(fu_isa::crc::crc32_frames(&seg));
+        seg
+    }
+
+    #[test]
+    fn a_remembered_wake_takes_frames_as_per_call_scans_do() {
+        use fu_isa::transport::DATA_MAGIC;
+        // Wire faults scripted by hand, each of which moves the frame that
+        // acts: a drop, a corrupted header, a duplicate, and a
+        // magic-looking payload that swallows the next header, so only a
+        // frame-by-frame resync finds it.
+        let a = data_segment(0, &[1, 2, 3]);
+        let b = data_segment(3, &[4, 5]);
+        let c = data_segment(5, &[6]);
+        let p = DATA_MAGIC << 24 | 1 << 16 | 9;
+        let d = data_segment(6, &[p, 8]);
+        let wire: Vec<u32> = [&a[..2], &a[3..], &a]
+            .into_iter()
+            .chain([&[b[0] ^ 0x4000_0000][..], &b[1..], &b])
+            .chain([&c[..2], &c[1..], &c, &c])
+            .chain([&[p][..], &d])
+            .flatten()
+            .copied()
+            .collect();
+        // Frames land one a cycle, so the receivers look while the
+        // segments they wait for are still arriving.
+        let model = LinkModel {
+            name: "t",
+            latency_cycles: 3,
+            cycles_per_frame: 1,
+            port_frames_per_cycle: 1,
+        };
+        let ep = || Endpoint::new(TransportConfig::default());
+        let (mut end, mut fresh) = (LinkEnd::Reliable(Box::new(ep())), ep());
+        let (mut rx, mut fresh_rx) = (Link::new(model), Link::new(model));
+        let (mut took, mut fresh_took) = (Vec::new(), Vec::new());
+        for now in 0..wire.len() as u64 + 8 {
+            if let Some(&f) = wire.get(now as usize) {
+                rx.send(now, f);
+                fresh_rx.send(now, f);
+            }
+            // The per-call scan the remembered wake stands in for.
+            let frames = fresh_rx.in_flight.iter().map(|&(_, f)| f);
+            let wake = fresh_rx.in_flight.len().checked_sub(1).map(|last| {
+                let i = fresh.first_effect(frames).unwrap_or(last);
+                fresh_rx.in_flight[i].0.max(now)
+            });
+            assert_eq!(end.next_arrival(now, &rx), wake, "cycle {now}");
+            if end.due(now, &rx) {
+                let LinkEnd::Reliable(ep) = &mut end else {
+                    unreachable!()
+                };
+                while let Some((at, f)) = rx.recv_stamped(now) {
+                    took.push((now, at, f));
+                    ep.on_frame(now, f);
+                }
+            }
+            let arrived = fresh_rx.in_flight.front().is_some_and(|&(t, _)| t <= now);
+            if arrived && wake.is_some_and(|t| t <= now) {
+                while let Some((at, f)) = fresh_rx.recv_stamped(now) {
+                    fresh_took.push((now, at, f));
+                    fresh.on_frame(now, f);
+                }
+            }
+        }
+        assert_eq!(took, fresh_took);
+        assert_eq!(took.len(), wire.len());
+        let LinkEnd::Reliable(ep) = &mut end else {
+            unreachable!()
+        };
+        let got: Vec<u32> = std::iter::from_fn(|| ep.deliver()).collect();
+        assert_eq!(got, [1, 2, 3, 4, 5, 6, p, 8], "{:?}", ep.stats());
+        assert_eq!(ep.stats(), fresh.stats());
+        assert!(ep.stats().rejected >= 8, "{:?}", ep.stats());
     }
 
     #[test]

@@ -139,7 +139,8 @@ pub struct TransportStats {
 /// link, and [`Endpoint::first_effect`] names the frame in flight that
 /// completes one, the only arrival that changes anything outside the
 /// endpoint, so a simulator may wake a receiver there and not at every
-/// frame.
+/// frame. [`Endpoint::next_effect`] finds that frame from the segment's
+/// header alone and remembers it until the endpoint takes a frame.
 #[derive(Debug, Clone)]
 pub struct Endpoint {
     cfg: TransportConfig,
@@ -174,10 +175,14 @@ pub struct Endpoint {
     pending_ack: Option<u16>,
     /// Validated in-order payloads awaiting the application.
     delivered: VecDeque<u32>,
+    /// [`Endpoint::next_effect`]'s answer: the index, in the peer's
+    /// frames in flight, of the one that acts. `None` until asked and
+    /// once a frame is taken, as that moves the queue it indexes.
+    effect_at: Option<usize>,
 
     /// The segment being staged by [`Endpoint::pull_segment`]; empty
     /// between calls, kept only to reuse its buffer.
-    out_buf: VecDeque<u32>,
+    out_buf: Vec<u32>,
 
     stats: TransportStats,
 }
@@ -205,7 +210,8 @@ impl Endpoint {
             rx_buf: Vec::new(),
             pending_ack: None,
             delivered: VecDeque::new(),
-            out_buf: VecDeque::new(),
+            effect_at: None,
+            out_buf: Vec::new(),
             stats: TransportStats::default(),
         }
     }
@@ -251,7 +257,7 @@ impl Endpoint {
     /// (which arms the retransmit deadline from `now`). Empty when there
     /// is nothing to send. The caller paces the frames onto the link, so
     /// the next call belongs at the bandwidth gate after the last one.
-    pub fn pull_segment(&mut self, now: u64) -> std::collections::vec_deque::Drain<'_, u32> {
+    pub fn pull_segment(&mut self, now: u64) -> std::vec::Drain<'_, u32> {
         self.refill(now);
         self.stats.wire_frames += self.out_buf.len() as u64;
         self.out_buf.drain(..)
@@ -260,8 +266,7 @@ impl Endpoint {
     fn refill(&mut self, now: u64) {
         if let Some(ack) = self.pending_ack.take() {
             let header = (ACK_MAGIC << 24) | ack as u32;
-            self.out_buf.push_back(header);
-            self.out_buf.push_back(crc32_frames(&[header]));
+            self.out_buf.extend([header, crc32_frames(&[header])]);
             self.stats.acks_sent += 1;
             return;
         }
@@ -279,10 +284,9 @@ impl Endpoint {
                 self.stats.segments_sent += 1;
             }
             let header = (DATA_MAGIC << 24) | (len as u32) << 16 | (seq as u16) as u32;
-            self.out_buf.push_back(header);
+            self.out_buf.push(header);
             self.out_buf.extend(self.unacked.range(start..start + len));
-            let crc = crc32_frames(self.out_buf.make_contiguous());
-            self.out_buf.push_back(crc);
+            self.out_buf.push(crc32_frames(&self.out_buf));
             self.send_cursor += len;
             self.high_water = self.high_water.max(seq + len as u64);
             if self.deadline.is_none() {
@@ -340,8 +344,25 @@ impl Endpoint {
         None
     }
 
+    /// [`Endpoint::first_effect`] over the peer's `in_flight` frames,
+    /// `head` first, in a queue that grows at its back and loses frames
+    /// at its front only to [`Endpoint::on_frame`]. The frame that acts
+    /// follows from the segment header alone (the one buffered, else
+    /// `head`), so it is found in one step and remembered while frames
+    /// land behind it, until the endpoint next takes a frame.
+    pub fn next_effect(&mut self, head: u32, in_flight: usize) -> Option<usize> {
+        let at = self.effect_at.unwrap_or_else(|| {
+            let header = self.rx_buf.first().copied().unwrap_or(head);
+            self.segment_frames(header)
+                .map_or(0, |want| want - self.rx_buf.len() - 1)
+        });
+        self.effect_at = Some(at);
+        (at < in_flight).then_some(at)
+    }
+
     /// Feed one frame received from the peer's link.
     pub fn on_frame(&mut self, now: u64, frame: u32) {
+        self.effect_at = None;
         let header = self.rx_buf.first().copied().unwrap_or(frame);
         let Some(want) = self.segment_frames(header) else {
             self.stats.rejected += 1; // resync: skip until a header

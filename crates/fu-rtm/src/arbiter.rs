@@ -94,8 +94,14 @@ impl WriteArbiter {
         let mut granted_any = false;
         let mut denied_any = false;
         let mut next_ptr = self.rr_ptr;
-        for i in 0..n {
-            let idx = (self.rr_ptr + i) % n;
+        // Round robin from the pointer to the end, then wrap: no division
+        // per unit. (A pointer past a shorter roster wraps as `%` would.)
+        let start = if self.rr_ptr < n {
+            self.rr_ptr
+        } else {
+            self.rr_ptr % n
+        };
+        for idx in (start..n).chain(0..start) {
             if active.is_some_and(|a| !a[idx]) {
                 debug_assert!(
                     fus[idx].peek_output().is_none(),
@@ -143,7 +149,7 @@ impl WriteArbiter {
             self.acked.push((idx, out.ticket, out.seq));
             self.completions.bump();
             granted_any = true;
-            next_ptr = (idx + 1) % n;
+            next_ptr = if idx + 1 == n { 0 } else { idx + 1 };
         }
         if granted_any {
             self.rr_ptr = next_ptr;

@@ -124,13 +124,6 @@ impl CoprocConfig {
         Ok(())
     }
 
-    /// Builder-style port width override (both directions).
-    pub fn with_port_width(mut self, frames_per_cycle: u8) -> Self {
-        self.rx_frames_per_cycle = frames_per_cycle;
-        self.tx_frames_per_cycle = frames_per_cycle;
-        self
-    }
-
     /// Builder-style word size override.
     pub fn with_word_bits(mut self, bits: u32) -> Self {
         self.word_bits = bits;
@@ -146,18 +139,6 @@ impl CoprocConfig {
     /// Builder-style flag register count override.
     pub fn with_flag_regs(mut self, n: u16) -> Self {
         self.flag_regs = n;
-        self
-    }
-
-    /// Builder-style trace enable.
-    pub fn with_trace(mut self, depth: usize) -> Self {
-        self.trace_depth = depth;
-        self
-    }
-
-    /// Builder-style dispatch-watchdog enable.
-    pub fn with_watchdog(mut self, max_busy_cycles: u64) -> Self {
-        self.max_busy_cycles = Some(max_busy_cycles);
         self
     }
 

@@ -363,11 +363,6 @@ impl Coprocessor {
         self.rx_fifo.can_push()
     }
 
-    /// Free space in the receive FIFO this cycle.
-    pub fn rx_space(&self) -> usize {
-        self.rx_fifo.space()
-    }
-
     /// Deliver one frame from the link (receiver → receive FIFO).
     /// Returns `false` (frame not accepted) when the FIFO is full — the
     /// link must retry, as real flow control would.

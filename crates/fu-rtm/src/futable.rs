@@ -96,11 +96,6 @@ impl FuTable {
         self.quarantined.get(index).copied().unwrap_or(false)
     }
 
-    /// Number of quarantined units.
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| q).count()
-    }
-
     /// Lift all quarantines (used by `reset`).
     pub fn clear_quarantine(&mut self) {
         self.quarantined.fill(false);

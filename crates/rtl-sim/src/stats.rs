@@ -453,18 +453,6 @@ pub struct RecoveryStats {
     pub job_retries: u64,
 }
 
-impl RecoveryStats {
-    /// Mean cycles of work lost per rollback (0 when none occurred).
-    #[must_use]
-    pub fn mean_cycles_lost(&self) -> f64 {
-        if self.rollbacks == 0 {
-            0.0
-        } else {
-            self.cycles_lost as f64 / self.rollbacks as f64
-        }
-    }
-}
-
 impl std::ops::AddAssign<&RecoveryStats> for RecoveryStats {
     fn add_assign(&mut self, rhs: &RecoveryStats) {
         self.seus_injected += rhs.seus_injected;
